@@ -7,6 +7,12 @@ texts) falls below a threshold, so common short fragments never pin the
 alignment. The divergent gaps between anchors are then aligned with
 unit-cost edit-distance DP. Alignment is done on lowercased text with
 punctuation kept in place, so offsets map back to the original strings.
+
+The LCS scan keeps O(1) extra memory and runs its substring searches in
+C, skipping every start from which no match longer than the best so far
+can begin (see `longest_common_substring`). Alignment stays superlinear:
+each search scans the ASR side, every recursion level searches all of its
+gaps again, and a DP leaf costs the product of its two lengths.
 """
 
 from __future__ import annotations
@@ -76,29 +82,28 @@ def longest_common_substring(a: str, b: str) -> tuple:
     """(a_start, b_start, length) of the longest substring shared by a and b.
 
     Ties are broken by the leftmost start in a, then the leftmost start in
-    b. Rolling DP over longest-common-suffix lengths, vectorized along b.
+    b. One pass over the starts of a: at start i the best length L found
+    so far grows while a[i:i+L+1] occurs in b, so the first start that
+    reaches the final length keeps it, and b.find gives the leftmost start
+    in b. With h = (L + 2) // 2, a match of length L + 1 from i covers the
+    block a[k:k+h] at the first multiple k of h not below i; starts whose
+    block does not occur in b cannot improve L and are skipped.
     """
-    if not a or not b:
-        return (0, 0, 0)
-    ca, cb = _codes(a), _codes(b)
-    prev = np.zeros(len(b), dtype=np.int32)
-    cur = np.zeros(len(b), dtype=np.int32)
-    best_len = 0
-    best_i = best_j = 0
+    best = best_i = 0
+    block = (0, 0, True)  # (start, length, occurs in b) of the last block searched
     for i in range(len(a)):
-        eq = cb == ca[i]
-        cur[0] = 1 if eq[0] else 0
-        np.add(prev[:-1], 1, out=cur[1:])
-        cur[1:] *= eq[1:]
-        row_max = int(cur.max())
-        if row_max > best_len:
-            best_len = row_max
+        h = (best + 2) // 2
+        k = -(-i // h) * h
+        if block[:2] != (k, h):
+            block = (k, h, a[k:k + h] in b)
+        if not block[2]:
+            continue
+        while i + best < len(a) and a[i:i + best + 1] in b:
+            best += 1
             best_i = i
-            best_j = int(np.argmax(cur))  # first column attaining the max
-        prev, cur = cur, prev
-    if best_len == 0:
+    if best == 0:
         return (0, 0, 0)
-    return (best_i - best_len + 1, best_j - best_len + 1, best_len)
+    return (best_i, b.find(a[best_i:best_i + best]), best)
 
 
 @dataclass(frozen=True)
@@ -241,16 +246,20 @@ def dp_align(a: str, b: str) -> CharAlignment:
     return CharAlignment(ops, n, m)
 
 
-def _collect_ops(node: Partition, ref: str, asr: str, out: list) -> None:
-    if node.status is PartitionStatus.LEAF:
-        rl, rh = node.ref_span
-        al, ah = node.asr_span
-        out.extend(dp_align(ref[rl:rh], asr[al:ah]).ops)
+def _tiles(node: Partition, ref: str, asr: str):
+    """The tiles of a partition tree in document order: (node, None) for
+    each anchored node and (leaf, its DP alignment) for each leaf that
+    covers any characters."""
+    if node.status is PartitionStatus.ANCHORED:
+        left, right = node.children
+        yield from _tiles(left, ref, asr)
+        yield node, None
+        yield from _tiles(right, ref, asr)
         return
-    left, right = node.children
-    _collect_ops(left, ref, asr, out)
-    out.extend([AlignOp.MATCH] * node.anchor[2])
-    _collect_ops(right, ref, asr, out)
+    rl, rh = node.ref_span
+    al, ah = node.asr_span
+    if rh > rl or ah > al:
+        yield node, dp_align(ref[rl:rh], asr[al:ah])
 
 
 def align_transcripts(ref_text: str, asr_text: str) -> CharAlignment:
@@ -259,9 +268,9 @@ def align_transcripts(ref_text: str, asr_text: str) -> CharAlignment:
     Performed on lowercased copies; offsets are valid for the originals."""
     ref_l = fold_case(ref_text)
     asr_l = fold_case(asr_text)
-    tree = partition_tree(ref_l, asr_l)
     ops = []
-    _collect_ops(tree, ref_l, asr_l, ops)
+    for node, sub in _tiles(partition_tree(ref_l, asr_l), ref_l, asr_l):
+        ops.extend([AlignOp.MATCH] * node.anchor[2] if sub is None else sub.ops)
     return CharAlignment(ops, len(ref_text), len(asr_text))
 
 
@@ -269,25 +278,15 @@ def alignment_record(encounter_id: str, ref_text: str, asr_text: str) -> dict:
     """Per-encounter alignment dump: anchored spans plus leaf op strings."""
     ref_l = fold_case(ref_text)
     asr_l = fold_case(asr_text)
-    tree = partition_tree(ref_l, asr_l)
     anchors = []
     leaves = []
-
-    def walk(node):
-        if node.status is PartitionStatus.LEAF:
-            rl, rh = node.ref_span
-            al, ah = node.asr_span
-            if rh > rl or ah > al:
-                sub = dp_align(ref_l[rl:rh], asr_l[al:ah])
-                leaves.append({
-                    "ref_span": [rl, rh],
-                    "asr_span": [al, ah],
-                    "ops": sub.op_string(),
-                })
-            return
-        walk(node.children[0])
-        anchors.append(list(node.anchor))
-        walk(node.children[1])
-
-    walk(tree)
+    for node, sub in _tiles(partition_tree(ref_l, asr_l), ref_l, asr_l):
+        if sub is None:
+            anchors.append(list(node.anchor))
+        else:
+            leaves.append({
+                "ref_span": list(node.ref_span),
+                "asr_span": list(node.asr_span),
+                "ops": sub.op_string(),
+            })
     return {"encounter_id": encounter_id, "anchors": anchors, "leaves": leaves}

@@ -349,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="JSON file whose keys override flags")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-transcript fan-out")
+                        help="worker threads for project's per-transcript fan-out "
+                             "(other subcommands ignore it)")
 
     parser = argparse.ArgumentParser(
         prog="soapkit",

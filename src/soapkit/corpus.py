@@ -10,6 +10,7 @@ stored as JSON Lines, one encounter per line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -75,6 +76,7 @@ class LabelDistribution:
     The soap vector is a proper distribution (sums to 1). The speaker
     vector is non-negative but its sum depends on the normalization mode
     used to produce it (L2 by default), so only non-negativity is checked.
+    Every entry must be finite.
     """
 
     soap: tuple
@@ -89,6 +91,8 @@ class LabelDistribution:
             raise CorpusError(f"soap distribution must have {N_SOAP} entries, got {len(soap)}")
         if len(speaker) != N_SPEAKER:
             raise CorpusError(f"speaker vector must have {N_SPEAKER} entries, got {len(speaker)}")
+        if not all(map(math.isfinite, soap + speaker)):
+            raise CorpusError("label distribution entries must be finite")
         if any(x < -DIST_TOLERANCE for x in soap) or any(x < -DIST_TOLERANCE for x in speaker):
             raise CorpusError("label distribution entries must be non-negative")
         if abs(sum(soap) - 1.0) > DIST_TOLERANCE:

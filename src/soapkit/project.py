@@ -52,8 +52,6 @@ class AsrUtterance:
     turn_id: int
     span: tuple  # half-open char range in the ASR text (trimmed)
     text: str
-    word_stats: list
-    targets: LabelDistribution | None = None
 
 
 def _trailing_token(text: str, lo: int, end: int) -> str:
@@ -94,7 +92,6 @@ def reconstruct_utterances(asr_text: str, turns) -> list:
                     turn_id=turn_id,
                     span=(fs, fe),
                     text=asr_text[fs:fe],
-                    word_stats=[],
                 ))
     return out
 
@@ -137,24 +134,16 @@ def char_label_table(transcript: Transcript) -> tuple:
 def asr_to_ref_map(alignment: CharAlignment) -> tuple:
     """Per-ASR-char arrays: aligned reference index (-1 for inserts) and
     whether the pair was an exact match."""
-    ref_idx = np.full(alignment.asr_len, -1, dtype=np.int64)
-    matched = np.zeros(alignment.asr_len, dtype=bool)
-    ri = ai = 0
-    for op in alignment.ops:
-        if op == AlignOp.MATCH or op == AlignOp.SUBSTITUTE:
-            ref_idx[ai] = ri
-            matched[ai] = op == AlignOp.MATCH
-            ri += 1
-            ai += 1
-        elif op == AlignOp.DELETE:
-            ri += 1
-        else:
-            ai += 1
-    return ref_idx, matched
+    ops = np.array(alignment.ops, dtype=np.int8)
+    ref_idx = np.cumsum(ops != AlignOp.INSERT) - 1
+    ref_idx[ops == AlignOp.INSERT] = -1
+    on_asr = ops != AlignOp.DELETE
+    return ref_idx[on_asr], (ops == AlignOp.MATCH)[on_asr]
 
 
-def word_label_probs(alignment: CharAlignment, ref_labels, spans) -> list:
-    """Label mass per ASR word.
+def word_label_probs(char_map: tuple, ref_labels, spans) -> list:
+    """Label mass per ASR word, given the (ref_idx, matched) arrays of
+    `asr_to_ref_map` for the whole transcript.
 
     For each word, the aligned reference segment is the char range spanned
     by the word's matched/substituted chars. Per-class mass is the fraction
@@ -162,7 +151,7 @@ def word_label_probs(alignment: CharAlignment, ref_labels, spans) -> list:
     confidence = exactly-matched chars / max(word length, segment length).
     Words aligned to nothing get zero mass and zero confidence.
     """
-    ref_idx, matched = asr_to_ref_map(alignment)
+    ref_idx, matched = char_map
     out = []
     for (ws, we) in spans:
         idx = ref_idx[ws:we]
@@ -241,17 +230,15 @@ def project_transcript(ref: Transcript, asr: AsrRaw, speaker_mode: str = "l2") -
     """Full projection for one encounter: align, rebuild ASR utterances,
     and attach per-utterance label distributions."""
     ref_text, ref_labels = char_label_table(ref)
-    alignment = align_transcripts(ref_text, asr.text)
-    utts = reconstruct_utterances(asr.text, asr.turns)
+    char_map = asr_to_ref_map(align_transcripts(ref_text, asr.text))
     new_utts = []
-    for utt in utts:
+    for utt in reconstruct_utterances(asr.text, asr.turns):
         spans = word_spans(asr.text, utt.span[0], utt.span[1])
-        utt.word_stats = word_label_probs(alignment, ref_labels, spans)
-        utt.targets = utterance_distributions(utt.word_stats, speaker_mode=speaker_mode)
+        word_stats = word_label_probs(char_map, ref_labels, spans)
         new_utts.append(Utterance(
             id=len(new_utts),
             text=utt.text,
-            dist=utt.targets,
+            dist=utterance_distributions(word_stats, speaker_mode=speaker_mode),
         ))
     return Transcript(encounter_id=ref.encounter_id, kind=TranscriptKind.ASR, utterances=tuple(new_utts))
 

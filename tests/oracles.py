@@ -38,6 +38,52 @@ def lcs_brute(a: str, b: str) -> tuple:
     return best
 
 
+def lcs_rolling_dp(a: str, b: str) -> tuple:
+    """(a_start, b_start, length) of the longest common substring by a
+    rolling DP over longest-common-suffix lengths, one row of b per char
+    of a; ties resolved by smallest a_start, then smallest b_start. Fast
+    enough for strings of thousands of chars, unlike `lcs_brute`."""
+    if not a or not b:
+        return (0, 0, 0)
+    ca = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
+    cb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
+    prev = np.zeros(len(b), dtype=np.int32)
+    cur = np.zeros(len(b), dtype=np.int32)
+    best_len = 0
+    best_i = best_j = 0
+    for i in range(len(a)):
+        eq = cb == ca[i]
+        cur[0] = 1 if eq[0] else 0
+        np.add(prev[:-1], 1, out=cur[1:])
+        cur[1:] *= eq[1:]
+        row_max = int(cur.max())
+        if row_max > best_len:
+            best_len = row_max
+            best_i = i
+            best_j = int(np.argmax(cur))  # first column attaining the max
+        prev, cur = cur, prev
+    if best_len == 0:
+        return (0, 0, 0)
+    return (best_i - best_len + 1, best_j - best_len + 1, best_len)
+
+
+def asr_to_ref_map_loop(op_string: str) -> tuple:
+    """Walk an "MSID" op string one op at a time: per ASR char, the
+    reference index it aligned to (-1 for inserts) and whether it matched."""
+    ref_idx, matched = [], []
+    ri = 0
+    for op in op_string:
+        if op in "MS":
+            ref_idx.append(ri)
+            matched.append(op == "M")
+        elif op == "I":
+            ref_idx.append(-1)
+            matched.append(False)
+        if op != "I":
+            ri += 1
+    return ref_idx, matched
+
+
 def auroc_pairwise(scores, pos) -> float:
     """Probability a positive outscores a negative over all pairs, ties
     counting one half."""

@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
-from oracles import edit_distance_textbook, lcs_brute
+from oracles import edit_distance_textbook, lcs_brute, lcs_rolling_dp
 
+import soapkit.align
 from soapkit.align import (
     AlignmentError,
     AlignOp,
@@ -17,6 +20,21 @@ from soapkit.align import (
     longest_common_substring,
     partition_tree,
 )
+from soapkit.corpus import Rng, render_reference
+from soapkit.synth import CorruptionConfig, SynthConfig, corrupt_corpus, generate_corpus
+
+README_NOISE = CorruptionConfig(char_sub_rate=0.03, char_del_rate=0.01,
+                                char_ins_rate=0.01, turn_merge_rate=0.3)
+
+
+@pytest.fixture(scope="module")
+def long_pair():
+    """One seeded 300-utterance encounter (about 13k chars) and its ASR
+    copy at README noise."""
+    refs = generate_corpus(SynthConfig(n_transcripts=1, min_utterances=300,
+                                       max_utterances=300, seed=5))
+    asr, _ = corrupt_corpus(refs, README_NOISE, Rng(6))
+    return render_reference(refs[0].utterances)[0], asr[0].text
 
 
 def random_string(gen, alphabet, max_len):
@@ -55,6 +73,24 @@ class TestLongestCommonSubstring:
     def test_repetitive_strings(self):
         assert longest_common_substring("aaaa", "aa") == (0, 0, 2)
         assert longest_common_substring("xabcx", "yabcy") == (1, 1, 3)
+
+    def test_matches_rolling_dp_on_longer_strings(self):
+        gen = np.random.Generator(np.random.PCG64(41))
+        for trial in range(200):
+            alphabet = "abcd"[:1 + trial % 4]
+            a = random_string(gen, alphabet, 300)
+            b = random_string(gen, alphabet, 300)
+            assert longest_common_substring(a, b) == lcs_rolling_dp(a, b), f"{a!r} vs {b!r}"
+
+    def test_matches_rolling_dp_on_transcript_text(self, long_pair):
+        ref, asr = (fold_case(t) for t in long_pair)
+        gen = np.random.Generator(np.random.PCG64(43))
+        for _ in range(60):
+            n, m = (int(x) for x in gen.integers(0, 301, size=2))
+            i = int(gen.integers(0, len(ref) - n + 1))
+            j = int(gen.integers(max(0, i - 400), min(len(asr) - m, i + 400) + 1))
+            a, b = ref[i:i + n], asr[j:j + m]
+            assert longest_common_substring(a, b) == lcs_rolling_dp(a, b), f"{a!r} vs {b!r}"
 
 
 class TestCharModel:
@@ -182,6 +218,34 @@ class TestAlignTranscripts:
         al = align_transcripts("Chest Pain", "chest pain")
         assert al.cost == 0
         assert al.op_string() == "M" * len("chest pain")
+
+    def test_record_matches_rolling_dp_anchoring(self, long_pair, monkeypatch):
+        got = alignment_record("e0", *long_pair)
+        monkeypatch.setattr(soapkit.align, "longest_common_substring", lcs_rolling_dp)
+        assert got == alignment_record("e0", *long_pair)
+
+    def test_record_and_ops_agree(self, long_pair):
+        ref, asr = long_pair
+        rec = alignment_record("e0", ref, asr)
+        # anchors and leaves tile both strings; in document order they
+        # sort by their start offsets
+        tiles = [((r, a), "M" * L) for r, a, L in rec["anchors"]]
+        tiles += [((leaf["ref_span"][0], leaf["asr_span"][0]), leaf["ops"])
+                  for leaf in rec["leaves"]]
+        rebuilt = [ops for _, ops in sorted(tiles)]
+        assert "".join(rebuilt) == align_transcripts(ref, asr).op_string()
+
+    def test_record_leaves_no_cyclic_garbage(self, long_pair):
+        ref, asr = long_pair
+        n = 2000  # a prefix keeps the tree non-trivial and the call short
+        gc.collect()
+        gc.disable()
+        try:
+            rec = alignment_record("e0", ref[:n], asr[:n])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert rec["anchors"]
 
     def test_record_shape(self):
         rec = alignment_record("e7", "the patient reports pain.", "the patient report pain")

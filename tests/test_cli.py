@@ -60,6 +60,21 @@ class TestErrorPaths:
         assert res.returncode == 3
         assert "kind=parse-failure" in res.stderr
 
+    def test_nan_in_projected_corpus_is_exit_3(self, workspace, tmp_path):
+        data = workspace / "data"
+        proj = tmp_path / "projected.jsonl"
+        res = run_cli("project", "--ref", str(data / "reference.jsonl"),
+                      "--asr", str(data / "asr.jsonl"), "--out", str(proj))
+        assert res.returncode == 0, res.stderr
+        lines = proj.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["utterances"][0]["soap_dist"] = [float("nan")] * 5
+        lines[0] = json.dumps(rec)  # json writes NaN and reads it back
+        proj.write_text("\n".join(lines) + "\n")
+        res = run_cli("eval", "--model", "oracle", "--test", str(proj))
+        assert res.returncode == 3
+        assert "kind=parse-failure" in res.stderr and "finite" in res.stderr
+
     def test_unknown_config_key_is_exit_4(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"does-not-exist": 1}')

@@ -36,6 +36,15 @@ class TestLabelDistribution:
         with pytest.raises(CorpusError, match="non-negative"):
             LabelDistribution(soap=(1.1, -0.1, 0, 0, 0), speaker=(1, 0, 0, 0))
 
+    @pytest.mark.parametrize("soap, speaker", [
+        ((float("nan"),) * 5, (1, 0, 0, 0)),
+        ((1, 0, 0, 0, 0), (float("inf"), 0, 0, 0)),
+        ((1, 0, 0, 0, 0), (float("nan"), 0, 0, 0)),
+    ])
+    def test_non_finite_entries_rejected(self, soap, speaker):
+        with pytest.raises(CorpusError, match="finite"):
+            LabelDistribution(soap=soap, speaker=speaker)
+
     def test_speaker_sum_is_free(self):
         # L2-normalized speaker vectors do not sum to 1 and must be accepted
         v = 1.0 / np.sqrt(2.0)

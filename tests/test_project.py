@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import asr_to_ref_map_loop
+
+import soapkit.project
+from soapkit.align import AlignOp, CharAlignment
+
 from soapkit.corpus import (
     AsrRaw,
     Rng,
@@ -12,6 +17,7 @@ from soapkit.corpus import (
 )
 from soapkit.project import (
     ProjectionError,
+    asr_to_ref_map,
     char_label_table,
     normalize_soap,
     normalize_speaker,
@@ -90,6 +96,19 @@ class TestReconstructUtterances:
         assert [u.text for u in utts] == ["hello there", "yes indeed"]
 
 
+class TestAsrToRefMap:
+    def test_matches_loop_oracle(self):
+        gen = np.random.Generator(np.random.PCG64(13))
+        for n in list(range(6)) + [60] * 100:
+            ops = [AlignOp(int(x)) for x in gen.integers(0, 4, n)]
+            al = CharAlignment(ops, sum(op != AlignOp.INSERT for op in ops),
+                               sum(op != AlignOp.DELETE for op in ops))
+            ref_idx, matched = asr_to_ref_map(al)
+            want_idx, want_matched = asr_to_ref_map_loop(al.op_string())
+            assert ref_idx.tolist() == want_idx and matched.tolist() == want_matched
+            assert ref_idx.dtype == np.int64 and matched.dtype == bool
+
+
 class TestCharLabelTable:
     def test_labels_follow_utterances_and_skip_separators(self):
         ref = Transcript("e0", TranscriptKind.REFERENCE, (
@@ -165,6 +184,20 @@ class TestProjectCorpus:
         asr, _ = corrupt_corpus(small_corpus[:3], CorruptionConfig(), Rng(0))
         with pytest.raises(ProjectionError, match="no asr record"):
             project_corpus(small_corpus[:4], asr)
+
+    def test_one_asr_to_ref_map_per_transcript(self, small_corpus, monkeypatch):
+        calls = []
+        real = soapkit.project.asr_to_ref_map
+
+        def counted(alignment):
+            calls.append(alignment)
+            return real(alignment)
+
+        monkeypatch.setattr(soapkit.project, "asr_to_ref_map", counted)
+        asr, _ = corrupt_corpus(small_corpus, CorruptionConfig(char_sub_rate=0.05), Rng(2))
+        projected = project_corpus(small_corpus, asr)
+        assert sum(len(t.utterances) for t in projected) > len(small_corpus)
+        assert len(calls) == len(small_corpus)
 
     def test_threads_do_not_change_results(self, small_corpus):
         asr, _ = corrupt_corpus(small_corpus, CorruptionConfig(char_sub_rate=0.05), Rng(1))
