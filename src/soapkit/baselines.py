@@ -110,7 +110,12 @@ class BaselineModel:
     def load(cls, rec: dict) -> "BaselineModel":
         def arr(name):
             v = rec.get(name)
-            return None if v is None else np.asarray(v, dtype=float)
+            if v is None:
+                return None
+            a = np.asarray(v, dtype=float)
+            if not np.isfinite(a).all():
+                raise BaselineError(f"checkpoint array {name!r} has non-finite entries")
+            return a
         return cls(
             kind=rec["kind"], task=rec["task"], n_classes=int(rec["n_classes"]),
             vocab={k: int(v) for k, v in rec.get("vocab", {}).items()},

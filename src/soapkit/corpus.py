@@ -83,8 +83,11 @@ class LabelDistribution:
     speaker: tuple
 
     def __post_init__(self):
-        soap = tuple(float(x) for x in self.soap)
-        speaker = tuple(float(x) for x in self.speaker)
+        try:
+            soap = tuple(float(x) for x in self.soap)
+            speaker = tuple(float(x) for x in self.speaker)
+        except (TypeError, ValueError):
+            raise CorpusError("label distributions must be lists of numbers") from None
         object.__setattr__(self, "soap", soap)
         object.__setattr__(self, "speaker", speaker)
         if len(soap) != N_SOAP:
@@ -198,6 +201,8 @@ def _utterance_from_record(rec: dict, kind: TranscriptKind, where: str) -> Utter
         text = rec["text"]
     except KeyError as e:
         raise CorpusError(f"{where}: utterance record missing field {e.args[0]!r}") from None
+    except (TypeError, ValueError):
+        raise CorpusError(f"{where}: field 'id' must be an integer") from None
     if not isinstance(text, str):
         raise CorpusError(f"{where}: field 'text' must be a string")
     if kind is TranscriptKind.REFERENCE:
@@ -242,6 +247,8 @@ def transcript_from_record(rec: dict, where: str = "record") -> Transcript:
         kind = TranscriptKind(kind_str)
     except ValueError:
         raise CorpusError(f"{where}: field 'kind': unknown transcript kind {kind_str!r}") from None
+    if not isinstance(rec["utterances"], list):
+        raise CorpusError(f"{where}: field 'utterances' must be a list")
     utts = [
         _utterance_from_record(u, kind, where)
         for u in rec["utterances"]
@@ -290,7 +297,13 @@ class AsrRaw:
     turns: tuple
 
     def __post_init__(self):
-        turns = tuple((int(a), int(b)) for a, b in self.turns)
+        if not isinstance(self.text, str):
+            raise CorpusError(f"encounter {self.encounter_id}: field 'text' must be a string")
+        try:
+            turns = tuple((int(a), int(b)) for a, b in self.turns)
+        except (TypeError, ValueError):
+            raise CorpusError(f"encounter {self.encounter_id}: turn spans must be "
+                              "[start, end] pairs of integers") from None
         object.__setattr__(self, "turns", turns)
         pos = 0
         for a, b in turns:
@@ -328,14 +341,16 @@ def read_asr_raw(path) -> list:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from None
+            if not isinstance(rec, dict):
+                raise CorpusError(f"{path}: line {lineno}: record must be an object")
             for name in ("encounter_id", "text", "turns"):
                 if name not in rec:
                     raise CorpusError(f"{path}: line {lineno}: missing field {name!r}")
-            out.append(AsrRaw(
-                encounter_id=str(rec["encounter_id"]),
-                text=rec["text"],
-                turns=tuple(tuple(t) for t in rec["turns"]),
-            ))
+            try:
+                out.append(AsrRaw(encounter_id=str(rec["encounter_id"]),
+                                  text=rec["text"], turns=rec["turns"]))
+            except CorpusError as e:
+                raise CorpusError(f"{path}: line {lineno}: {e}") from None
     return out
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .neural.network import sigmoid
+
 
 class MetricError(ValueError):
     pass
@@ -200,15 +202,6 @@ def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 @dataclass
 class PlattCalibrator:
     """Per-class sigmoid recalibration sigma(a * logit(s) + b) of
@@ -228,7 +221,7 @@ class PlattCalibrator:
             if self.identity[c]:
                 out[:, c] = scores[:, c]
             else:
-                out[:, c] = _sigmoid(a * _logit(scores[:, c]) + b)
+                out[:, c] = sigmoid(a * _logit(scores[:, c]) + b)
         return out
 
     def probabilities(self, scores) -> np.ndarray:
@@ -251,7 +244,7 @@ def _fit_platt_binary(z: np.ndarray, y: np.ndarray,
 
     def loss_grad(a, b):
         t = a * z + b
-        p = _sigmoid(t)
+        p = sigmoid(t)
         # stable mean log loss: log(1+exp(-t)) for y=1, log(1+exp(t)) for y=0
         ll = np.where(y, np.logaddexp(0.0, -t), np.logaddexp(0.0, t)).mean()
         r = p - y

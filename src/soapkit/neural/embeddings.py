@@ -4,7 +4,8 @@ The default provider derives deterministic pseudo-random vectors from a
 hash of (seed, layer, token), so any token has a stable embedding with no
 training and no vocabulary file. A file-backed provider can serve
 precomputed vectors instead. Pad tokens map to zero vectors. Embeddings
-are inputs, never parameters: no gradient flows into them.
+are inputs, never parameters: no gradient flows into them. Providers do
+not cache; the model keeps one table of the vectors its corpus uses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 
 import numpy as np
 
-PAD_TOKEN = ""
+from ..preprocess import PAD_TOKEN
 
 
 class EmbeddingError(ValueError):
@@ -33,21 +34,14 @@ class HashEmbeddings:
         self.dim = int(dim)
         self.n_layers = int(n_layers)
         self.seed = int(seed)
-        self._cache = {}
 
     def __call__(self, token: str) -> np.ndarray:
-        cached = self._cache.get(token)
-        if cached is not None:
-            return cached
-        if token == PAD_TOKEN:
-            vecs = np.zeros((self.n_layers, self.dim))
-        else:
-            vecs = np.empty((self.n_layers, self.dim))
+        vecs = np.zeros((self.n_layers, self.dim))
+        if token != PAD_TOKEN:
             for k in range(self.n_layers):
                 digest = hashlib.sha256(f"{self.seed}|{k}|{token}".encode("utf-8")).digest()
                 gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
                 vecs[k] = gen.standard_normal(self.dim)
-        self._cache[token] = vecs
         return vecs
 
     def spec(self) -> dict:

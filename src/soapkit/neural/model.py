@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import N_SOAP, N_SPEAKER, Rng
-from .embeddings import PAD_TOKEN, HashEmbeddings, load_embeddings
+from ..preprocess import PAD_TOKEN
+from .embeddings import HashEmbeddings, load_embeddings
 from .network import (
     attention_backward,
     attention_forward,
@@ -73,14 +74,15 @@ class SequenceClassifier:
         p["w_layer"] = gen.uniform(-lim, lim, size=d)
         p["w_word"] = np.zeros(d) if config.variant == "dlb" else gen.uniform(-lim, lim, size=d)
         self.frozen = {"w_word"} if config.variant == "dlb" else set()
+        self._lstms = []  # (name, input dim, hidden), in dropout-mask draw order
         if config.variant in ("bil", "bild"):
             h1, h2 = config.enc1_hidden, config.enc2_hidden
-            for direction in ("f", "b"):
-                for k, v in init_lstm(gen, d, h1).items():
-                    p[f"enc1_{direction}_{k}"] = v
-            for direction in ("f", "b"):
-                for k, v in init_lstm(gen, 2 * h1, h2).items():
-                    p[f"enc2_{direction}_{k}"] = v
+            for layer, n_in, n_hid in ((1, d, h1), (2, 2 * h1, h2)):
+                for direction in ("f", "b"):
+                    name = f"enc{layer}_{direction}"
+                    for k, v in init_lstm(gen, n_in, n_hid).items():
+                        p[f"{name}_{k}"] = v
+                    self._lstms.append((name, n_in, n_hid))
             ctx = 2 * h2
         else:
             ctx = d
@@ -90,6 +92,7 @@ class SequenceClassifier:
             for task, n_out in (("spk", N_SPEAKER), ("sect", N_SOAP)):
                 for k, v in init_lstm(gen, ctx, hd).items():
                     p[f"dec_{task}_{k}"] = v
+                self._lstms.append((f"dec_{task}", ctx, hd))
                 lim_p = 1.0 / np.sqrt(hd)
                 p[f"proj_{task}_W"] = gen.uniform(-lim_p, lim_p, size=(n_out, hd))
                 p[f"proj_{task}_b"] = np.zeros(n_out)
@@ -99,156 +102,183 @@ class SequenceClassifier:
                 p[f"head_{task}_W"] = gen.uniform(-lim_h, lim_h, size=(n_out, ctx))
                 p[f"head_{task}_b"] = np.zeros(n_out)
         self.params = p
+        self._row = {}  # token -> row of _table
+        self._table = np.empty((0, self.embeddings.n_layers, d))
 
     def trainable(self) -> list:
         return [name for name in self.params if name not in self.frozen]
 
+    def add_vocabulary(self, tokens) -> None:
+        """Give every token not yet in the embedding table a row. Training
+        and scoring pass their whole corpus first, so the table is built
+        once per run, at its exact size."""
+        new = [t for t in dict.fromkeys(tokens) if t != PAD_TOKEN and t not in self._row]
+        if not new:
+            return
+        old = len(self._row)
+        table = np.empty((old + len(new),) + self._table.shape[1:])
+        table[:old] = self._table
+        for k, token in enumerate(new, start=old):
+            self._row[token] = k
+            table[k] = self.embeddings(token)
+        self._table = table
+
     # --- forward ---
 
-    def _embed_utterance(self, tokens) -> np.ndarray:
-        real = [t for t in tokens if t != PAD_TOKEN]
-        if not real:
+    def _token_rows(self, token_lists) -> tuple:
+        """One transcript's real tokens as (n_utt, width) rows of the
+        embedding table, left-packed, plus the mask of real positions."""
+        real = [[t for t in tokens if t != PAD_TOKEN] for tokens in token_lists]
+        if not all(real):
             raise ModelError("utterance has no non-pad tokens")
-        return np.stack([self.embeddings(t) for t in real])
+        self.add_vocabulary(t for tokens in real for t in tokens)
+        lengths = np.array([len(tokens) for tokens in real])
+        rows = np.zeros((len(real), lengths.max()), dtype=np.intp)
+        for i, tokens in enumerate(real):
+            rows[i, :len(tokens)] = [self._row[t] for t in tokens]
+        return rows, np.arange(rows.shape[1]) < lengths[:, None]
 
-    def _forward(self, token_lists, dropout: float = 0.0, gen=None,
+    def _dropout_masks(self, n_seq: int, dropout: float, gen) -> dict:
+        """Per LSTM, (input, recurrent) masks with one row per sequence.
+        Each sequence draws all of its masks before the next one does."""
+        if dropout <= 0.0 or not self._lstms:
+            return {}
+        per_seq = [[(dropout_mask(gen, n_in, dropout), dropout_mask(gen, n_hid, dropout))
+                    for _, n_in, n_hid in self._lstms] for _ in range(n_seq)]
+        return {name: tuple(np.stack(m) for m in zip(*(seq[k] for seq in per_seq)))
+                for k, (name, _, _) in enumerate(self._lstms)}
+
+    def _lstm(self, name: str, x, drop: dict, mask, reverse: bool = False) -> tuple:
+        p = self.params
+        im, rm = drop.get(name, (None, None))
+        return lstm_forward(x, p[f"{name}_W"], p[f"{name}_U"], p[f"{name}_b"],
+                            in_mask=im, rec_mask=rm, reverse=reverse, mask=mask)
+
+    def _forward(self, batch, dropout: float = 0.0, gen=None,
                  tbptt_len: int | None = None) -> dict:
+        """One time-major (T, B) pass over a batch of transcripts, each a
+        list of per-utterance token lists."""
         cfg = self.config
         p = self.params
-        n = len(token_lists)
-        if n == 0:
+        lengths = [len(token_lists) for token_lists in batch]
+        if not lengths or not all(lengths):
             raise ModelError("empty utterance sequence")
-        att_caches = []
-        U = np.zeros((n, cfg.embed_dim))
-        for i, tokens in enumerate(token_lists):
-            E = self._embed_utterance(tokens)
-            U[i], cache = attention_forward(E, p["w_layer"], p["w_word"])
-            att_caches.append(cache)
-        cache = {"att": att_caches, "U": U, "n": n}
-        cuts = frozenset(range(tbptt_len, n, tbptt_len)) if tbptt_len else frozenset()
-        cache["cuts"] = cuts
+        n, n_seq = max(lengths), len(batch)
+        X = np.zeros((n, n_seq, cfg.embed_dim))
+        att = []
+        for b, token_lists in enumerate(batch):
+            rows, tok_mask = self._token_rows(token_lists)
+            X[:lengths[b], b], _ = attention_forward(
+                self._table[rows], p["w_layer"], p["w_word"], tok_mask)
+            att.append((rows, tok_mask))
+        mask = (np.arange(n)[:, None] < np.array(lengths)).astype(float)
+        cache = {"att": att, "lengths": lengths, "real": mask.T > 0,
+                 "cuts": frozenset(range(tbptt_len, n, tbptt_len)) if tbptt_len else frozenset()}
+        drop = self._dropout_masks(n_seq, dropout, gen)
 
+        x = X
         if cfg.variant in ("bil", "bild"):
-            def masks(indim, hid):
-                if dropout <= 0.0:
-                    return None, None
-                return dropout_mask(gen, indim, dropout), dropout_mask(gen, hid, dropout)
-
-            enc_caches = {}
-            x = U
-            for layer, (indim, hid) in (
-                (1, (cfg.embed_dim, cfg.enc1_hidden)),
-                (2, (2 * cfg.enc1_hidden, cfg.enc2_hidden)),
-            ):
+            for layer in (1, 2):
                 outs = []
                 for direction in ("f", "b"):
-                    im, rm = masks(indim, hid)
-                    h, c = lstm_forward(
-                        x,
-                        p[f"enc{layer}_{direction}_W"],
-                        p[f"enc{layer}_{direction}_U"],
-                        p[f"enc{layer}_{direction}_b"],
-                        in_mask=im, rec_mask=rm,
-                        reverse=direction == "b",
-                    )
+                    name = f"enc{layer}_{direction}"
+                    h, cache[name] = self._lstm(name, x, drop, mask, reverse=direction == "b")
                     outs.append(h)
-                    enc_caches[f"enc{layer}_{direction}"] = c
-                x = np.concatenate(outs, axis=1)
-            cache["enc"] = enc_caches
-            C = x
-        else:
-            C = U
-        cache["C"] = C
+                x = np.concatenate(outs, axis=2)
+        cache["C"] = x
 
-        logits = {}
-        if cfg.variant == "bild":
-            dec_caches = {}
-            for task in ("spk", "sect"):
-                im = rm = None
-                if dropout > 0.0:
-                    im = dropout_mask(gen, self.ctx_dim, dropout)
-                    rm = dropout_mask(gen, cfg.decoder_hidden, dropout)
-                h, c = lstm_forward(C, p[f"dec_{task}_W"], p[f"dec_{task}_U"],
-                                    p[f"dec_{task}_b"], in_mask=im, rec_mask=rm)
-                dec_caches[task] = (h, c)
-                logits[task] = h @ p[f"proj_{task}_W"].T + p[f"proj_{task}_b"]
-            cache["dec"] = dec_caches
-        else:
-            for task in ("spk", "sect"):
-                logits[task] = C @ p[f"head_{task}_W"].T + p[f"head_{task}_b"]
-        cache["probs"] = {task: softmax(z, axis=1) for task, z in logits.items()}
+        probs = {}
+        for task in ("spk", "sect"):
+            if cfg.variant == "bild":
+                h, cache[f"dec_{task}"] = self._lstm(f"dec_{task}", x, drop, mask)
+                h = cache[f"dec_{task}_h"] = _real_rows(h, cache["real"])
+                logits = h @ p[f"proj_{task}_W"].T + p[f"proj_{task}_b"]
+            else:
+                logits = _real_rows(x, cache["real"]) @ p[f"head_{task}_W"].T + p[f"head_{task}_b"]
+            probs[task] = softmax(logits, axis=1)
+        cache["probs"] = probs
         return cache
 
-    def predict(self, token_lists) -> tuple:
-        """Per-utterance (speaker, section) probability rows, dropout off."""
-        cache = self._forward(token_lists)
+    def predict(self, batch) -> tuple:
+        """Per-utterance (speaker, section) probability rows, dropout off,
+        for a batch of transcripts: rows run transcript by transcript."""
+        cache = self._forward(batch)
         return cache["probs"]["spk"], cache["probs"]["sect"]
 
-    def compute_loss(self, token_lists, spk_targets, sect_targets,
-                     spk_weights, sect_weights, dropout: float = 0.0,
-                     gen=None, tbptt_len: int | None = None) -> float:
-        cache = self._forward(token_lists, dropout=dropout, gen=gen, tbptt_len=tbptt_len)
-        loss_spk, _ = weighted_ce_loss_and_dlogits(cache["probs"]["spk"], np.asarray(spk_targets, float), np.asarray(spk_weights, float))
-        loss_sect, _ = weighted_ce_loss_and_dlogits(cache["probs"]["sect"], np.asarray(sect_targets, float), np.asarray(sect_weights, float))
-        return loss_spk + loss_sect
-
-    # --- backward ---
-
-    def loss_and_grads(self, token_lists, spk_targets, sect_targets,
-                       spk_weights, sect_weights, dropout: float = 0.0,
-                       gen=None, tbptt_len: int | None = None) -> tuple:
-        """Multitask loss (sum of the two weighted cross entropies, summed
-        over utterances) and gradients for every trainable parameter."""
-        cfg = self.config
-        p = self.params
-        cache = self._forward(token_lists, dropout=dropout, gen=gen, tbptt_len=tbptt_len)
-        cuts = cache["cuts"]
-        grads = {name: np.zeros_like(val) for name, val in p.items()}
-        C = cache["C"]
-        dC = np.zeros_like(C)
+    def _loss(self, cache, spk_targets, sect_targets, spk_weights, sect_weights) -> tuple:
         total = 0.0
+        dlogits = {}
         for task, targets, weights in (
             ("spk", spk_targets, spk_weights),
             ("sect", sect_targets, sect_weights),
         ):
             targets = np.asarray(targets, dtype=float)
-            weights = np.asarray(weights, dtype=float)
-            loss, dlogits = weighted_ce_loss_and_dlogits(cache["probs"][task], targets, weights)
+            if targets.shape != cache["probs"][task].shape:
+                raise ModelError(f"{task} targets have shape {targets.shape}, "
+                                 f"expected {cache['probs'][task].shape}")
+            loss, dlogits[task] = weighted_ce_loss_and_dlogits(
+                cache["probs"][task], targets, np.asarray(weights, dtype=float))
             total += loss
+        return total, dlogits
+
+    def compute_loss(self, batch, spk_targets, sect_targets,
+                     spk_weights, sect_weights, dropout: float = 0.0,
+                     gen=None, tbptt_len: int | None = None) -> float:
+        cache = self._forward(batch, dropout=dropout, gen=gen, tbptt_len=tbptt_len)
+        return self._loss(cache, spk_targets, sect_targets, spk_weights, sect_weights)[0]
+
+    # --- backward ---
+
+    def loss_and_grads(self, batch, spk_targets, sect_targets,
+                       spk_weights, sect_weights, dropout: float = 0.0,
+                       gen=None, tbptt_len: int | None = None) -> tuple:
+        """Multitask loss (sum of the two weighted cross entropies, summed
+        over the utterances of every transcript in the batch) and
+        gradients for every trainable parameter. Target rows run
+        transcript by transcript, as predict's rows do."""
+        cfg = self.config
+        p = self.params
+        cache = self._forward(batch, dropout=dropout, gen=gen, tbptt_len=tbptt_len)
+        total, dlogits = self._loss(cache, spk_targets, sect_targets, spk_weights, sect_weights)
+        # each LSTM cache is popped as its backward pass starts, so the
+        # activations are freed layer by layer
+        cuts, real = cache["cuts"], cache["real"]
+        grads = {name: np.zeros_like(val) for name, val in p.items()}
+        C = cache.pop("C")
+        dC = np.zeros_like(C)
+        for task in ("spk", "sect"):
+            dl = dlogits[task]
             if cfg.variant == "bild":
-                h, dec_cache = cache["dec"][task]
-                grads[f"proj_{task}_W"] += dlogits.T @ h
-                grads[f"proj_{task}_b"] += dlogits.sum(axis=0)
-                dh = dlogits @ p[f"proj_{task}_W"]
-                dC_task, g = lstm_backward(dh, dec_cache, cuts)
+                grads[f"proj_{task}_W"] += dl.T @ cache.pop(f"dec_{task}_h")
+                grads[f"proj_{task}_b"] += dl.sum(axis=0)
+                dh = _padded(dl @ p[f"proj_{task}_W"], real)
+                dC_task, g = lstm_backward(dh, cache.pop(f"dec_{task}"), cuts)
                 dC += dC_task
                 for k, v in g.items():
                     grads[f"dec_{task}_{k}"] += v
             else:
-                grads[f"head_{task}_W"] += dlogits.T @ C
-                grads[f"head_{task}_b"] += dlogits.sum(axis=0)
-                dC += dlogits @ p[f"head_{task}_W"]
+                grads[f"head_{task}_W"] += dl.T @ _real_rows(C, real)
+                grads[f"head_{task}_b"] += dl.sum(axis=0)
+                dC += _padded(dl @ p[f"head_{task}_W"], real)
+        del C
 
+        dU = dC
         if cfg.variant in ("bil", "bild"):
-            h1 = cfg.enc1_hidden
-            h2 = cfg.enc2_hidden
-            dX1 = None
-            for direction, sl in (("f", slice(0, h2)), ("b", slice(h2, 2 * h2))):
-                dx, g = lstm_backward(dC[:, sl], cache["enc"][f"enc2_{direction}"], cuts)
-                dX1 = dx if dX1 is None else dX1 + dx
-                for k, v in g.items():
-                    grads[f"enc2_{direction}_{k}"] += v
-            dU = None
-            for direction, sl in (("f", slice(0, h1)), ("b", slice(h1, 2 * h1))):
-                dx, g = lstm_backward(dX1[:, sl], cache["enc"][f"enc1_{direction}"], cuts)
-                dU = dx if dU is None else dU + dx
-                for k, v in g.items():
-                    grads[f"enc1_{direction}_{k}"] += v
-        else:
-            dU = dC
+            for layer, width in ((2, cfg.enc2_hidden), (1, cfg.enc1_hidden)):
+                dX = 0.0
+                for direction, sl in (("f", slice(0, width)), ("b", slice(width, 2 * width))):
+                    name = f"enc{layer}_{direction}"
+                    dx, g = lstm_backward(dU[:, :, sl], cache.pop(name), cuts)
+                    dX = dX + dx
+                    for k, v in g.items():
+                        grads[f"{name}_{k}"] += v
+                dU = dX
 
-        for i, att_cache in enumerate(cache["att"]):
-            d_wl, d_ww = attention_backward(dU[i], att_cache)
+        for b, (rows, tok_mask) in enumerate(cache["att"]):
+            # recomputed rather than kept: the (n_utt, tok, K, D) block is
+            # the largest array of the pass
+            _, att = attention_forward(self._table[rows], p["w_layer"], p["w_word"], tok_mask)
+            d_wl, d_ww = attention_backward(dU[:cache["lengths"][b], b], att)
             grads["w_layer"] += d_wl
             grads["w_word"] += d_ww
 
@@ -286,11 +316,25 @@ class SequenceClassifier:
             if name not in model.params:
                 raise ModelError(f"unexpected parameter {name!r} in checkpoint")
             arr = np.asarray(val, dtype=float)
+            if not np.isfinite(arr).all():
+                raise ModelError(f"parameter {name!r} has non-finite entries")
             if arr.shape != model.params[name].shape:
                 raise ModelError(f"parameter {name!r} has shape {arr.shape}, "
                                  f"expected {model.params[name].shape}")
             model.params[name] = arr
         return model
+
+
+def _real_rows(x: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """(T, B, k) -> (N, k): the real steps, transcript by transcript."""
+    return x.swapaxes(0, 1)[real]
+
+
+def _padded(rows: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """Inverse of _real_rows, with zeros on the padded steps."""
+    out = np.zeros(real.shape + rows.shape[1:])
+    out[real] = rows
+    return out.swapaxes(0, 1)
 
 
 def load_model(path) -> SequenceClassifier:

@@ -3,7 +3,8 @@ dropout schedule, and global-norm gradient clipping.
 
 Class weights are recomputed per batch as inverse expected class
 frequencies over that batch's targets; the batch loss is the sum of the
-speaker and section losses over all utterances of the batch.
+speaker and section losses over all utterances of the batch. Each batch
+runs through the model as one masked, time-major pass.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines import inverse_frequency_weights
-from ..corpus import Rng, one_hot_targets
+from ..corpus import Rng, gold_labels, one_hot_targets
 from .network import clip_by_global_norm
 
 
@@ -91,6 +92,7 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
     for t in transcripts:
         spk_t, sect_t = one_hot_targets(t)
         data.append((_transcript_tokens(t), spk_t, sect_t))
+    model.add_vocabulary(tok for tokens, _, _ in data for utt in tokens for tok in utt)
     rng = Rng(cfg.seed)
     gen = rng.generator
     trainable = model.trainable()
@@ -103,20 +105,12 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
         batch_losses = []
         for start in range(0, len(order), cfg.batch_transcripts):
             batch = [data[i] for i in order[start:start + cfg.batch_transcripts]]
-            spk_w = inverse_frequency_weights(np.concatenate([b[1] for b in batch]))
-            sect_w = inverse_frequency_weights(np.concatenate([b[2] for b in batch]))
-            loss = 0.0
-            grads = None
-            for tokens, spk_t, sect_t in batch:
-                l, g = model.loss_and_grads(
-                    tokens, spk_t, sect_t, spk_w, sect_w,
-                    dropout=dropout, gen=gen, tbptt_len=cfg.tbptt_len)
-                loss += l
-                if grads is None:
-                    grads = g
-                else:
-                    for k in grads:
-                        grads[k] += g[k]
+            spk_t = np.concatenate([b[1] for b in batch])
+            sect_t = np.concatenate([b[2] for b in batch])
+            loss, grads = model.loss_and_grads(
+                [b[0] for b in batch], spk_t, sect_t,
+                inverse_frequency_weights(spk_t), inverse_frequency_weights(sect_t),
+                dropout=dropout, gen=gen, tbptt_len=cfg.tbptt_len)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"training diverged at epoch {epoch}, batch {start // cfg.batch_transcripts} "
@@ -133,25 +127,25 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
 
 
 def collect_scores(model, transcripts) -> dict:
-    """Run the model over a corpus; returns stacked per-utterance scores
-    plus gold labels per task (reference labels, or argmax targets for ASR
+    """Run the model over a corpus, TrainConfig().batch_transcripts
+    transcripts per pass; returns stacked per-utterance scores plus gold
+    labels per task (reference labels, or argmax targets for ASR
     transcripts)."""
-    from ..corpus import gold_labels
+    transcripts = [t for t in transcripts if t.utterances]
+    if not transcripts:
+        raise TrainingError("no utterances to score")
+    tokens = [_transcript_tokens(t) for t in transcripts]
+    model.add_vocabulary(tok for utts in tokens for utt in utts for tok in utt)
+    group = TrainConfig().batch_transcripts
     spk_scores = []
     sect_scores = []
-    spk_golds = []
-    sect_golds = []
-    for t in transcripts:
-        if not t.utterances:
-            continue
-        spk_p, sect_p = model.predict(_transcript_tokens(t))
+    for start in range(0, len(tokens), group):
+        spk_p, sect_p = model.predict(tokens[start:start + group])
         spk_scores.append(spk_p)
         sect_scores.append(sect_p)
-        spk_golds.append(gold_labels(t, "speaker"))
-        sect_golds.append(gold_labels(t, "soap"))
-    if not spk_scores:
-        raise TrainingError("no utterances to score")
     return {
-        "speaker": (np.concatenate(spk_scores), np.concatenate(spk_golds)),
-        "soap": (np.concatenate(sect_scores), np.concatenate(sect_golds)),
+        "speaker": (np.concatenate(spk_scores),
+                    np.concatenate([gold_labels(t, "speaker") for t in transcripts])),
+        "soap": (np.concatenate(sect_scores),
+                 np.concatenate([gold_labels(t, "soap") for t in transcripts])),
     }

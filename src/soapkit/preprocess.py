@@ -108,9 +108,13 @@ def content_tokens(tokens, pad_token: str = PAD_TOKEN) -> list:
     return [tok for tok in tokens if tok != pad_token]
 
 
-def preprocess_transcript(transcript: Transcript, cfg: PreprocessConfig = PreprocessConfig()) -> Transcript:
+def preprocess_transcript(transcript: Transcript, cfg: PreprocessConfig = PreprocessConfig(),
+                          shared: dict | None = None) -> Transcript:
     """Attach token lists to every utterance; utterances with no linguistic
-    content are dropped and the ids are re-densified."""
+    content are dropped and the ids are re-densified. `shared` maps each
+    token seen so far to the string object to reuse for it, so that a
+    corpus holds each distinct token once."""
+    shared = {} if shared is None else shared
     kept = []
     for utt in transcript.utterances:
         try:
@@ -123,15 +127,17 @@ def preprocess_transcript(transcript: Transcript, cfg: PreprocessConfig = Prepro
             speaker=utt.speaker,
             section=utt.section,
             dist=utt.dist,
-            tokens=tuple(tokens),
+            tokens=tuple(shared.setdefault(tok, tok) for tok in tokens),
         ))
     return Transcript(encounter_id=transcript.encounter_id, kind=transcript.kind, utterances=tuple(kept))
 
 
 def preprocess_corpus(transcripts, cfg: PreprocessConfig = PreprocessConfig()) -> list:
+    # a corpus repeats a few hundred words thousands of times
+    shared = {}
     out = []
     for t in transcripts:
-        p = preprocess_transcript(t, cfg)
+        p = preprocess_transcript(t, cfg, shared)
         if p.utterances:
             out.append(p)
     return out

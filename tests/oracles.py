@@ -201,12 +201,13 @@ def irr_map_oracle(source, reference) -> dict:
 def gradient_check(model, token_lists, spk_t, sect_t, spk_w, sect_w,
                    eps: float = 1e-5):
     """Central finite differences on every element of every trainable
-    tensor against the analytic gradients.
+    tensor against the analytic gradients, on a one-transcript batch.
 
     Yields (tensor_name, flat_index, analytic, numeric, rel_err) for
     elements whose analytic gradient clears the 1e-8 magnitude guard.
     """
-    _, grads = model.loss_and_grads(token_lists, spk_t, sect_t, spk_w, sect_w,
+    batch = [token_lists]
+    _, grads = model.loss_and_grads(batch, spk_t, sect_t, spk_w, sect_w,
                                     dropout=0.0)
     for name in model.trainable():
         param = model.params[name]
@@ -215,9 +216,9 @@ def gradient_check(model, token_lists, spk_t, sect_t, spk_w, sect_w,
         for idx in range(flat.size):
             old = flat[idx]
             flat[idx] = old + eps
-            up = model.compute_loss(token_lists, spk_t, sect_t, spk_w, sect_w)
+            up = model.compute_loss(batch, spk_t, sect_t, spk_w, sect_w)
             flat[idx] = old - eps
-            down = model.compute_loss(token_lists, spk_t, sect_t, spk_w, sect_w)
+            down = model.compute_loss(batch, spk_t, sect_t, spk_w, sect_w)
             flat[idx] = old
             numeric = (up - down) / (2.0 * eps)
             analytic = g[idx]
@@ -225,3 +226,270 @@ def gradient_check(model, token_lists, spk_t, sect_t, spk_w, sect_w,
                 continue
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric))
             yield name, idx, analytic, numeric, rel
+
+
+# --- per-transcript reference of the neural model ---
+#
+# One transcript at a time, one Python step per utterance, one attention
+# call per utterance, a separate sigmoid per gate: the implementation the
+# batched, masked (T, B) pass in soapkit.neural replaced.
+
+
+def sigmoid_two_branch(z):
+    """Logistic function evaluated separately on the two signs of z."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _softmax(z, axis=-1):
+    z = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _dropout_mask(gen, size, rate):
+    if rate <= 0.0:
+        return None
+    keep = 1.0 - rate
+    return (gen.random(size) < keep).astype(float) / keep
+
+
+def _weighted_ce(probs, targets, class_weights):
+    p = np.clip(probs, 1e-300, None)
+    loss = -float((class_weights * targets * np.log(p)).sum())
+    s = targets @ class_weights
+    return loss, probs * s[:, None] - targets * class_weights
+
+
+def lstm_forward_steps(X, W, U, b, in_mask=None, rec_mask=None, reverse=False):
+    """One sequence X (N, Din), one step at a time, full cache."""
+    n, _ = X.shape
+    hidden = U.shape[1]
+    Xm = X * in_mask if in_mask is not None else X
+    WX = Xm @ W.T
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    H = np.zeros((n, hidden))
+    HM = np.zeros((n, hidden))
+    GATES = np.zeros((n, 4 * hidden))
+    CPREV = np.zeros((n, hidden))
+    TC = np.zeros((n, hidden))
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    for t in order:
+        hm = h * rec_mask if rec_mask is not None else h
+        z = WX[t] + U @ hm + b
+        i = sigmoid_two_branch(z[:hidden])
+        f = sigmoid_two_branch(z[hidden:2 * hidden])
+        g = np.tanh(z[2 * hidden:3 * hidden])
+        o = sigmoid_two_branch(z[3 * hidden:])
+        CPREV[t] = c
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        H[t] = h
+        HM[t] = hm
+        GATES[t] = np.concatenate([i, f, g, o])
+        TC[t] = tc
+    cache = {"Xm": Xm, "HM": HM, "GATES": GATES, "CPREV": CPREV, "TC": TC,
+             "W": W, "U": U, "in_mask": in_mask, "rec_mask": rec_mask,
+             "reverse": reverse, "hidden": hidden}
+    return H, cache
+
+
+def lstm_backward_steps(dH, cache, cuts=frozenset()):
+    hidden = cache["hidden"]
+    W, U = cache["W"], cache["U"]
+    reverse = cache["reverse"]
+    n = dH.shape[0]
+    dZ = np.zeros((n, 4 * hidden))
+    dh_carry = np.zeros(hidden)
+    dc_carry = np.zeros(hidden)
+    order = range(n) if reverse else range(n - 1, -1, -1)
+    rec_mask = cache["rec_mask"]
+    for t in order:
+        gates = cache["GATES"][t]
+        i, f = gates[:hidden], gates[hidden:2 * hidden]
+        g, o = gates[2 * hidden:3 * hidden], gates[3 * hidden:]
+        tc = cache["TC"][t]
+        dh = dH[t] + dh_carry
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_carry
+        di = dc * g
+        df = dc * cache["CPREV"][t]
+        dg = dc * i
+        dz = np.concatenate([
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            dg * (1.0 - g * g),
+            do * o * (1.0 - o),
+        ])
+        dZ[t] = dz
+        dh_carry = U.T @ dz
+        if rec_mask is not None:
+            dh_carry = dh_carry * rec_mask
+        dc_carry = dc * f
+        boundary = t if not reverse else t + 1
+        if boundary in cuts:
+            dh_carry = np.zeros(hidden)
+            dc_carry = np.zeros(hidden)
+    grads = {"W": dZ.T @ cache["Xm"], "U": dZ.T @ cache["HM"], "b": dZ.sum(axis=0)}
+    dX = dZ @ W
+    if cache["in_mask"] is not None:
+        dX = dX * cache["in_mask"]
+    return dX, grads
+
+
+def attention_forward_utterance(E, w_layer, w_word):
+    """One utterance's real-token embeddings E (T, K, D) to one vector."""
+    S = E @ w_layer
+    A = _softmax(S, axis=1)
+    L = np.einsum("tk,tkd->td", A, E)
+    q = L @ w_word
+    aw = _softmax(q, axis=0)
+    u = aw @ L
+    return u, {"E": E, "A": A, "L": L, "aw": aw, "w_word": w_word}
+
+
+def attention_backward_utterance(du, cache):
+    E, A, L, aw, w_word = cache["E"], cache["A"], cache["L"], cache["aw"], cache["w_word"]
+    dL = np.outer(aw, du)
+    daw = L @ du
+    dq = aw * (daw - float(aw @ daw))
+    d_w_word = L.T @ dq
+    dL += np.outer(dq, w_word)
+    dA = np.einsum("td,tkd->tk", dL, E)
+    dS = A * (dA - (A * dA).sum(axis=1, keepdims=True))
+    d_w_layer = np.einsum("tk,tkd->d", dS, E)
+    return d_w_layer, d_w_word
+
+
+def _transcript_forward(model, token_lists, dropout=0.0, gen=None, tbptt_len=None):
+    cfg = model.config
+    p = model.params
+    n = len(token_lists)
+    att_caches = []
+    U = np.zeros((n, cfg.embed_dim))
+    for i, tokens in enumerate(token_lists):
+        E = np.stack([model.embeddings(t) for t in tokens if t != ""])
+        U[i], cache = attention_forward_utterance(E, p["w_layer"], p["w_word"])
+        att_caches.append(cache)
+    cache = {"att": att_caches, "U": U, "n": n}
+    cache["cuts"] = frozenset(range(tbptt_len, n, tbptt_len)) if tbptt_len else frozenset()
+
+    if cfg.variant in ("bil", "bild"):
+        def masks(indim, hid):
+            if dropout <= 0.0:
+                return None, None
+            return _dropout_mask(gen, indim, dropout), _dropout_mask(gen, hid, dropout)
+
+        enc_caches = {}
+        x = U
+        for layer, (indim, hid) in (
+            (1, (cfg.embed_dim, cfg.enc1_hidden)),
+            (2, (2 * cfg.enc1_hidden, cfg.enc2_hidden)),
+        ):
+            outs = []
+            for direction in ("f", "b"):
+                im, rm = masks(indim, hid)
+                h, c = lstm_forward_steps(
+                    x, p[f"enc{layer}_{direction}_W"], p[f"enc{layer}_{direction}_U"],
+                    p[f"enc{layer}_{direction}_b"], in_mask=im, rec_mask=rm,
+                    reverse=direction == "b")
+                outs.append(h)
+                enc_caches[f"enc{layer}_{direction}"] = c
+            x = np.concatenate(outs, axis=1)
+        cache["enc"] = enc_caches
+        C = x
+    else:
+        C = U
+    cache["C"] = C
+
+    logits = {}
+    if cfg.variant == "bild":
+        dec_caches = {}
+        for task in ("spk", "sect"):
+            im = rm = None
+            if dropout > 0.0:
+                im = _dropout_mask(gen, model.ctx_dim, dropout)
+                rm = _dropout_mask(gen, cfg.decoder_hidden, dropout)
+            h, c = lstm_forward_steps(C, p[f"dec_{task}_W"], p[f"dec_{task}_U"],
+                                      p[f"dec_{task}_b"], in_mask=im, rec_mask=rm)
+            dec_caches[task] = (h, c)
+            logits[task] = h @ p[f"proj_{task}_W"].T + p[f"proj_{task}_b"]
+        cache["dec"] = dec_caches
+    else:
+        for task in ("spk", "sect"):
+            logits[task] = C @ p[f"head_{task}_W"].T + p[f"head_{task}_b"]
+    cache["probs"] = {task: _softmax(z, axis=1) for task, z in logits.items()}
+    return cache
+
+
+def transcript_predict(model, token_lists):
+    """(speaker, section) probability rows of one transcript."""
+    cache = _transcript_forward(model, token_lists)
+    return cache["probs"]["spk"], cache["probs"]["sect"]
+
+
+def transcript_loss_and_grads(model, token_lists, spk_targets, sect_targets,
+                              spk_weights, sect_weights, dropout=0.0, gen=None,
+                              tbptt_len=None):
+    """Loss and gradients of one transcript, drawing its dropout masks
+    from `gen` in the model's order."""
+    cfg = model.config
+    p = model.params
+    cache = _transcript_forward(model, token_lists, dropout=dropout, gen=gen,
+                                tbptt_len=tbptt_len)
+    cuts = cache["cuts"]
+    grads = {name: np.zeros_like(val) for name, val in p.items()}
+    C = cache["C"]
+    dC = np.zeros_like(C)
+    total = 0.0
+    for task, targets, weights in (
+        ("spk", spk_targets, spk_weights),
+        ("sect", sect_targets, sect_weights),
+    ):
+        loss, dlogits = _weighted_ce(cache["probs"][task], np.asarray(targets, float),
+                                     np.asarray(weights, float))
+        total += loss
+        if cfg.variant == "bild":
+            h, dec_cache = cache["dec"][task]
+            grads[f"proj_{task}_W"] += dlogits.T @ h
+            grads[f"proj_{task}_b"] += dlogits.sum(axis=0)
+            dC_task, g = lstm_backward_steps(dlogits @ p[f"proj_{task}_W"], dec_cache, cuts)
+            dC += dC_task
+            for k, v in g.items():
+                grads[f"dec_{task}_{k}"] += v
+        else:
+            grads[f"head_{task}_W"] += dlogits.T @ C
+            grads[f"head_{task}_b"] += dlogits.sum(axis=0)
+            dC += dlogits @ p[f"head_{task}_W"]
+
+    if cfg.variant in ("bil", "bild"):
+        h1, h2 = cfg.enc1_hidden, cfg.enc2_hidden
+        dX1 = None
+        for direction, sl in (("f", slice(0, h2)), ("b", slice(h2, 2 * h2))):
+            dx, g = lstm_backward_steps(dC[:, sl], cache["enc"][f"enc2_{direction}"], cuts)
+            dX1 = dx if dX1 is None else dX1 + dx
+            for k, v in g.items():
+                grads[f"enc2_{direction}_{k}"] += v
+        dU = None
+        for direction, sl in (("f", slice(0, h1)), ("b", slice(h1, 2 * h1))):
+            dx, g = lstm_backward_steps(dX1[:, sl], cache["enc"][f"enc1_{direction}"], cuts)
+            dU = dx if dU is None else dU + dx
+            for k, v in g.items():
+                grads[f"enc1_{direction}_{k}"] += v
+    else:
+        dU = dC
+
+    for i, att_cache in enumerate(cache["att"]):
+        d_wl, d_ww = attention_backward_utterance(dU[i], att_cache)
+        grads["w_layer"] += d_wl
+        grads["w_word"] += d_ww
+
+    for name in model.frozen:
+        grads[name] = np.zeros_like(p[name])
+    return total, grads

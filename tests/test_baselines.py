@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,15 @@ class TestPersistence:
         assert back.kind == kind and back.task == "soap"
         for doc in docs:
             assert np.array_equal(model.predict_scores(doc), back.predict_scores(doc))
+
+    def test_non_finite_array_rejected_at_load(self, tmp_path):
+        model = train_mnb([["apple"], ["pie"]], np.array([[1.0, 0.0], [0.0, 1.0]]), "soap")
+        path = tmp_path / "mnb.json"
+        model.save(path)
+        rec = json.loads(path.read_text())
+        rec["log_likelihood"][0][0] = float("inf")
+        with pytest.raises(BaselineError, match="non-finite"):
+            BaselineModel.load(rec)
 
     def test_unknown_kind_rejected_at_predict(self):
         model = BaselineModel(kind="nope", task="soap", n_classes=2, vocab={"a": 0})

@@ -75,6 +75,42 @@ class TestErrorPaths:
         assert res.returncode == 3
         assert "kind=parse-failure" in res.stderr and "finite" in res.stderr
 
+    def test_non_list_utterances_is_exit_3(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"encounter_id": "e0", "kind": "reference",
+                                   "utterances": 5}) + "\n")
+        res = run_cli("eval", "--model", "oracle", "--test", str(bad))
+        assert res.returncode == 3
+        assert "kind=parse-failure" in res.stderr and "utterances" in res.stderr
+
+    def test_non_integer_turn_span_is_exit_3(self, workspace, tmp_path):
+        bad = tmp_path / "asr.jsonl"
+        bad.write_text(json.dumps({"encounter_id": "e0", "text": "x",
+                                   "turns": [[0, "x"]]}) + "\n")
+        res = run_cli("align", "--ref", str(workspace / "data" / "reference.jsonl"),
+                      "--asr", str(bad))
+        assert res.returncode == 3
+        assert "kind=parse-failure" in res.stderr and "turn spans" in res.stderr
+
+    @pytest.mark.parametrize("family", ["neural", "baseline"])
+    def test_non_finite_checkpoint_is_exit_3(self, workspace, tmp_path, family):
+        data = workspace / "data"
+        ckpt = tmp_path / f"{family}.json"
+        res = run_cli("train", "--corpus", str(data / "reference.jsonl"),
+                      "--variant", "dlb" if family == "neural" else "mnb",
+                      "--out", str(ckpt))
+        assert res.returncode == 0, res.stderr
+        rec = json.loads(ckpt.read_text())
+        if family == "neural":
+            rec["params"]["w_layer"][0] = float("nan")
+        else:
+            rec["log_prior"][0] = float("nan")
+        ckpt.write_text(json.dumps(rec))
+        res = run_cli("eval", "--model", str(ckpt),
+                      "--test", str(data / "reference.jsonl"), "--json")
+        assert res.returncode == 3
+        assert "kind=parse-failure" in res.stderr and "non-finite" in res.stderr
+
     def test_unknown_config_key_is_exit_4(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"does-not-exist": 1}')

@@ -148,6 +148,23 @@ class TestSerialization:
         with pytest.raises(CorpusError, match="turns"):
             read_asr_raw(path)
 
+    @pytest.mark.parametrize("reader, line", [
+        (read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": 5}'),
+        (read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": '
+                      '[{"id": "x", "text": "hi", "speaker": "doctor", "section": "plan"}]}'),
+        (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
+                      '[{"id": 0, "text": "hi", "soap_dist": 5, "speaker_dist": [1, 0, 0, 0]}]}'),
+        (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": [[0, "x"]]}'),
+        (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": 5}'),
+        (read_asr_raw, '{"encounter_id": "e0", "text": 5, "turns": []}'),
+        (read_asr_raw, '5'),
+    ])
+    def test_wrongly_typed_fields_are_corpus_errors(self, tmp_path, reader, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(CorpusError, match="line 1"):
+            reader(path)
+
     def test_turn_spans_must_tile(self):
         with pytest.raises(CorpusError, match="tile"):
             AsrRaw("e0", "abcdef", turns=((0, 3), (4, 6)))

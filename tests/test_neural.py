@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import gradient_check
+from oracles import (
+    gradient_check,
+    sigmoid_two_branch,
+    transcript_loss_and_grads,
+    transcript_predict,
+)
 
 from soapkit.corpus import Rng, one_hot_targets
 from soapkit.neural.embeddings import FileEmbeddings, HashEmbeddings, load_embeddings
@@ -15,6 +20,7 @@ from soapkit.neural.network import (
     init_lstm,
     lstm_backward,
     lstm_forward,
+    sigmoid,
     softmax,
     weighted_ce_loss_and_dlogits,
 )
@@ -55,6 +61,17 @@ class TestHashEmbeddings:
         with pytest.raises(EmbeddingError, match="missing"):
             emb("unseen")
         assert load_embeddings(emb.spec())("pain").tolist() == emb("pain").tolist()
+
+
+class TestSigmoid:
+    def test_bit_identical_to_two_branch_form(self):
+        gen = np.random.Generator(np.random.PCG64(8))
+        z = np.concatenate([gen.normal(scale=30.0, size=100_000),
+                            [0.0, -0.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf]])
+        assert sigmoid(z).tobytes() == sigmoid_two_branch(z).tobytes()
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, 1.0])))[0]
 
 
 class TestAttention:
@@ -258,7 +275,7 @@ class TestModel:
     def test_predict_rows_are_distributions(self, small_tokenized):
         tokens, _, _ = tiny_batch(small_tokenized)
         m = SequenceClassifier(tiny_config("bild"))
-        spk, sect = m.predict(tokens)
+        spk, sect = m.predict([tokens])
         assert spk.shape == (6, 4) and sect.shape == (6, 5)
         assert np.allclose(spk.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(sect.sum(axis=1), 1.0, atol=1e-9)
@@ -267,29 +284,29 @@ class TestModel:
         tokens, spk_t, sect_t = tiny_batch(small_tokenized)
         m = SequenceClassifier(tiny_config("dlb"))
         assert "w_word" in m.frozen
-        _, grads = m.loss_and_grads(tokens, spk_t, sect_t, np.ones(4), np.ones(5))
+        _, grads = m.loss_and_grads([tokens], spk_t, sect_t, np.ones(4), np.ones(5))
         assert not grads["w_word"].any()
         assert not m.params["w_word"].any()
 
     def test_wa_predictions_ignore_surrounding_utterances(self, small_tokenized):
         tokens, _, _ = tiny_batch(small_tokenized)
         m = SequenceClassifier(tiny_config("wa"))
-        full = m.predict(tokens)[0]
-        sub = m.predict(tokens[:2])[0]
+        full = m.predict([tokens])[0]
+        sub = m.predict([tokens[:2]])[0]
         assert np.array_equal(full[:2], sub)
 
     def test_bil_predictions_use_context(self, small_tokenized):
         tokens, _, _ = tiny_batch(small_tokenized)
         m = SequenceClassifier(tiny_config("bil"))
-        full = m.predict(tokens)[0]
-        sub = m.predict(tokens[:2])[0]
+        full = m.predict([tokens])[0]
+        sub = m.predict([tokens[:2]])[0]
         assert not np.array_equal(full[:2], sub)
 
     def test_tbptt_leaves_forward_loss_unchanged(self, small_tokenized):
         tokens, spk_t, sect_t = tiny_batch(small_tokenized)
         m = SequenceClassifier(tiny_config("bild"))
-        a = m.compute_loss(tokens, spk_t, sect_t, np.ones(4), np.ones(5), tbptt_len=2)
-        b = m.compute_loss(tokens, spk_t, sect_t, np.ones(4), np.ones(5), tbptt_len=10**6)
+        a = m.compute_loss([tokens], spk_t, sect_t, np.ones(4), np.ones(5), tbptt_len=2)
+        b = m.compute_loss([tokens], spk_t, sect_t, np.ones(4), np.ones(5), tbptt_len=10**6)
         assert a == b
 
     def test_gradients_match_finite_differences(self, small_tokenized):
@@ -304,6 +321,12 @@ class TestModel:
             assert rel < 1e-4, f"{name}[{idx}]: {analytic} vs {numeric}"
         assert worst > 0.0  # the check really ran
 
+    def test_checkpoint_with_non_finite_parameter_rejected(self):
+        rec = SequenceClassifier(tiny_config("wa")).to_record()
+        rec["params"]["w_layer"][0] = float("nan")
+        with pytest.raises(ModelError, match="non-finite"):
+            SequenceClassifier.from_record(rec)
+
     def test_checkpoint_round_trip_bit_exact(self, small_tokenized, tmp_path):
         tokens, _, _ = tiny_batch(small_tokenized)
         m = SequenceClassifier(tiny_config("bil", seed=9))
@@ -311,9 +334,68 @@ class TestModel:
         m.save(path)
         back = load_model(path)
         assert back.config == m.config
-        a_spk, a_sect = m.predict(tokens)
-        b_spk, b_sect = back.predict(tokens)
+        a_spk, a_sect = m.predict([tokens])
+        b_spk, b_sect = back.predict([tokens])
         assert np.array_equal(a_spk, b_spk) and np.array_equal(a_sect, b_sect)
+
+
+def ragged_batch(small_tokenized, lengths=(5, 1, 7, 3)):
+    """Transcripts cut to unequal lengths, with per-transcript targets."""
+    tokens, spk, sect = [], [], []
+    for t, n in zip(small_tokenized, lengths):
+        spk_t, sect_t = one_hot_targets(t)
+        tokens.append([u.tokens for u in t.utterances][:n])
+        spk.append(spk_t[:n])
+        sect.append(sect_t[:n])
+    return tokens, spk, sect
+
+
+def trained_looking(variant):
+    """A model whose trainable parameters, biases included, are all moved
+    off their initial values, as training would move them."""
+    m = SequenceClassifier(tiny_config(variant))
+    gen = np.random.Generator(np.random.PCG64(11))
+    for name in m.trainable():
+        m.params[name] = m.params[name] + gen.normal(scale=0.3, size=m.params[name].shape)
+    return m
+
+
+@pytest.mark.parametrize("variant", ["dlb", "wa", "bil", "bild"])
+class TestBatchMatchesPerTranscriptOracle:
+    """One masked (T, B) pass against the per-transcript reference, on a
+    ragged batch with a one-utterance transcript, dropout on, and TBPTT
+    chunks shorter than every transcript with more than one utterance."""
+
+    def test_loss_gradients_and_generator_state(self, small_tokenized, variant):
+        tokens, spk, sect = ragged_batch(small_tokenized)
+        m = trained_looking(variant)
+        spk_w, sect_w = np.array([0.5, 1.0, 2.0, 1.5]), np.array([1.0, 0.7, 1.3, 2.0, 0.4])
+        gen, oracle_gen = Rng(4).generator, Rng(4).generator
+        loss, grads = m.loss_and_grads(tokens, np.concatenate(spk), np.concatenate(sect),
+                                       spk_w, sect_w, dropout=0.3, gen=gen, tbptt_len=2)
+        want_loss, want = 0.0, {k: np.zeros_like(v) for k, v in m.params.items()}
+        for tl, s, c in zip(tokens, spk, sect):
+            l, g = transcript_loss_and_grads(m, tl, s, c, spk_w, sect_w, dropout=0.3,
+                                             gen=oracle_gen, tbptt_len=2)
+            want_loss += l
+            for k in want:
+                want[k] += g[k]
+        assert loss == pytest.approx(want_loss, rel=1e-10)
+        assert set(grads) == set(want)
+        for k in want:
+            assert np.abs(grads[k] - want[k]).max() <= 1e-10 * np.abs(want[k]).max(), k
+        assert gen.bit_generator.state == oracle_gen.bit_generator.state
+        assert m.compute_loss(tokens, np.concatenate(spk), np.concatenate(sect), spk_w, sect_w,
+                              dropout=0.3, gen=Rng(4).generator, tbptt_len=2) == loss
+
+    def test_predict_rows(self, small_tokenized, variant):
+        tokens, _, _ = ragged_batch(small_tokenized)
+        m = trained_looking(variant)
+        got = m.predict(tokens)
+        for task in (0, 1):
+            want = np.concatenate([transcript_predict(m, tl)[task] for tl in tokens])
+            assert got[task].shape == want.shape
+            assert np.abs(got[task] - want).max() <= 1e-12
 
 
 class TestTraining:

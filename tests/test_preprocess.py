@@ -101,6 +101,13 @@ class TestPreprocessTranscript:
         for u in out.utterances:
             assert u.speaker is not None and u.section is not None
 
+    def test_corpus_holds_each_distinct_token_once(self):
+        ts = [Transcript(f"e{k}", TranscriptKind.REFERENCE, (
+            Utterance(id=0, text=text, speaker=SpeakerLabel.DOCTOR, section=SoapSection.PLAN),))
+            for k, text in enumerate(("Chest pain today", "chest Pain now"))]
+        a, b = (t.utterances[0].tokens for t in preprocess_corpus(ts))
+        assert a[0] is b[0] and a[1] is b[1]
+
     def test_corpus_drops_fully_empty_transcripts(self):
         t = Transcript("e0", TranscriptKind.REFERENCE, (
             Utterance(id=0, text="[silence]", speaker=SpeakerLabel.OTHER, section=SoapSection.NONE),
