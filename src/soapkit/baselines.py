@@ -1,9 +1,8 @@
 """Bag-of-words baseline classifiers: majority class, multinomial naive
 Bayes, and logistic regression trained by full-batch gradient descent.
 
-All three consume fixed-length token lists (pads excluded from counting)
-and soft targets, so they train on reference one-hots and projected ASR
-distributions alike.
+All three consume per-utterance token lists and soft targets, so they
+train on reference one-hots and projected ASR distributions alike.
 """
 
 from __future__ import annotations
@@ -13,32 +12,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .preprocess import PAD_TOKEN, content_tokens
-
 
 class BaselineError(ValueError):
     pass
 
 
-def fit_vocab(token_lists, pad_token: str = PAD_TOKEN) -> dict:
-    """Deterministic vocabulary: all non-pad tokens in lexicographic order."""
-    words = set()
-    for tokens in token_lists:
-        for tok in tokens:
-            if tok != pad_token:
-                words.add(tok)
+def fit_vocab(token_lists) -> dict:
+    """Deterministic vocabulary: all tokens in lexicographic order."""
+    words = {tok for tokens in token_lists for tok in tokens}
     if not words:
-        raise BaselineError("empty vocabulary: no non-pad tokens in the corpus")
+        raise BaselineError("empty vocabulary: no tokens in the corpus")
     return {w: i for i, w in enumerate(sorted(words))}
 
 
-def count_matrix(token_lists, vocab, pad_token: str = PAD_TOKEN) -> np.ndarray:
+def count_matrix(token_lists, vocab) -> np.ndarray:
     """Dense (n, V) unigram count matrix; out-of-vocabulary tokens are ignored."""
     X = np.zeros((len(token_lists), len(vocab)))
     for i, tokens in enumerate(token_lists):
         for tok in tokens:
-            if tok == pad_token:
-                continue
             j = vocab.get(tok)
             if j is not None:
                 X[i, j] += 1.0
@@ -78,11 +69,7 @@ class BaselineModel:
             out = np.zeros(self.n_classes)
             out[self.majority] = 1.0
             return out
-        counts = np.zeros(len(self.vocab))
-        for tok in content_tokens(tokens):
-            j = self.vocab.get(tok)
-            if j is not None:
-                counts[j] += 1.0
+        counts = count_matrix([tokens], self.vocab)[0]
         if self.kind == "mnb":
             z = self.log_prior + self.log_likelihood @ counts
         elif self.kind == "lr":

@@ -22,8 +22,6 @@ from .align import AlignmentError, alignment_record
 from .baselines import BaselineError, BaselineModel, train_lr, train_mc, train_mnb
 from .corpus import (
     CorpusError,
-    N_SOAP,
-    N_SPEAKER,
     Rng,
     gold_labels,
     one_hot_targets,
@@ -120,8 +118,7 @@ def cmd_synth(args) -> int:
     cfg = SynthConfig(
         n_transcripts=args.n, min_utterances=args.min_utterances,
         max_utterances=args.max_utterances,
-        context_rule_strength=args.context_strength,
-        corruption=corruption, seed=args.seed)
+        context_rule_strength=args.context_strength, seed=args.seed)
     refs = generate_corpus(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     ref_path = os.path.join(args.out_dir, "reference.jsonl")
@@ -258,7 +255,7 @@ _EVAL_ROWS = (("accuracy", True), ("macro_f1", True), ("auroc", True),
 
 
 def _metric_value(report: MetricReport, name: str) -> float:
-    value = getattr(report, name if name != "macro_f1" else "macro_f1")
+    value = getattr(report, name)
     return float("nan") if value is None else float(value)
 
 
@@ -419,6 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="corpus supplying the utterance universe")
     p.set_defaults(func=cmd_irr)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # for _apply_config's checks
     return parser
 
 
@@ -434,12 +433,24 @@ def _apply_config(args) -> None:
     if not isinstance(overrides, dict):
         raise CliError(EXIT_PARSE, "parse-failure",
                        f"{path}: config must be a JSON object")
+    flags = {a.dest: a for a in args.parser._actions
+             if a.option_strings and a.dest not in ("help", "config")}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if attr in ("config", "func", "command") or not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise CliError(EXIT_INVALID, "invalid-config-key",
                            f"{path}: {key!r} is not a flag of this subcommand")
-        setattr(args, attr, value)
+        if action.type is float and type(value) is int:
+            value = float(value)
+        # a value must be what the flag would parse to: true/false for a
+        # switch, else a JSON value of the flag's type within its choices
+        expected = bool if action.nargs == 0 else action.type or str
+        if type(value) is not expected or (action.choices is not None
+                                           and value not in action.choices):
+            raise CliError(EXIT_INVALID, "invalid-config-value",
+                           f"{path}: {value!r} is not a valid value for "
+                           f"{action.option_strings[0]}")
+        setattr(args, action.dest, value)
 
 
 def main(argv=None) -> int:
@@ -448,6 +459,9 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         _apply_config(args)
+        if args.seed < 0:
+            raise CliError(EXIT_INVALID, "invalid-seed",
+                           f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except CliError as e:
         detail = " ".join(str(e.detail).split())

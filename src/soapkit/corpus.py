@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -268,18 +268,26 @@ def write_corpus(transcripts, path) -> None:
             fh.write("\n")
 
 
-def read_corpus(path) -> list:
-    out = []
+def read_jsonl(path, error=CorpusError):
+    """Yield (where, record) for every non-blank line of a JSON Lines file,
+    `where` being "path: line N". A line that is not a JSON object raises
+    `error`."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from None
-            out.append(transcript_from_record(rec, where=f"{path}: line {lineno}"))
-    return out
+                raise error(f"{where}: malformed JSON ({e.msg})") from None
+            if not isinstance(rec, dict):
+                raise error(f"{where}: record must be an object")
+            yield where, rec
+
+
+def read_corpus(path) -> list:
+    return [transcript_from_record(rec, where) for where, rec in read_jsonl(path)]
 
 
 # --- raw ASR output (pre-projection): text plus diarized turn spans ---
@@ -333,24 +341,15 @@ def write_asr_raw(records, path) -> None:
 
 def read_asr_raw(path) -> list:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from None
-            if not isinstance(rec, dict):
-                raise CorpusError(f"{path}: line {lineno}: record must be an object")
-            for name in ("encounter_id", "text", "turns"):
-                if name not in rec:
-                    raise CorpusError(f"{path}: line {lineno}: missing field {name!r}")
-            try:
-                out.append(AsrRaw(encounter_id=str(rec["encounter_id"]),
-                                  text=rec["text"], turns=rec["turns"]))
-            except CorpusError as e:
-                raise CorpusError(f"{path}: line {lineno}: {e}") from None
+    for where, rec in read_jsonl(path):
+        for name in ("encounter_id", "text", "turns"):
+            if name not in rec:
+                raise CorpusError(f"{where}: missing field {name!r}")
+        try:
+            out.append(AsrRaw(encounter_id=str(rec["encounter_id"]),
+                              text=rec["text"], turns=rec["turns"]))
+        except CorpusError as e:
+            raise CorpusError(f"{where}: {e}") from None
     return out
 
 

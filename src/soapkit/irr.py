@@ -10,12 +10,12 @@ treating the reference annotator as gold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .corpus import N_SOAP, SoapSection, Transcript
+from .corpus import N_SOAP, SoapSection, read_jsonl
 
 # Fixed subsection taxonomy; every observation must use one of these.
 SUBSECTION_SECTIONS = {
@@ -300,29 +300,32 @@ def write_notes(notes, path) -> None:
             fh.write("\n")
 
 
+def _observation_from_record(o) -> Observation:
+    if not isinstance(o, dict):
+        raise IrrError("observation must be an object")
+    subsection, summary = o.get("subsection"), o.get("summary")
+    tags, evidence = o.get("tags", []), o.get("evidence")
+    if not (isinstance(subsection, str) and isinstance(summary, str)
+            and isinstance(tags, list) and all(isinstance(t, str) for t in tags)
+            and isinstance(evidence, list) and all(type(e) is int for e in evidence)):
+        raise IrrError("an observation needs a string subsection and summary, "
+                       "a list of string tags and a list of integer evidence ids")
+    return Observation(subsection, summary, frozenset(tags), frozenset(evidence))
+
+
 def read_notes(path) -> list:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise IrrError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from None
-            for name in ("encounter_id", "observations"):
-                if name not in rec:
-                    raise IrrError(f"{path}: line {lineno}: missing field {name!r}")
-            try:
-                obs = tuple(
-                    Observation(subsection=o["subsection"], summary=o["summary"],
-                                tags=frozenset(o.get("tags", ())),
-                                evidence=frozenset(o["evidence"]))
-                    for o in rec["observations"]
-                )
-            except (KeyError, IrrError) as e:
-                raise IrrError(f"{path}: line {lineno}: {e}") from None
-            out.append(SoapNote(encounter_id=str(rec["encounter_id"]), observations=obs))
+    for where, rec in read_jsonl(path, IrrError):
+        for name in ("encounter_id", "observations"):
+            if name not in rec:
+                raise IrrError(f"{where}: missing field {name!r}")
+        if not isinstance(rec["observations"], list):
+            raise IrrError(f"{where}: field 'observations' must be a list")
+        try:
+            obs = tuple(_observation_from_record(o) for o in rec["observations"])
+        except IrrError as e:
+            raise IrrError(f"{where}: {e}") from None
+        out.append(SoapNote(encounter_id=str(rec["encounter_id"]), observations=obs))
     return out
 
 

@@ -98,10 +98,10 @@ def _binary_auroc(scores: np.ndarray, pos: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auroc(scores, golds, n_classes: int) -> dict:
-    """Macro one-vs-rest AUROC. Classes without both a positive and a
-    negative example are skipped and reported; no evaluable class is an
-    error."""
+def _one_vs_rest(binary, scores, golds, n_classes: int) -> dict:
+    """Macro mean of `binary(class scores, positive mask)` over the
+    classes. Classes without both a positive and a negative example are
+    skipped and reported; no evaluable class is an error."""
     scores = np.asarray(scores, dtype=float)
     golds = np.asarray(golds, dtype=int)
     if scores.shape != (golds.size, n_classes):
@@ -113,11 +113,16 @@ def auroc(scores, golds, n_classes: int) -> dict:
         if not pos.any() or pos.all():
             skipped.append(c)
             continue
-        per_class[c] = _binary_auroc(scores[:, c], pos)
+        per_class[c] = binary(scores[:, c], pos)
     if not per_class:
         raise MetricError("no class has both positive and negative examples")
     macro = float(np.mean(list(per_class.values())))
     return {"macro": macro, "per_class": per_class, "skipped": skipped}
+
+
+def auroc(scores, golds, n_classes: int) -> dict:
+    """Macro one-vs-rest AUROC."""
+    return _one_vs_rest(_binary_auroc, scores, golds, n_classes)
 
 
 def _binary_auprc(scores: np.ndarray, pos: np.ndarray) -> float:
@@ -147,23 +152,8 @@ def _binary_auprc(scores: np.ndarray, pos: np.ndarray) -> float:
 
 
 def auprc(scores, golds, n_classes: int) -> dict:
-    """Macro one-vs-rest AUPRC with the same skip rule as auroc."""
-    scores = np.asarray(scores, dtype=float)
-    golds = np.asarray(golds, dtype=int)
-    if scores.shape != (golds.size, n_classes):
-        raise MetricError(f"scores must have shape (n, {n_classes})")
-    per_class = {}
-    skipped = []
-    for c in range(n_classes):
-        pos = golds == c
-        if not pos.any() or pos.all():
-            skipped.append(c)
-            continue
-        per_class[c] = _binary_auprc(scores[:, c], pos)
-    if not per_class:
-        raise MetricError("no class has both positive and negative examples")
-    macro = float(np.mean(list(per_class.values())))
-    return {"macro": macro, "per_class": per_class, "skipped": skipped}
+    """Macro one-vs-rest AUPRC."""
+    return _one_vs_rest(_binary_auprc, scores, golds, n_classes)
 
 
 def log_loss(scores, golds, eps: float = 1e-12) -> float:

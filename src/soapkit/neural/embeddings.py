@@ -3,9 +3,9 @@
 The default provider derives deterministic pseudo-random vectors from a
 hash of (seed, layer, token), so any token has a stable embedding with no
 training and no vocabulary file. A file-backed provider can serve
-precomputed vectors instead. Pad tokens map to zero vectors. Embeddings
-are inputs, never parameters: no gradient flows into them. Providers do
-not cache; the model keeps one table of the vectors its corpus uses.
+precomputed vectors instead. Embeddings are inputs, never parameters: no
+gradient flows into them. Providers do not cache; the model keeps one
+table of the vectors its corpus uses.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import hashlib
 import json
 
 import numpy as np
-
-from ..preprocess import PAD_TOKEN
 
 
 class EmbeddingError(ValueError):
@@ -37,11 +35,10 @@ class HashEmbeddings:
 
     def __call__(self, token: str) -> np.ndarray:
         vecs = np.zeros((self.n_layers, self.dim))
-        if token != PAD_TOKEN:
-            for k in range(self.n_layers):
-                digest = hashlib.sha256(f"{self.seed}|{k}|{token}".encode("utf-8")).digest()
-                gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
-                vecs[k] = gen.standard_normal(self.dim)
+        for k in range(self.n_layers):
+            digest = hashlib.sha256(f"{self.seed}|{k}|{token}".encode("utf-8")).digest()
+            gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
+            vecs[k] = gen.standard_normal(self.dim)
         return vecs
 
     def spec(self) -> dict:
@@ -66,11 +63,8 @@ class FileEmbeddings:
         for tok, vecs in self._table.items():
             if vecs.shape != (self.n_layers, self.dim):
                 raise EmbeddingError(f"{path}: token {tok!r} has shape {vecs.shape}")
-        self._pad = np.zeros((self.n_layers, self.dim))
 
     def __call__(self, token: str) -> np.ndarray:
-        if token == PAD_TOKEN:
-            return self._pad
         vecs = self._table.get(token)
         if vecs is None:
             raise EmbeddingError(f"token {token!r} missing from embedding file {self.path}")

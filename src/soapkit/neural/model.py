@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import N_SOAP, N_SPEAKER, Rng
-from ..preprocess import PAD_TOKEN
 from .embeddings import HashEmbeddings, load_embeddings
 from .network import (
     attention_backward,
@@ -112,7 +111,7 @@ class SequenceClassifier:
         """Give every token not yet in the embedding table a row. Training
         and scoring pass their whole corpus first, so the table is built
         once per run, at its exact size."""
-        new = [t for t in dict.fromkeys(tokens) if t != PAD_TOKEN and t not in self._row]
+        new = [t for t in dict.fromkeys(tokens) if t not in self._row]
         if not new:
             return
         old = len(self._row)
@@ -126,15 +125,14 @@ class SequenceClassifier:
     # --- forward ---
 
     def _token_rows(self, token_lists) -> tuple:
-        """One transcript's real tokens as (n_utt, width) rows of the
-        embedding table, left-packed, plus the mask of real positions."""
-        real = [[t for t in tokens if t != PAD_TOKEN] for tokens in token_lists]
-        if not all(real):
-            raise ModelError("utterance has no non-pad tokens")
-        self.add_vocabulary(t for tokens in real for t in tokens)
-        lengths = np.array([len(tokens) for tokens in real])
-        rows = np.zeros((len(real), lengths.max()), dtype=np.intp)
-        for i, tokens in enumerate(real):
+        """One transcript's tokens as (n_utt, width) rows of the embedding
+        table, left-packed, plus the mask of real positions."""
+        if not all(token_lists):
+            raise ModelError("utterance has no tokens")
+        self.add_vocabulary(t for tokens in token_lists for t in tokens)
+        lengths = np.array([len(tokens) for tokens in token_lists])
+        rows = np.zeros((len(token_lists), lengths.max()), dtype=np.intp)
+        for i, tokens in enumerate(token_lists):
             rows[i, :len(tokens)] = [self._row[t] for t in tokens]
         return rows, np.arange(rows.shape[1]) < lengths[:, None]
 

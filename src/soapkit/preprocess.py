@@ -1,21 +1,19 @@
 """Utterance cleaning and tokenization for the classifiers.
 
 Bracketed annotations become uppercase placeholder words, trailing dashes
-are stripped, sentence punctuation is detached, and every utterance is
-normalized to a fixed-length token list (stopword removal and truncation
-only kick in above the cap; shorter utterances are padded).
+are stripped, sentence punctuation is detached, and every utterance
+becomes the list of its real tokens, at most MAX_TOKENS long (stopword
+removal and truncation only kick in above the cap).
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
 
 from .corpus import Transcript, Utterance
 
 MAX_TOKENS = 32
-PAD_TOKEN = ""
 
 # ~150 common English function words; removed only when an utterance
 # exceeds the token cap.
@@ -46,13 +44,6 @@ class EmptyUtteranceError(ValueError):
     """The utterance has no linguistic content after cleaning."""
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    max_tokens: int = MAX_TOKENS
-    pad_token: str = PAD_TOKEN
-    stopwords: frozenset = field(default=DEFAULT_STOPWORDS)
-
-
 def standardize_annotations(text: str) -> str:
     """Replace every bracketed annotation with an UPPERCASE_UNDERSCORE
     placeholder word; unbalanced brackets are left verbatim with a warning."""
@@ -74,12 +65,12 @@ def _detach(chunk: str) -> list:
     return parts
 
 
-def clean_and_tokenize(text: str, cfg: PreprocessConfig = PreprocessConfig()) -> list:
-    """Produce exactly cfg.max_tokens tokens for one utterance.
+def clean_and_tokenize(text: str) -> list:
+    """The real tokens of one utterance, at most MAX_TOKENS of them.
 
     Pipeline: standardize annotations, strip trailing dashes, whitespace
     tokenization with trailing-punctuation detachment, lowercase everything
-    except placeholders, then stopword-drop / truncate / pad to the cap.
+    except placeholders, then stopword-drop / truncate to the cap.
     Raises EmptyUtteranceError when no linguistic token survives.
     """
     t = standardize_annotations(text).strip()
@@ -91,25 +82,16 @@ def clean_and_tokenize(text: str, cfg: PreprocessConfig = PreprocessConfig()) ->
             tokens.append(part if _PLACEHOLDER.match(part) else part.lower())
     if not tokens or all(_PLACEHOLDER.match(tok) for tok in tokens):
         raise EmptyUtteranceError(f"no linguistic tokens in {text!r}")
-    if len(tokens) > cfg.max_tokens:
+    if len(tokens) > MAX_TOKENS:
         # stopword removal applies only above the cap; if it would wipe the
         # utterance out entirely, fall back to plain truncation
-        kept = [tok for tok in tokens if tok not in cfg.stopwords]
+        kept = [tok for tok in tokens if tok not in DEFAULT_STOPWORDS]
         if kept:
             tokens = kept
-    if len(tokens) > cfg.max_tokens:
-        tokens = tokens[:cfg.max_tokens]
-    if len(tokens) < cfg.max_tokens:
-        tokens = tokens + [cfg.pad_token] * (cfg.max_tokens - len(tokens))
-    return tokens
+    return tokens[:MAX_TOKENS]
 
 
-def content_tokens(tokens, pad_token: str = PAD_TOKEN) -> list:
-    return [tok for tok in tokens if tok != pad_token]
-
-
-def preprocess_transcript(transcript: Transcript, cfg: PreprocessConfig = PreprocessConfig(),
-                          shared: dict | None = None) -> Transcript:
+def preprocess_transcript(transcript: Transcript, shared: dict | None = None) -> Transcript:
     """Attach token lists to every utterance; utterances with no linguistic
     content are dropped and the ids are re-densified. `shared` maps each
     token seen so far to the string object to reuse for it, so that a
@@ -118,7 +100,7 @@ def preprocess_transcript(transcript: Transcript, cfg: PreprocessConfig = Prepro
     kept = []
     for utt in transcript.utterances:
         try:
-            tokens = clean_and_tokenize(utt.text, cfg)
+            tokens = clean_and_tokenize(utt.text)
         except EmptyUtteranceError:
             continue
         kept.append(Utterance(
@@ -132,12 +114,12 @@ def preprocess_transcript(transcript: Transcript, cfg: PreprocessConfig = Prepro
     return Transcript(encounter_id=transcript.encounter_id, kind=transcript.kind, utterances=tuple(kept))
 
 
-def preprocess_corpus(transcripts, cfg: PreprocessConfig = PreprocessConfig()) -> list:
+def preprocess_corpus(transcripts) -> list:
     # a corpus repeats a few hundred words thousands of times
     shared = {}
     out = []
     for t in transcripts:
-        p = preprocess_transcript(t, cfg, shared)
+        p = preprocess_transcript(t, shared)
         if p.utterances:
             out.append(p)
     return out

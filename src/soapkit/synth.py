@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .corpus import (
     AsrRaw,
-    CorpusError,
     Rng,
     SoapSection,
     SpeakerLabel,
@@ -24,6 +23,7 @@ from .corpus import (
     Utterance,
     render_reference,
 )
+from .project import SENTENCE_END
 
 # Template vocabularies. The groups are deliberately disjoint so section
 # and speaker signals stay analyzable; a test asserts disjointness.
@@ -73,8 +73,6 @@ SPEAKER_WORDS = {
 DEFAULT_SOAP_MARGINALS = (0.63, 0.19, 0.02, 0.12, 0.04)
 DEFAULT_SPEAKER_MARGINALS = (0.566, 0.383, 0.045, 0.006)
 
-CONTEXT_WINDOW = 3
-SENTENCE_END = ".?!"
 CORRUPTION_ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 
 
@@ -106,7 +104,6 @@ class SynthConfig:
     soap_marginals: tuple = DEFAULT_SOAP_MARGINALS
     speaker_marginals: tuple = DEFAULT_SPEAKER_MARGINALS
     context_rule_strength: float = 0.0
-    corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
     seed: int = 0
 
     def __post_init__(self):
@@ -123,11 +120,10 @@ class SynthConfig:
 
 
 def context_rule(history) -> SoapSection:
-    """Fixed transition rule over the previous CONTEXT_WINDOW sections:
-    copy the most recent one. A single-position copy preserves the target
-    marginals exactly at any rule strength."""
-    window = history[-CONTEXT_WINDOW:]
-    return window[-1]
+    """Fixed transition rule: copy the most recent section. A
+    single-position copy preserves the target marginals exactly at any
+    rule strength."""
+    return history[-1]
 
 
 def _make_utterance_text(gen, section, speaker, generic: bool) -> str:

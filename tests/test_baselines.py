@@ -14,21 +14,20 @@ from soapkit.baselines import (
     train_mc,
     train_mnb,
 )
-from soapkit.preprocess import PAD_TOKEN
 
 
 class TestVocab:
     def test_lexicographic_and_pad_free(self):
-        vocab = fit_vocab([["b", "a", PAD_TOKEN], ["c", "a"]])
+        vocab = fit_vocab([["b", "a"], ["c", "a"]])
         assert vocab == {"a": 0, "b": 1, "c": 2}
 
     def test_empty_vocabulary_is_an_error(self):
         with pytest.raises(BaselineError, match="empty vocabulary"):
-            fit_vocab([[PAD_TOKEN, PAD_TOKEN]])
+            fit_vocab([[], []])
 
     def test_count_matrix_ignores_oov_and_pads(self):
         vocab = {"a": 0, "b": 1}
-        X = count_matrix([["a", "a", "zzz", PAD_TOKEN], ["b"]], vocab)
+        X = count_matrix([["a", "a", "zzz"], ["b"]], vocab)
         assert X.tolist() == [[2.0, 0.0], [0.0, 1.0]]
 
 

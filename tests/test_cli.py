@@ -119,6 +119,38 @@ class TestErrorPaths:
         assert res.returncode == 4
         assert "kind=invalid-config-key" in res.stderr
 
+    @pytest.mark.parametrize("argv, config", [
+        (("synth", "--out-dir", "{tmp}/x", "--n", "2"), {"n": "abc"}),
+        (("synth", "--out-dir", "{tmp}/x", "--n", "2"), {"char_sub": "0.1"}),
+        (("project", "--ref", "{data}/reference.jsonl", "--asr", "{data}/asr.jsonl",
+          "--out", "{tmp}/p.jsonl"), {"threads": "2"}),
+        (("train", "--corpus", "{data}/reference.jsonl", "--variant", "mnb",
+          "--out", "{tmp}/m.json"), {"task": "xyz"}),
+    ])
+    def test_config_value_unlike_its_flag_is_exit_4(self, workspace, tmp_path, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [a.format(tmp=tmp_path, data=workspace / "data") for a in argv]
+        res = run_cli(*argv, "--config", str(cfg))
+        assert res.returncode == 4, res.stderr
+        assert "kind=invalid-config-value" in res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_negative_seed_is_exit_4(self, tmp_path):
+        res = run_cli("synth", "--out-dir", str(tmp_path / "x"), "--n", "2", "--seed", "-1")
+        assert res.returncode == 4, res.stderr
+        assert "kind=invalid-seed" in res.stderr
+
+    def test_irr_bad_note_line_is_exit_3(self, workspace, tmp_path):
+        data = workspace / "data"
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text('{"encounter_id": "e0", "observations": [{"subsection": "vitals", '
+                         '"summary": "s", "tags": 5, "evidence": [0]}]}\n')
+        res = run_cli("irr", "--notes-a", str(notes), "--notes-b", str(notes),
+                      "--transcripts", str(data / "reference.jsonl"))
+        assert res.returncode == 3, res.stderr
+        assert "kind=parse-failure" in res.stderr and "line 1" in res.stderr
+
     def test_calibrate_without_val_corpus_is_usage_error(self, workspace):
         data = workspace / "data"
         res = run_cli("eval", "--model", "oracle",

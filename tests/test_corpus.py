@@ -20,7 +20,34 @@ from soapkit.corpus import (
     write_asr_raw,
     write_corpus,
 )
+from soapkit.irr import IrrError, read_notes
 from soapkit.synth import CorruptionConfig, SynthConfig, corrupt_corpus, generate_corpus
+
+
+def _note(obs):
+    return '{"encounter_id": "e0", "observations": [' + obs + ']}'
+
+
+# one malformed line per case; the ids name the reader and the line
+WRONGLY_TYPED = [
+    (read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": 5}', CorpusError),
+    (read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": '
+                  '[{"id": "x", "text": "hi", "speaker": "doctor", "section": "plan"}]}', CorpusError),
+    (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
+                  '[{"id": 0, "text": "hi", "soap_dist": 5, "speaker_dist": [1, 0, 0, 0]}]}',
+     CorpusError),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": [[0, "x"]]}', CorpusError),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": 5}', CorpusError),
+    (read_asr_raw, '{"encounter_id": "e0", "text": 5, "turns": []}', CorpusError),
+    (read_asr_raw, '5', CorpusError),
+    (read_notes, '5', IrrError),
+    (read_notes, '{"encounter_id": "e0", "observations": 5}', IrrError),
+    (read_notes, _note("5"), IrrError),
+    (read_notes, _note('{"subsection": "vitals", "summary": "s", "evidence": ["a"]}'), IrrError),
+    (read_notes, _note('{"subsection": "vitals", "summary": "s", "tags": 5, "evidence": [0]}'),
+     IrrError),
+    (read_notes, _note('{"subsection": ["vitals"], "summary": "s", "evidence": [0]}'), IrrError),
+]
 
 
 def ref_utt(i, text="hello there.", speaker=SpeakerLabel.DOCTOR, section=SoapSection.PLAN):
@@ -148,21 +175,12 @@ class TestSerialization:
         with pytest.raises(CorpusError, match="turns"):
             read_asr_raw(path)
 
-    @pytest.mark.parametrize("reader, line", [
-        (read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": 5}'),
-        (read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": '
-                      '[{"id": "x", "text": "hi", "speaker": "doctor", "section": "plan"}]}'),
-        (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
-                      '[{"id": 0, "text": "hi", "soap_dist": 5, "speaker_dist": [1, 0, 0, 0]}]}'),
-        (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": [[0, "x"]]}'),
-        (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": 5}'),
-        (read_asr_raw, '{"encounter_id": "e0", "text": 5, "turns": []}'),
-        (read_asr_raw, '5'),
-    ])
-    def test_wrongly_typed_fields_are_corpus_errors(self, tmp_path, reader, line):
+    @pytest.mark.parametrize("reader, line, error", WRONGLY_TYPED,
+                             ids=[f"{r.__name__}-{line}" for r, line, _ in WRONGLY_TYPED])
+    def test_wrongly_typed_fields_are_corpus_errors(self, tmp_path, reader, line, error):
         path = tmp_path / "bad.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(CorpusError, match="line 1"):
+        with pytest.raises(error, match="line 1"):
             reader(path)
 
     def test_turn_spans_must_tile(self):

@@ -33,9 +33,6 @@ class TestHashEmbeddings:
         b = HashEmbeddings(dim=8, seed=4)("pain")
         assert np.array_equal(a, b)
 
-    def test_pad_token_is_zero(self):
-        assert not HashEmbeddings(dim=8)("").any()
-
     def test_layers_and_seeds_distinguish(self):
         vecs = HashEmbeddings(dim=8, seed=0)("pain")
         assert not np.array_equal(vecs[0], vecs[1])
@@ -57,7 +54,6 @@ class TestHashEmbeddings:
         path.write_text(json.dumps({"pain": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]}))
         emb = FileEmbeddings(path)
         assert emb("pain").shape == (3, 2)
-        assert emb("").tolist() == [[0.0, 0.0]] * 3  # pad token
         with pytest.raises(EmbeddingError, match="missing"):
             emb("unseen")
         assert load_embeddings(emb.spec())("pain").tolist() == emb("pain").tolist()
@@ -279,6 +275,12 @@ class TestModel:
         assert spk.shape == (6, 4) and sect.shape == (6, 5)
         assert np.allclose(spk.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(sect.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_empty_utterance_rejected(self, small_tokenized):
+        tokens, _, _ = tiny_batch(small_tokenized)
+        m = SequenceClassifier(tiny_config("wa"))
+        with pytest.raises(ModelError, match="no tokens"):
+            m.predict([tokens[:2] + [()] + tokens[2:]])
 
     def test_dlb_freezes_word_attention(self, small_tokenized):
         tokens, spk_t, sect_t = tiny_batch(small_tokenized)

@@ -3,11 +3,8 @@ import pytest
 from soapkit.corpus import SoapSection, SpeakerLabel, Transcript, TranscriptKind, Utterance
 from soapkit.preprocess import (
     MAX_TOKENS,
-    PAD_TOKEN,
     EmptyUtteranceError,
-    PreprocessConfig,
     clean_and_tokenize,
-    content_tokens,
     preprocess_corpus,
     preprocess_transcript,
     standardize_annotations,
@@ -28,26 +25,23 @@ class TestStandardizeAnnotations:
 
 
 class TestCleanAndTokenize:
-    def test_fixed_length_output(self):
-        tokens = clean_and_tokenize("I have chest pain.")
-        assert len(tokens) == MAX_TOKENS
-        assert tokens[:5] == ["i", "have", "chest", "pain", "."]
-        assert set(tokens[5:]) == {PAD_TOKEN}
+    def test_real_tokens_output(self):
+        assert clean_and_tokenize("I have chest pain.") == ["i", "have", "chest", "pain", "."]
 
     def test_trailing_punctuation_detached(self):
-        tokens = content_tokens(clean_and_tokenize("really? yes."))
+        tokens = clean_and_tokenize("really? yes.")
         assert tokens == ["really", "?", "yes", "."]
 
     def test_trailing_dashes_stripped(self):
-        tokens = content_tokens(clean_and_tokenize("I was going to --"))
+        tokens = clean_and_tokenize("I was going to --")
         assert tokens == ["i", "was", "going", "to"]
 
     def test_placeholders_keep_case_rest_lowercased(self):
-        tokens = content_tokens(clean_and_tokenize("Tell [patient name] Now please"))
+        tokens = clean_and_tokenize("Tell [patient name] Now please")
         assert tokens == ["tell", "PATIENT_NAME", "now", "please"]
 
     def test_bare_capital_i_is_lowercased(self):
-        tokens = content_tokens(clean_and_tokenize("I do"))
+        tokens = clean_and_tokenize("I do")
         assert tokens == ["i", "do"]
 
     def test_empty_and_annotation_only_raise(self):
@@ -57,14 +51,13 @@ class TestCleanAndTokenize:
             clean_and_tokenize("[door slams]")
 
     def test_stopwords_kept_when_under_cap(self):
-        tokens = content_tokens(clean_and_tokenize("the cat is on the mat"))
+        tokens = clean_and_tokenize("the cat is on the mat")
         assert "the" in tokens and "is" in tokens
 
     def test_stopwords_dropped_only_above_cap(self):
         filler = "the a an and it is to of in on " * 4  # 40 stopword tokens
         text = filler + "unique diagnosis tokens appear last here now okay fine yes"
-        tokens = clean_and_tokenize(text)
-        kept = content_tokens(tokens)
+        kept = clean_and_tokenize(text)
         assert "the" not in kept
         assert "unique" in kept and "diagnosis" in kept
 
@@ -79,10 +72,6 @@ class TestCleanAndTokenize:
         tokens = clean_and_tokenize(text)
         assert tokens == [f"word{i}" for i in range(MAX_TOKENS)]
 
-    def test_custom_cap(self):
-        cfg = PreprocessConfig(max_tokens=4)
-        assert clean_and_tokenize("one two", cfg) == ["one", "two", PAD_TOKEN, PAD_TOKEN]
-
 
 class TestPreprocessTranscript:
     def test_empty_utterances_dropped_and_ids_redensified(self):
@@ -94,7 +83,7 @@ class TestPreprocessTranscript:
         out = preprocess_transcript(t)
         assert [u.id for u in out.utterances] == [0, 1]
         assert [u.text for u in out.utterances] == ["hello there.", "still here."]
-        assert all(u.tokens is not None and len(u.tokens) == MAX_TOKENS for u in out.utterances)
+        assert [u.tokens for u in out.utterances] == [("hello", "there", "."), ("still", "here", ".")]
 
     def test_labels_survive(self, small_corpus):
         out = preprocess_transcript(small_corpus[0])
