@@ -25,6 +25,7 @@ from .corpus import (
     Rng,
     gold_labels,
     one_hot_targets,
+    pair_by_encounter,
     read_asr_raw,
     read_corpus,
     render_reference,
@@ -138,22 +139,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _pair_asr(refs, asr_records):
-    by_id = {a.encounter_id: a for a in asr_records}
-    pairs = []
-    for ref in refs:
-        if ref.encounter_id not in by_id:
-            raise CorpusError(f"no ASR record for encounter {ref.encounter_id!r}")
-        pairs.append((ref, by_id[ref.encounter_id]))
-    return pairs
-
-
 def cmd_align(args) -> int:
     refs = _read_input(read_corpus, args.ref)
     asr_records = _read_input(read_asr_raw, args.asr)
+    pairs, missing = pair_by_encounter(refs, asr_records)
+    if missing:
+        raise CorpusError(f"no ASR record for encounter {missing[0]!r}")
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for ref, asr in _pair_asr(refs, asr_records):
+        for ref, asr in pairs:
             ref_text, _ = render_reference(ref.utterances)
             rec = alignment_record(ref.encounter_id, ref_text, asr.text)
             out.write(json.dumps(rec))
@@ -324,15 +318,12 @@ def cmd_irr(args) -> int:
     notes_a = _read_input(read_notes, args.notes_a)
     notes_b = _read_input(read_notes, args.notes_b)
     transcripts = _read_input(read_corpus, args.transcripts)
-    by_id = {n.encounter_id: n for n in notes_b}
-    pairs = []
-    for note in notes_a:
-        if note.encounter_id not in by_id:
-            raise IrrError(f"encounter {note.encounter_id!r} missing from {args.notes_b}")
-        pairs.append((note, by_id[note.encounter_id]))
+    pairs, missing = pair_by_encounter(notes_a, notes_b)
+    if missing:
+        raise IrrError(f"encounter {missing[0]!r} missing from {args.notes_b}")
     if len(notes_b) != len(pairs):
-        extra = sorted(set(by_id) - {a.encounter_id for a in notes_a})
-        raise IrrError(f"encounters {extra} missing from {args.notes_a}")
+        _, extra = pair_by_encounter(notes_b, notes_a)
+        raise IrrError(f"encounters {sorted(set(extra))} missing from {args.notes_a}")
     print(format_report(irr_report(pairs, transcripts)))
     return 0
 

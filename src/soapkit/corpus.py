@@ -321,11 +321,26 @@ class AsrRaw:
                     f"got span ({a}, {b}) at position {pos}"
                 )
             pos = b
-        if turns and pos != len(self.text):
+        if pos != len(self.text):
             raise CorpusError(
                 f"encounter {self.encounter_id}: turn spans cover {pos} chars "
                 f"but text has {len(self.text)}"
             )
+
+
+def pair_by_encounter(records, others) -> tuple:
+    """Match each of `records` to the one of `others` with its
+    encounter_id. Returns (pairs, missing): the (record, other) pairs in
+    `records` order and the encounter ids with no match, in that order."""
+    by_id = {o.encounter_id: o for o in others}
+    pairs, missing = [], []
+    for rec in records:
+        other = by_id.get(rec.encounter_id)
+        if other is None:
+            missing.append(rec.encounter_id)
+        else:
+            pairs.append((rec, other))
+    return pairs, missing
 
 
 def write_asr_raw(records, path) -> None:

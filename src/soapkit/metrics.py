@@ -86,14 +86,11 @@ def _binary_auroc(scores: np.ndarray, pos: np.ndarray) -> float:
     n_neg = pos.size - n_pos
     order = np.argsort(scores, kind="mergesort")
     s = scores[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # tie group starts
+    last = np.r_[first[1:], s.size] - 1
     ranks = np.empty(pos.size, dtype=float)
-    i = 0
-    while i < pos.size:
-        j = i
-        while j + 1 < pos.size and s[j + 1] == s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # every member of a group gets the group's average 1-based rank
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -131,24 +128,12 @@ def _binary_auprc(scores: np.ndarray, pos: np.ndarray) -> float:
     n_pos = int(pos.sum())
     order = np.argsort(-scores, kind="mergesort")
     s = scores[order]
-    p = pos[order]
-    area = 0.0
-    prev_recall = 0.0
-    tp = 0
-    total = 0
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[j + 1] == s[i]:
-            j += 1
-        tp += int(p[i:j + 1].sum())
-        total += j - i + 1
-        recall = tp / n_pos
-        precision = tp / total
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return area
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])  # tie group ends
+    tp = np.cumsum(pos[order])[last]
+    recall = tp / n_pos
+    precision = tp / (last + 1)
+    # cumsum adds the steps in threshold order, as a running total would
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def auprc(scores, golds, n_classes: int) -> dict:
@@ -228,19 +213,22 @@ class PlattCalibrator:
 def _fit_platt_binary(z: np.ndarray, y: np.ndarray,
                       max_iters: int = 200, grad_tol: float = 1e-9) -> tuple:
     """Minimize mean logistic loss of sigma(a z + b) by gradient descent
-    with backtracking line search, starting at the identity (1, 0)."""
+    with backtracking line search, starting at the identity (1, 0). A
+    line-search trial evaluates only the loss of its logits t = a z + b;
+    the sigmoid and the gradient are taken at the accepted point."""
+    sgn = np.where(y, -1.0, 1.0)  # per-sample loss is log(1 + exp(sgn * t))
+
+    def loss_at(t):
+        return float(np.logaddexp(0.0, sgn * t).mean())
+
+    def grad_at(t):
+        r = sigmoid(t) - y
+        return float((r * z).mean()), float(r.mean())
+
     a, b = 1.0, 0.0
-    n = z.size
-
-    def loss_grad(a, b):
-        t = a * z + b
-        p = sigmoid(t)
-        # stable mean log loss: log(1+exp(-t)) for y=1, log(1+exp(t)) for y=0
-        ll = np.where(y, np.logaddexp(0.0, -t), np.logaddexp(0.0, t)).mean()
-        r = p - y
-        return float(ll), float((r * z).mean()), float(r.mean())
-
-    loss, ga, gb = loss_grad(a, b)
+    t = a * z + b
+    loss = loss_at(t)
+    ga, gb = grad_at(t)
     step = 1.0
     for _ in range(max_iters):
         g2 = ga * ga + gb * gb
@@ -250,11 +238,13 @@ def _fit_platt_binary(z: np.ndarray, y: np.ndarray,
         for _ in range(80):
             a2 = a - step * ga
             b2 = b - step * gb
-            loss2, ga2, gb2 = loss_grad(a2, b2)
+            t2 = a2 * z + b2
+            loss2 = loss_at(t2)
             if loss2 <= loss - 1e-4 * step * g2:
                 break
             step *= 0.5
-        a, b, loss, ga, gb = a2, b2, loss2, ga2, gb2
+        a, b, t, loss = a2, b2, t2, loss2
+        ga, gb = grad_at(t)
     return a, b
 
 

@@ -21,6 +21,7 @@ from .corpus import (
     Transcript,
     TranscriptKind,
     Utterance,
+    pair_by_encounter,
     render_reference,
 )
 
@@ -246,11 +247,9 @@ def project_transcript(ref: Transcript, asr: AsrRaw, speaker_mode: str = "l2") -
 def project_corpus(refs, asr_records, speaker_mode: str = "l2", threads: int = 1) -> list:
     """Project every encounter; ASR records are matched to references by
     encounter_id. Result order follows the reference corpus order."""
-    by_id = {rec.encounter_id: rec for rec in asr_records}
-    missing = [t.encounter_id for t in refs if t.encounter_id not in by_id]
+    jobs, missing = pair_by_encounter(refs, asr_records)
     if missing:
         raise ProjectionError(f"no asr record for encounters: {', '.join(missing[:5])}")
-    jobs = [(t, by_id[t.encounter_id]) for t in refs]
     if threads <= 1:
         return [project_transcript(t, rec, speaker_mode=speaker_mode) for t, rec in jobs]
     from concurrent.futures import ThreadPoolExecutor

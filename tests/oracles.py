@@ -493,3 +493,84 @@ def transcript_loss_and_grads(model, token_lists, spk_targets, sect_targets,
     for name in model.frozen:
         grads[name] = np.zeros_like(p[name])
     return total, grads
+
+
+# --- reference fits of the lr baseline and of Platt calibration ---
+#
+# Full-batch gradient descent that evaluates loss and gradient from the
+# parameters at every line-search trial, on (n, C) sample-major arrays:
+# the implementation the class-major trials in soapkit replaced.
+
+
+def lr_loss_grad(W, b, X, T, w_class):
+    """Weighted cross entropy of softmax(X W^T + b) and its gradients."""
+    Z = X @ W.T + b
+    Z = Z - Z.max(axis=1, keepdims=True)
+    logZ = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+    n = X.shape[0]
+    loss = -float((w_class * T * logZ).sum()) / n
+    P = np.exp(logZ)
+    s = T @ w_class  # per-sample total target weight
+    G = (P * s[:, None] - T * w_class) / n
+    dW = G.T @ X
+    db = G.sum(axis=0)
+    return loss, dW, db
+
+
+def lr_fit_reference(X, targets, w_class, max_iters=1000, grad_tol=1e-6):
+    """(W, b) of the lr baseline on count matrix X: zero start, Armijo
+    backtracking warm-started from twice the last step (capped at 1e6),
+    at most 60 halvings. A non-finite loss raises ValueError."""
+    targets = np.asarray(targets, dtype=float)
+    w_class = np.asarray(w_class, dtype=float)
+    W = np.zeros((targets.shape[1], X.shape[1]))
+    b = np.zeros(targets.shape[1])
+    loss, dW, db = lr_loss_grad(W, b, X, targets, w_class)
+    step = 1.0
+    for _ in range(max_iters):
+        gnorm2 = float((dW * dW).sum() + (db * db).sum())
+        if not np.isfinite(loss):
+            raise ValueError("logistic regression diverged (non-finite loss)")
+        if np.sqrt(gnorm2) < grad_tol:
+            break
+        step = min(step * 2.0, 1e6)
+        for _ in range(60):
+            W2 = W - step * dW
+            b2 = b - step * db
+            loss2, dW2, db2 = lr_loss_grad(W2, b2, X, targets, w_class)
+            if loss2 <= loss - 1e-4 * step * gnorm2:
+                break
+            step *= 0.5
+        W, b, loss, dW, db = W2, b2, loss2, dW2, db2
+    return W, b
+
+
+def platt_fit_reference(z, y, max_iters=200, grad_tol=1e-9):
+    """(a, b) minimizing the mean logistic loss of sigmoid(a z + b) from
+    the identity (1, 0): Armijo backtracking warm-started from twice the
+    last step (capped at 1e4), at most 80 halvings."""
+    a, b = 1.0, 0.0
+
+    def loss_grad(a, b):
+        t = a * z + b
+        p = sigmoid_two_branch(t)
+        ll = np.where(y, np.logaddexp(0.0, -t), np.logaddexp(0.0, t)).mean()
+        r = p - y
+        return float(ll), float((r * z).mean()), float(r.mean())
+
+    loss, ga, gb = loss_grad(a, b)
+    step = 1.0
+    for _ in range(max_iters):
+        g2 = ga * ga + gb * gb
+        if np.sqrt(g2) < grad_tol:
+            break
+        step = min(step * 2.0, 1e4)
+        for _ in range(80):
+            a2 = a - step * ga
+            b2 = b - step * gb
+            loss2, ga2, gb2 = loss_grad(a2, b2)
+            if loss2 <= loss - 1e-4 * step * g2:
+                break
+            step *= 0.5
+        a, b, loss, ga, gb = a2, b2, loss2, ga2, gb2
+    return a, b

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import lr_fit_reference
+
 from soapkit.baselines import (
     BaselineError,
     BaselineModel,
@@ -108,6 +110,44 @@ class TestLogisticRegression:
         model = train_lr(docs, targets, task="soap")
         scores = model.predict_matrix(docs)
         assert np.allclose(scores, 0.5, atol=1e-6)
+
+
+def lr_problem(gen, trial):
+    """A seeded (token lists, targets, class weights or None) problem:
+    odd trials have soft targets, every third trial explicit weights."""
+    V = int(gen.integers(2, 201))
+    C = int(gen.integers(2, 6))
+    n = int(gen.integers(5, 60))
+    words = [f"w{j:03d}" for j in range(V)]
+    docs = [[words[j] for j in gen.integers(0, V, size=int(gen.integers(1, 12)))]
+            for _ in range(n)]
+    if trial % 2:
+        targets = gen.dirichlet(np.full(C, 0.5), size=n)
+    else:
+        targets = np.eye(C)[gen.integers(0, C, size=n)]
+    weights = gen.uniform(0.2, 3.0, size=C) if trial % 3 == 0 else None
+    return docs, targets, weights
+
+
+class TestLogisticRegressionOracle:
+    def test_matches_reference_fit(self):
+        gen = np.random.Generator(np.random.PCG64(29))
+        for trial in range(50):
+            docs, targets, weights = lr_problem(gen, trial)
+            model = train_lr(docs, targets, "soap", class_weights=weights)
+            X = count_matrix(docs, model.vocab)
+            w = inverse_frequency_weights(targets) if weights is None else weights
+            W, b = lr_fit_reference(X, targets, w)
+            assert np.abs(model.weights - W).max() <= 1e-9, trial
+            assert np.abs(model.bias - b).max() <= 1e-9, trial
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_class_weight_diverges(self, bad):
+        docs = [["a", "b"], ["b"], ["a"], ["c"]]
+        targets = np.eye(2)[[0, 1, 0, 1]]
+        with pytest.raises(BaselineError, match="diverged"):
+            train_lr(docs, targets, "soap", class_weights=np.array([bad, 1.0]))
 
 
 class TestPersistence:

@@ -92,6 +92,19 @@ class TestErrorPaths:
         assert res.returncode == 3
         assert "kind=parse-failure" in res.stderr and "turn spans" in res.stderr
 
+    def test_empty_turns_with_text_is_exit_3(self, workspace, tmp_path):
+        data = workspace / "data"
+        lines = (data / "asr.jsonl").read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["turns"] = []
+        lines[0] = json.dumps(rec)
+        bad = tmp_path / "asr.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        res = run_cli("project", "--ref", str(data / "reference.jsonl"),
+                      "--asr", str(bad), "--out", str(tmp_path / "projected.jsonl"))
+        assert res.returncode == 3
+        assert "kind=parse-failure" in res.stderr and "turn spans cover 0 chars" in res.stderr
+
     @pytest.mark.parametrize("family", ["neural", "baseline"])
     def test_non_finite_checkpoint_is_exit_3(self, workspace, tmp_path, family):
         data = workspace / "data"

@@ -13,6 +13,7 @@ from soapkit.corpus import (
     Utterance,
     gold_labels,
     one_hot_targets,
+    pair_by_encounter,
     read_asr_raw,
     read_corpus,
     render_reference,
@@ -39,6 +40,7 @@ WRONGLY_TYPED = [
     (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": [[0, "x"]]}', CorpusError),
     (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": 5}', CorpusError),
     (read_asr_raw, '{"encounter_id": "e0", "text": 5, "turns": []}', CorpusError),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": []}', CorpusError),
     (read_asr_raw, '5', CorpusError),
     (read_notes, '5', IrrError),
     (read_notes, '{"encounter_id": "e0", "observations": 5}', IrrError),
@@ -188,6 +190,18 @@ class TestSerialization:
             AsrRaw("e0", "abcdef", turns=((0, 3), (4, 6)))
         with pytest.raises(CorpusError, match="cover"):
             AsrRaw("e0", "abcdef", turns=((0, 3),))
+        with pytest.raises(CorpusError, match="cover 0 chars"):
+            AsrRaw("e0", "abcdef", turns=())
+        assert AsrRaw("e0", "", turns=()).turns == ()
+
+    def test_pair_by_encounter_keeps_record_order_and_reports_missing(self):
+        records = [AsrRaw(e, "", ()) for e in ("e2", "e0", "e9", "e1")]
+        others = [AsrRaw(e, "", ()) for e in ("e0", "e1", "e2")]
+        pairs, missing = pair_by_encounter(records, others)
+        assert [(r.encounter_id, o.encounter_id) for r, o in pairs] == \
+               [("e2", "e2"), ("e0", "e0"), ("e1", "e1")]
+        assert all(r is records[i] for (r, _), i in zip(pairs, (0, 1, 3)))
+        assert missing == ["e9"]
 
 
 class TestTargets:

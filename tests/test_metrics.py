@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from oracles import auprc_thresholds, auroc_pairwise, f1_by_hand, log_loss_naive
+from oracles import (
+    auprc_thresholds,
+    auroc_pairwise,
+    f1_by_hand,
+    log_loss_naive,
+    platt_fit_reference,
+)
 
 from soapkit.metrics import (
     MetricError,
     PlattCalibrator,
+    _binary_auprc,
+    _binary_auroc,
+    _fit_platt_binary,
     auprc,
     auroc,
     confusion_and_f1,
@@ -89,6 +98,13 @@ class TestRankingMetrics:
                 want = auprc_thresholds(scores[:, c], (golds == c).tolist())
                 assert value == pytest.approx(want, abs=1e-9)
 
+    def test_heavy_ties_and_distinct_scores_match_oracles_exactly(self):
+        gen = np.random.Generator(np.random.PCG64(17))
+        for scores in (gen.choice([0.1, 0.35, 0.8], size=500), gen.random(300)):
+            pos = gen.random(scores.size) < 0.3
+            assert _binary_auroc(scores, pos) == auroc_pairwise(scores, pos)
+            assert _binary_auprc(scores, pos) == auprc_thresholds(scores, pos)
+
     def test_constant_scores(self):
         scores = np.full((10, 2), 0.5)
         golds = np.array([0] * 3 + [1] * 7)
@@ -142,6 +158,17 @@ class TestPlatt:
         sharp = p ** 3
         sharp /= sharp.sum(axis=1, keepdims=True)
         return sharp, golds
+
+    def test_binary_fit_matches_reference(self):
+        # same arithmetic on the same path, so the coefficients are equal
+        gen = np.random.Generator(np.random.PCG64(31))
+        for n in (20, 45, 70, 150, 300, 400):
+            for _ in range(4):
+                z = gen.normal(size=n) * gen.uniform(0.5, 4.0)
+                y = (gen.random(n) < 1.0 / (1.0 + np.exp(-0.4 * z - gen.normal()))).astype(float)
+                if y.min() == y.max():
+                    continue
+                assert _fit_platt_binary(z, y) == platt_fit_reference(z, y)
 
     def test_identity_coefficients_preserve_scores(self):
         gen = np.random.Generator(np.random.PCG64(23))
