@@ -37,6 +37,20 @@ def count_matrix(token_lists, vocab) -> np.ndarray:
     return X
 
 
+def checked_array(value, what: str, shape: tuple, error) -> np.ndarray:
+    """A checkpoint value as a finite float array of the given shape, else
+    `error` naming `what`."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{what} is not an array of numbers") from None
+    if arr.shape != shape:
+        raise error(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise error(f"{what} has non-finite entries")
+    return arr
+
+
 def inverse_frequency_weights(targets: np.ndarray) -> np.ndarray:
     """Per-class weights proportional to inverse expected class frequency,
     normalized so present classes have mean weight 1; absent classes get 1."""
@@ -92,25 +106,33 @@ class BaselineModel:
             arr = getattr(self, name)
             rec[name] = None if arr is None else np.asarray(arr).tolist()
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rec, fh)
+            fh.write(json.dumps(rec))
 
     @classmethod
-    def load(cls, rec: dict) -> "BaselineModel":
-        def arr(name):
-            v = rec.get(name)
-            if v is None:
-                return None
-            a = np.asarray(v, dtype=float)
-            if not np.isfinite(a).all():
-                raise BaselineError(f"checkpoint array {name!r} has non-finite entries")
-            return a
-        return cls(
-            kind=rec["kind"], task=rec["task"], n_classes=int(rec["n_classes"]),
-            vocab={k: int(v) for k, v in rec.get("vocab", {}).items()},
-            majority=rec.get("majority"),
-            log_prior=arr("log_prior"), log_likelihood=arr("log_likelihood"),
-            weights=arr("weights"), bias=arr("bias"),
-        )
+    def load(cls, rec) -> "BaselineModel":
+        """A model from its checkpoint record; a record that `save` could
+        not have written raises BaselineError."""
+        if not isinstance(rec, dict):
+            raise BaselineError("checkpoint is not a JSON object")
+        kind, task, n_classes, vocab, majority = (
+            rec.get(k) for k in ("kind", "task", "n_classes", "vocab", "majority"))
+        if kind not in ("mc", "mnb", "lr"):
+            raise BaselineError(f"unknown baseline kind {kind!r}")
+        if task not in ("soap", "speaker"):
+            raise BaselineError(f"unknown task {task!r}")
+        if type(n_classes) is not int or n_classes < 1:
+            raise BaselineError("n_classes must be a positive integer")
+        if not isinstance(vocab, dict) or sorted(
+                v for v in vocab.values() if type(v) is int) != list(range(len(vocab))):
+            raise BaselineError("vocab must map its tokens to the indices 0..V-1")
+        if kind == "mc" and not (type(majority) is int and 0 <= majority < n_classes):
+            raise BaselineError("an mc checkpoint needs a majority class index")
+        shapes = {"mnb": {"log_prior": (n_classes,), "log_likelihood": (n_classes, len(vocab))},
+                  "lr": {"weights": (n_classes, len(vocab)), "bias": (n_classes,)}}.get(kind, {})
+        arrays = {name: checked_array(rec.get(name), f"checkpoint array {name!r}", shape,
+                                      BaselineError) for name, shape in shapes.items()}
+        return cls(kind=kind, task=task, n_classes=n_classes, vocab=vocab,
+                   majority=majority, **arrays)
 
 
 def train_mc(targets: np.ndarray, task: str) -> BaselineModel:

@@ -34,6 +34,7 @@ from .corpus import (
 )
 from .irr import IrrError, format_report, irr_report, read_notes
 from .metrics import MetricError, MetricReport, evaluate, fit_platt, validation_split
+from .neural.embeddings import EmbeddingError
 from .neural.model import ModelConfig, ModelError, SequenceClassifier
 from .neural.train import TrainConfig, TrainingError, collect_scores, train_model
 from .preprocess import EmptyUtteranceError, preprocess_corpus
@@ -60,8 +61,8 @@ EXIT_INVALID = 4
 EXIT_INTERNAL = 1
 
 _DATA_ERRORS = (CorpusError, AlignmentError, ProjectionError, SynthError,
-                BaselineError, MetricError, ModelError, TrainingError,
-                IrrError, EmptyUtteranceError)
+                BaselineError, MetricError, ModelError, EmbeddingError,
+                TrainingError, IrrError, EmptyUtteranceError)
 
 
 class CliError(Exception):
@@ -96,7 +97,7 @@ def _load_checkpoint(path):
             rec = json.load(fh)
     except json.JSONDecodeError as e:
         raise CliError(EXIT_PARSE, "parse-failure", f"{path}: {e.msg}") from None
-    family = rec.get("family")
+    family = rec.get("family") if isinstance(rec, dict) else None
     try:
         if family == "baseline":
             return BaselineModel.load(rec)

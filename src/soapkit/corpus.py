@@ -206,18 +206,15 @@ def _utterance_from_record(rec: dict, kind: TranscriptKind, where: str) -> Utter
     if not isinstance(text, str):
         raise CorpusError(f"{where}: field 'text' must be a string")
     if kind is TranscriptKind.REFERENCE:
-        for name in ("speaker", "section"):
+        labels = {}
+        for name, label in (("speaker", SpeakerLabel), ("section", SoapSection)):
             if name not in rec:
                 raise CorpusError(f"{where}: reference utterance missing field {name!r}")
-        try:
-            speaker = SpeakerLabel.from_string(rec["speaker"])
-        except CorpusError as e:
-            raise CorpusError(f"{where}: field 'speaker': {e}") from None
-        try:
-            section = SoapSection.from_string(rec["section"])
-        except CorpusError as e:
-            raise CorpusError(f"{where}: field 'section': {e}") from None
-        return Utterance(id=uid, text=text, speaker=speaker, section=section)
+            try:
+                labels[name] = label.from_string(rec[name])
+            except CorpusError as e:
+                raise CorpusError(f"{where}: field {name!r}: {e}") from None
+        return Utterance(id=uid, text=text, **labels)
     for name in ("soap_dist", "speaker_dist"):
         if name not in rec:
             raise CorpusError(f"{where}: asr utterance missing field {name!r}")
@@ -249,10 +246,7 @@ def transcript_from_record(rec: dict, where: str = "record") -> Transcript:
         raise CorpusError(f"{where}: field 'kind': unknown transcript kind {kind_str!r}") from None
     if not isinstance(rec["utterances"], list):
         raise CorpusError(f"{where}: field 'utterances' must be a list")
-    utts = [
-        _utterance_from_record(u, kind, where)
-        for u in rec["utterances"]
-    ]
+    utts = [_utterance_from_record(u, kind, where) for u in rec["utterances"]]
     # ids are reindexed densely in file order
     utts = [
         Utterance(id=i, text=u.text, speaker=u.speaker, section=u.section, dist=u.dist)

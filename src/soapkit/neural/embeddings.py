@@ -1,17 +1,15 @@
 """Frozen token embeddings: three layers of vectors per token.
 
-The default provider derives deterministic pseudo-random vectors from a
-hash of (seed, layer, token), so any token has a stable embedding with no
-training and no vocabulary file. A file-backed provider can serve
-precomputed vectors instead. Embeddings are inputs, never parameters: no
-gradient flows into them. Providers do not cache; the model keeps one
-table of the vectors its corpus uses.
+The provider derives deterministic pseudo-random vectors from a hash of
+(seed, layer, token), so any token has a stable embedding with no
+training, no vocabulary file and no download. Embeddings are inputs,
+never parameters: no gradient flows into them. The provider does not
+cache; the model keeps one table of the vectors its corpus uses.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -45,38 +43,11 @@ class HashEmbeddings:
         return {"type": "hash", "dim": self.dim, "n_layers": self.n_layers, "seed": self.seed}
 
 
-class FileEmbeddings:
-    """Precomputed embeddings loaded from a JSON file mapping token ->
-    n_layers lists of dim floats."""
-
-    def __init__(self, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            table = json.load(fh)
-        if not table:
-            raise EmbeddingError(f"{path}: empty embedding table")
-        self.path = str(path)
-        self._table = {tok: np.asarray(vecs, dtype=float) for tok, vecs in table.items()}
-        first = next(iter(self._table.values()))
-        if first.ndim != 2:
-            raise EmbeddingError(f"{path}: embeddings must be (n_layers, dim) per token")
-        self.n_layers, self.dim = first.shape
-        for tok, vecs in self._table.items():
-            if vecs.shape != (self.n_layers, self.dim):
-                raise EmbeddingError(f"{path}: token {tok!r} has shape {vecs.shape}")
-
-    def __call__(self, token: str) -> np.ndarray:
-        vecs = self._table.get(token)
-        if vecs is None:
-            raise EmbeddingError(f"token {token!r} missing from embedding file {self.path}")
-        return vecs
-
-    def spec(self) -> dict:
-        return {"type": "file", "path": self.path}
-
-
-def load_embeddings(spec: dict):
-    if spec["type"] == "hash":
-        return HashEmbeddings(dim=spec["dim"], n_layers=spec["n_layers"], seed=spec["seed"])
-    if spec["type"] == "file":
-        return FileEmbeddings(spec["path"])
-    raise EmbeddingError(f"unknown embedding spec {spec!r}")
+def load_embeddings(spec) -> HashEmbeddings:
+    """The provider a checkpoint's `embeddings` spec describes."""
+    if not isinstance(spec, dict) or spec.get("type") != "hash":
+        raise EmbeddingError(f"unknown embedding spec {spec!r}")
+    for key, low in (("dim", 1), ("n_layers", 1), ("seed", 0)):
+        if type(spec.get(key)) is not int or spec[key] < low:
+            raise EmbeddingError(f"embedding spec needs an integer {key!r} of at least {low}")
+    return HashEmbeddings(dim=spec["dim"], n_layers=spec["n_layers"], seed=spec["seed"])

@@ -4,7 +4,9 @@ Token embeddings (frozen, three layers per token) are collapsed by layer
 attention then word attention into one vector per utterance; a two-layer
 stacked bidirectional LSTM contextualizes the utterance sequence; two
 unidirectional LSTM decoders (or plain dense heads, depending on the
-variant) emit per-utterance speaker and section distributions.
+variant) emit per-utterance speaker and section distributions. The two
+directions of each encoder layer, and the two decoders, run as one
+stacked LSTM pass (see network.lstm_forward).
 
 Variants, from flattest to full:
   dlb  - mean of layer-attended word vectors, dense heads (w_word pinned at 0)
@@ -16,10 +18,12 @@ Variants, from flattest to full:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ..baselines import checked_array
 from ..corpus import N_SOAP, N_SPEAKER, Rng
 from .embeddings import HashEmbeddings, load_embeddings
 from .network import (
@@ -42,6 +46,12 @@ class ModelError(ValueError):
     pass
 
 
+class Encoded(NamedTuple):
+    """One transcript as rows of the model's embedding table."""
+    rows: np.ndarray  # (n_utt, width) table rows, left-packed
+    mask: np.ndarray  # (n_utt, width) True on real tokens
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     variant: str = "bil"
@@ -54,9 +64,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
             raise ModelError(f"unknown variant {self.variant!r}; expected one of {MODEL_VARIANTS}")
-        for name in ("embed_dim", "enc1_hidden", "enc2_hidden", "decoder_hidden"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be positive")
+        for name, low in (("embed_dim", 1), ("enc1_hidden", 1), ("enc2_hidden", 1),
+                          ("decoder_hidden", 1), ("seed", 0)):
+            if type(getattr(self, name)) is not int or getattr(self, name) < low:
+                raise ModelError(f"{name} must be an integer of at least {low}")
 
 
 class SequenceClassifier:
@@ -73,15 +84,17 @@ class SequenceClassifier:
         p["w_layer"] = gen.uniform(-lim, lim, size=d)
         p["w_word"] = np.zeros(d) if config.variant == "dlb" else gen.uniform(-lim, lim, size=d)
         self.frozen = {"w_word"} if config.variant == "dlb" else set()
-        self._lstms = []  # (name, input dim, hidden), in dropout-mask draw order
+        # LSTMs that read the same input and run in lockstep, as (name,
+        # member parameter prefixes, per-member reverse flags)
+        self._groups = []
         if config.variant in ("bil", "bild"):
             h1, h2 = config.enc1_hidden, config.enc2_hidden
             for layer, n_in, n_hid in ((1, d, h1), (2, 2 * h1, h2)):
-                for direction in ("f", "b"):
-                    name = f"enc{layer}_{direction}"
+                members = (f"enc{layer}_f", f"enc{layer}_b")
+                for name in members:
                     for k, v in init_lstm(gen, n_in, n_hid).items():
                         p[f"{name}_{k}"] = v
-                    self._lstms.append((name, n_in, n_hid))
+                self._groups.append((f"enc{layer}", members, (False, True)))
             ctx = 2 * h2
         else:
             ctx = d
@@ -91,10 +104,10 @@ class SequenceClassifier:
             for task, n_out in (("spk", N_SPEAKER), ("sect", N_SOAP)):
                 for k, v in init_lstm(gen, ctx, hd).items():
                     p[f"dec_{task}_{k}"] = v
-                self._lstms.append((f"dec_{task}", ctx, hd))
                 lim_p = 1.0 / np.sqrt(hd)
                 p[f"proj_{task}_W"] = gen.uniform(-lim_p, lim_p, size=(n_out, hd))
                 p[f"proj_{task}_b"] = np.zeros(n_out)
+            self._groups.append(("dec", ("dec_spk", "dec_sect"), (False, False)))
         else:
             lim_h = 1.0 / np.sqrt(ctx)
             for task, n_out in (("spk", N_SPEAKER), ("sect", N_SOAP)):
@@ -124,9 +137,13 @@ class SequenceClassifier:
 
     # --- forward ---
 
-    def _token_rows(self, token_lists) -> tuple:
+    def encode(self, token_lists) -> Encoded:
         """One transcript's tokens as (n_utt, width) rows of the embedding
-        table, left-packed, plus the mask of real positions."""
+        table, left-packed, plus the mask of real positions. A batch may
+        hold these in place of token lists, so a training run encodes each
+        transcript once."""
+        if not token_lists:
+            raise ModelError("empty utterance sequence")
         if not all(token_lists):
             raise ModelError("utterance has no tokens")
         self.add_vocabulary(t for tokens in token_lists for t in tokens)
@@ -134,73 +151,68 @@ class SequenceClassifier:
         rows = np.zeros((len(token_lists), lengths.max()), dtype=np.intp)
         for i, tokens in enumerate(token_lists):
             rows[i, :len(tokens)] = [self._row[t] for t in tokens]
-        return rows, np.arange(rows.shape[1]) < lengths[:, None]
+        return Encoded(rows, np.arange(rows.shape[1]) < lengths[:, None])
 
     def _dropout_masks(self, n_seq: int, dropout: float, gen) -> dict:
-        """Per LSTM, (input, recurrent) masks with one row per sequence.
+        """Per LSTM group, stacked (input, recurrent) masks (S, B, dim).
         Each sequence draws all of its masks before the next one does."""
-        if dropout <= 0.0 or not self._lstms:
+        if dropout <= 0.0:
             return {}
-        per_seq = [[(dropout_mask(gen, n_in, dropout), dropout_mask(gen, n_hid, dropout))
-                    for _, n_in, n_hid in self._lstms] for _ in range(n_seq)]
-        return {name: tuple(np.stack(m) for m in zip(*(seq[k] for seq in per_seq)))
-                for k, (name, _, _) in enumerate(self._lstms)}
+        drawn = {name: ([], []) for name, _, _ in self._groups}
+        for _ in range(n_seq):
+            for name, members, _ in self._groups:
+                for m in members:  # an input mask of width Din, a recurrent one of width H
+                    for rows, k in zip(drawn[name], "WU"):
+                        rows.append(dropout_mask(gen, self.params[f"{m}_{k}"].shape[1], dropout))
+        return {name: tuple(np.reshape(rows, (n_seq, len(members), -1)).swapaxes(0, 1)
+                            for rows in drawn[name]) for name, members, _ in self._groups}
 
-    def _lstm(self, name: str, x, drop: dict, mask, reverse: bool = False) -> tuple:
-        p = self.params
+    def _lstm(self, group, x, drop: dict, mask, keep_cache: bool) -> tuple:
+        """Run one group's members in lockstep over x: ((T, S, B, H), cache)."""
+        name, members, reverse = group
+        W, U, b = (np.stack([self.params[f"{m}_{k}"] for m in members]) for k in "WUb")
         im, rm = drop.get(name, (None, None))
-        return lstm_forward(x, p[f"{name}_W"], p[f"{name}_U"], p[f"{name}_b"],
-                            in_mask=im, rec_mask=rm, reverse=reverse, mask=mask)
+        return lstm_forward(x, W, U, b, in_mask=im, rec_mask=rm, mask=mask,
+                            reverse=reverse, keep_cache=keep_cache)
 
     def _forward(self, batch, dropout: float = 0.0, gen=None,
-                 tbptt_len: int | None = None) -> dict:
+                 tbptt_len: int | None = None, keep_cache: bool = True) -> dict:
         """One time-major (T, B) pass over a batch of transcripts, each a
-        list of per-utterance token lists."""
+        list of per-utterance token lists or an `Encoded`. Without
+        keep_cache (no backward pass follows) the LSTMs keep no caches."""
         cfg = self.config
         p = self.params
-        lengths = [len(token_lists) for token_lists in batch]
-        if not lengths or not all(lengths):
+        if not batch:
             raise ModelError("empty utterance sequence")
+        batch = [t if isinstance(t, Encoded) else self.encode(t) for t in batch]
+        lengths = [len(t.rows) for t in batch]
         n, n_seq = max(lengths), len(batch)
         X = np.zeros((n, n_seq, cfg.embed_dim))
-        att = []
-        for b, token_lists in enumerate(batch):
-            rows, tok_mask = self._token_rows(token_lists)
+        for b, (rows, tok_mask) in enumerate(batch):
             X[:lengths[b], b], _ = attention_forward(
                 self._table[rows], p["w_layer"], p["w_word"], tok_mask)
-            att.append((rows, tok_mask))
         mask = (np.arange(n)[:, None] < np.array(lengths)).astype(float)
-        cache = {"att": att, "lengths": lengths, "real": mask.T > 0,
+        cache = {"att": batch, "lengths": lengths, "real": mask.T > 0,
                  "cuts": frozenset(range(tbptt_len, n, tbptt_len)) if tbptt_len else frozenset()}
         drop = self._dropout_masks(n_seq, dropout, gen)
 
         x = X
-        if cfg.variant in ("bil", "bild"):
-            for layer in (1, 2):
-                outs = []
-                for direction in ("f", "b"):
-                    name = f"enc{layer}_{direction}"
-                    h, cache[name] = self._lstm(name, x, drop, mask, reverse=direction == "b")
-                    outs.append(h)
-                x = np.concatenate(outs, axis=2)
-        cache["C"] = x
-
-        probs = {}
-        for task in ("spk", "sect"):
-            if cfg.variant == "bild":
-                h, cache[f"dec_{task}"] = self._lstm(f"dec_{task}", x, drop, mask)
-                h = cache[f"dec_{task}_h"] = _real_rows(h, cache["real"])
-                logits = h @ p[f"proj_{task}_W"].T + p[f"proj_{task}_b"]
-            else:
-                logits = _real_rows(x, cache["real"]) @ p[f"head_{task}_W"].T + p[f"head_{task}_b"]
-            probs[task] = softmax(logits, axis=1)
-        cache["probs"] = probs
+        for group in self._groups:
+            h, cache[group[0]] = self._lstm(group, x, drop, mask, keep_cache)
+            x = h.swapaxes(1, 2).reshape(n, n_seq, -1)  # the members' features side by side
+        # bild's two decoders feed one head each; otherwise both heads read x
+        head = "proj" if cfg.variant == "bild" else "head"
+        probs = cache["probs"] = {}
+        heads_in = np.split(x, 2, axis=2) if head == "proj" else (x, x)
+        for task, x_task in zip(("spk", "sect"), heads_in):
+            rows = cache[f"{task}_rows"] = _real_rows(x_task, cache["real"])
+            probs[task] = softmax(rows @ p[f"{head}_{task}_W"].T + p[f"{head}_{task}_b"], axis=1)
         return cache
 
     def predict(self, batch) -> tuple:
         """Per-utterance (speaker, section) probability rows, dropout off,
         for a batch of transcripts: rows run transcript by transcript."""
-        cache = self._forward(batch)
+        cache = self._forward(batch, keep_cache=False)
         return cache["probs"]["spk"], cache["probs"]["sect"]
 
     def _loss(self, cache, spk_targets, sect_targets, spk_weights, sect_weights) -> tuple:
@@ -222,6 +234,8 @@ class SequenceClassifier:
     def compute_loss(self, batch, spk_targets, sect_targets,
                      spk_weights, sect_weights, dropout: float = 0.0,
                      gen=None, tbptt_len: int | None = None) -> float:
+        """The loss of loss_and_grads from the same forward pass, caches
+        included, without the backward pass."""
         cache = self._forward(batch, dropout=dropout, gen=gen, tbptt_len=tbptt_len)
         return self._loss(cache, spk_targets, sect_targets, spk_weights, sect_weights)[0]
 
@@ -234,7 +248,6 @@ class SequenceClassifier:
         over the utterances of every transcript in the batch) and
         gradients for every trainable parameter. Target rows run
         transcript by transcript, as predict's rows do."""
-        cfg = self.config
         p = self.params
         cache = self._forward(batch, dropout=dropout, gen=gen, tbptt_len=tbptt_len)
         total, dlogits = self._loss(cache, spk_targets, sect_targets, spk_weights, sect_weights)
@@ -242,41 +255,27 @@ class SequenceClassifier:
         # activations are freed layer by layer
         cuts, real = cache["cuts"], cache["real"]
         grads = {name: np.zeros_like(val) for name, val in p.items()}
-        C = cache.pop("C")
-        dC = np.zeros_like(C)
+        head = "proj" if self.config.variant == "bild" else "head"
+        dx = []
         for task in ("spk", "sect"):
             dl = dlogits[task]
-            if cfg.variant == "bild":
-                grads[f"proj_{task}_W"] += dl.T @ cache.pop(f"dec_{task}_h")
-                grads[f"proj_{task}_b"] += dl.sum(axis=0)
-                dh = _padded(dl @ p[f"proj_{task}_W"], real)
-                dC_task, g = lstm_backward(dh, cache.pop(f"dec_{task}"), cuts)
-                dC += dC_task
+            grads[f"{head}_{task}_W"] += dl.T @ cache.pop(f"{task}_rows")
+            grads[f"{head}_{task}_b"] += dl.sum(axis=0)
+            dx.append(_padded(dl @ p[f"{head}_{task}_W"], real))
+        dx = np.concatenate(dx, axis=2) if head == "proj" else sum(dx)
+        for name, members, _ in reversed(self._groups):
+            dH = dx.reshape(dx.shape[:2] + (len(members), -1)).swapaxes(1, 2)
+            dX, g = lstm_backward(dH, cache.pop(name), cuts)
+            dx = sum(dX[:, s] for s in range(len(members)))  # sum() starts at 0: no -0.0 sums
+            for s, member in enumerate(members):
                 for k, v in g.items():
-                    grads[f"dec_{task}_{k}"] += v
-            else:
-                grads[f"head_{task}_W"] += dl.T @ _real_rows(C, real)
-                grads[f"head_{task}_b"] += dl.sum(axis=0)
-                dC += _padded(dl @ p[f"head_{task}_W"], real)
-        del C
-
-        dU = dC
-        if cfg.variant in ("bil", "bild"):
-            for layer, width in ((2, cfg.enc2_hidden), (1, cfg.enc1_hidden)):
-                dX = 0.0
-                for direction, sl in (("f", slice(0, width)), ("b", slice(width, 2 * width))):
-                    name = f"enc{layer}_{direction}"
-                    dx, g = lstm_backward(dU[:, :, sl], cache.pop(name), cuts)
-                    dX = dX + dx
-                    for k, v in g.items():
-                        grads[f"{name}_{k}"] += v
-                dU = dX
+                    grads[f"{member}_{k}"] += v[s]
 
         for b, (rows, tok_mask) in enumerate(cache["att"]):
             # recomputed rather than kept: the (n_utt, tok, K, D) block is
             # the largest array of the pass
             _, att = attention_forward(self._table[rows], p["w_layer"], p["w_word"], tok_mask)
-            d_wl, d_ww = attention_backward(dU[:cache["lengths"][b], b], att)
+            d_wl, d_ww = attention_backward(dx[:cache["lengths"][b], b], att)
             grads["w_layer"] += d_wl
             grads["w_word"] += d_ww
 
@@ -290,36 +289,36 @@ class SequenceClassifier:
         return {
             "family": "neural",
             "variant": self.config.variant,
-            "config": {
-                "variant": self.config.variant,
-                "embed_dim": self.config.embed_dim,
-                "enc1_hidden": self.config.enc1_hidden,
-                "enc2_hidden": self.config.enc2_hidden,
-                "decoder_hidden": self.config.decoder_hidden,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "embeddings": self.embeddings.spec(),
             "params": {name: arr.tolist() for name, arr in self.params.items()},
         }
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_record(), fh)
+            fh.write(json.dumps(self.to_record()))
 
     @classmethod
-    def from_record(cls, rec: dict) -> "SequenceClassifier":
-        config = ModelConfig(**rec["config"])
-        model = cls(config, embeddings=load_embeddings(rec["embeddings"]))
-        for name, val in rec["params"].items():
+    def from_record(cls, rec) -> "SequenceClassifier":
+        """A model from its checkpoint record; a record that `save` could
+        not have written raises ModelError (or EmbeddingError)."""
+        if not isinstance(rec, dict):
+            raise ModelError("checkpoint is not a JSON object")
+        config, params = rec.get("config"), rec.get("params")
+        if not isinstance(config, dict) or not isinstance(params, dict):
+            raise ModelError("checkpoint needs 'config' and 'params' objects")
+        unknown = sorted(set(config) - set(ModelConfig.__dataclass_fields__))
+        if unknown:
+            raise ModelError(f"unknown config keys {unknown}")
+        model = cls(ModelConfig(**config), embeddings=load_embeddings(rec.get("embeddings")))
+        missing = sorted(set(model.params) - set(params))
+        if missing:
+            raise ModelError(f"checkpoint lacks parameters {missing}")
+        for name, val in params.items():
             if name not in model.params:
                 raise ModelError(f"unexpected parameter {name!r} in checkpoint")
-            arr = np.asarray(val, dtype=float)
-            if not np.isfinite(arr).all():
-                raise ModelError(f"parameter {name!r} has non-finite entries")
-            if arr.shape != model.params[name].shape:
-                raise ModelError(f"parameter {name!r} has shape {arr.shape}, "
-                                 f"expected {model.params[name].shape}")
-            model.params[name] = arr
+            model.params[name] = checked_array(val, f"parameter {name!r}",
+                                               model.params[name].shape, ModelError)
         return model
 
 

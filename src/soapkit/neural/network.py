@@ -4,6 +4,11 @@ Plain numpy, float64, no autograd: every backward function here is the
 hand-derived adjoint of its forward partner and is checked against central
 finite differences in the test suite. Gate order in all LSTM weight
 matrices is input, forget, cell, output.
+
+The LSTM kernel runs S LSTMs that read the same input in one step loop,
+so each step's fixed numpy-call cost is paid once for all of them (as in
+Appleyard et al. 2016); a reverse-time member runs the same loop over the
+time-reversed input.
 """
 
 from __future__ import annotations
@@ -39,130 +44,139 @@ def init_lstm(gen, input_dim: int, hidden: int) -> dict:
 
 
 def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
-                 reverse: bool = False, mask=None) -> tuple:
-    """Run an LSTM from zero initial state over one sequence X (N, Din) or
-    a time-major batch X (T, B, Din).
+                 reverse=False, mask=None, keep_cache: bool = True) -> tuple:
+    """Run LSTMs from zero state over one sequence X (N, Din) or a
+    time-major batch X (T, B, Din). With W (4H, Din), U (4H, H), b (4H,)
+    there is one LSTM and H is shaped like X with H features. With stacked
+    W (S, 4H, Din), U (S, 4H, H), b (S, 4H), S members read X in lockstep,
+    one (S, B, H) @ (S, H, 4H) product and one sigmoid per step, and H is
+    (T, S, B, H).
 
-    in_mask / rec_mask are variational dropout masks (fixed per sequence,
-    one row per sequence in a batch) applied to the step input and the
-    recurrent hidden input. `mask` (T, B) is 1 on the real steps of ragged
-    sequences padded at the end: padded steps leave zero state and zero
-    output, so a reverse pass starts each sequence from zero at its own
-    last step. Returns (H, shaped like X with `hidden` features, cache).
+    in_mask / rec_mask are variational dropout masks on the step input and
+    the recurrent input, one row per sequence (and per member when
+    stacked). `mask` (T, B) is 1 on the real steps of sequences padded at
+    the end; padded steps leave zero state and output. A `reverse` member
+    (one flag, or one per member) runs over X[::-1] and mask[::-1], so it
+    starts from zero at each sequence's last real step; its H comes back in
+    X's time order. keep_cache=False keeps no gates or cell states and
+    returns no cache, for a pass no backward follows. Returns (H, cache).
     """
-    single = X.ndim == 2
-    if single:
-        X = X[:, None, :]
+    single, stacked = X.ndim == 2, W.ndim == 3
+    X = X[:, None] if single else X
+    if not stacked:
+        W, U, b = W[None], U[None], b[None]
+        in_mask, rec_mask = (None if a is None else a[None] for a in (in_mask, rec_mask))
     n, batch, _ = X.shape
-    hidden = U.shape[1]
-    Xm = X * in_mask if in_mask is not None else X
-    WX = Xm @ W.T  # (T, B, 4H)
-    UT = U.T
-    m, ragged = _step_mask(mask, n)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    H = np.empty((n, batch, hidden))
-    C = np.empty((n, batch, hidden))
-    GATES = np.empty((n, batch, 4 * hidden))
-    i, f, g, o = (GATES[:, :, k * hidden:(k + 1) * hidden] for k in range(4))
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    for t in order:
+    n_lstm, hidden = U.shape[0], U.shape[2]
+    flip = np.broadcast_to(reverse, n_lstm).tolist()
+    Xm = X[:, None] if in_mask is None else X[:, None] * in_mask
+    WX = _flip(np.broadcast_to(Xm, (n, n_lstm) + X.shape[1:]), flip) @ W.transpose(0, 2, 1)
+    UT, bias = U.transpose(0, 2, 1), b[:, None, :]
+    # the mask in run order; steps where every sequence is real skip the
+    # multiplication by ones
+    m = None if mask is None else _flip(
+        np.broadcast_to(mask[:, None, :, None], (n, n_lstm, batch, 1)), flip)
+    ragged = [False] * n if m is None else (m.min(axis=(1, 2, 3)) < 1).tolist()
+    H = np.empty((n, n_lstm, batch, hidden))
+    # without a cache, two cell-state buffers and one gate buffer take turns
+    C = np.empty((n if keep_cache else 2, n_lstm, batch, hidden))
+    GATES = np.empty((n if keep_cache else 1, n_lstm, batch, 4 * hidden))
+    c_at, g_at = (range(n), range(n)) if keep_cache else ([t % 2 for t in range(n)], [0] * n)
+    i, f, g, o = (GATES[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    h = c = np.zeros((n_lstm, batch, hidden))
+    for t in range(n):
         hm = h * rec_mask if rec_mask is not None else h
-        z = WX[t] + hm @ UT + b
-        GATES[t] = sigmoid(z)  # one call for the whole block; g is overwritten
-        np.tanh(z[:, 2 * hidden:3 * hidden], out=g[t])
-        c_prev, c, h = c, C[t], H[t]
-        np.multiply(f[t], c_prev, out=c)
-        c += i[t] * g[t]
+        z = WX[t] + hm @ UT + bias
+        k = g_at[t]
+        GATES[k] = sigmoid(z)  # one call for every gate of every member; g is overwritten
+        np.tanh(z[..., 2 * hidden:3 * hidden], out=g[k])
+        c_prev, c, h = c, C[c_at[t]], H[t]
+        np.multiply(f[k], c_prev, out=c)
+        c += i[k] * g[k]
         if ragged[t]:
             c *= m[t]
         np.tanh(c, out=h)
-        h *= o[t]
-    cache = {"X": X, "GATES": GATES, "C": C, "W": W, "U": U,
-             "in_mask": in_mask, "rec_mask": rec_mask, "mask": mask, "reverse": reverse}
-    return (H[:, 0] if single else H), cache
+        h *= o[k]
+    H = _flip(H, flip)
+    cache = dict(X=X, GATES=GATES, C=C, W=W, U=U, in_mask=in_mask, rec_mask=rec_mask, m=m,
+                 ragged=ragged, flip=flip, shape=(single, stacked))
+    return (H if stacked else H[:, 0, 0] if single else H[:, 0]), cache if keep_cache else None
 
 
-def _step_mask(mask, n: int) -> tuple:
-    """(mask as (T, B, 1), per step whether any sequence is padding there):
-    steps where every sequence is real skip the multiplication by ones."""
-    if mask is None:
-        return None, [False] * n
-    return mask[:, :, None], (mask.min(axis=1) < 1).tolist()
+def _flip(A: np.ndarray, flip, axis: int = 1) -> np.ndarray:
+    """A copy of A (T, S, ...) with time reversed for each flipped member,
+    members stacked on `axis`: it maps X's time order to the members' run
+    order and back."""
+    return np.stack([A[::-1, s] if rev else A[:, s] for s, rev in enumerate(flip)], axis=axis)
 
 
-def _carried_in(A: np.ndarray, reverse: bool) -> np.ndarray:
-    """Per step, the value the previous step in run order handed over
-    (zero at the first step)."""
-    out = np.zeros_like(A)
-    if reverse:
-        out[:-1] = A[1:]
-    else:
-        out[1:] = A[:-1]
-    return out
+def _carried_in(A: np.ndarray) -> np.ndarray:
+    """Per step, the value the previous step handed over (zero at the first)."""
+    return np.concatenate([np.zeros_like(A[:1]), A[:-1]])
 
 
 def lstm_backward(dH: np.ndarray, cache, cuts=frozenset()) -> tuple:
-    """Adjoint of lstm_forward. `cuts` holds sequence positions where the
-    carried state gradient is zeroed (truncated BPTT boundaries; forward
-    values were not truncated). Only the input, gates and cell states are
-    cached; the masked input, tanh(c) and the previous step's h and c are
-    derived from them. Returns (dX, grads{"W","U","b"})."""
-    single = dH.ndim == 2
-    if single:
-        dH = dH[:, None, :]
-    GATES, C = cache["GATES"], cache["C"]
-    W, U = cache["W"], cache["U"]
-    reverse, rec_mask = cache["reverse"], cache["rec_mask"]
-    n, batch, hidden = C.shape
-    m, ragged = _step_mask(cache["mask"], n)
-    i, f, g, o = (GATES[:, :, k * hidden:(k + 1) * hidden] for k in range(4))
+    """Adjoint of lstm_forward; dH is shaped like its H. `cuts` holds
+    boundaries k in X's time order where the carried state gradient is
+    zeroed between steps k-1 and k (truncated BPTT; forward values were
+    not truncated). Only the input, gates and cell states are cached; the
+    masked input, tanh(c) and the previous step's h and c are derived from
+    them. Returns (dX shaped like H with Din features, grads {"W","U","b"})."""
+    GATES, C, W, U = cache["GATES"], cache["C"], cache["W"], cache["U"]
+    in_mask, rec_mask, flip = cache["in_mask"], cache["rec_mask"], cache["flip"]
+    (single, stacked), m, ragged = cache["shape"], cache["m"], cache["ragged"]
+    n, n_lstm, batch, hidden = C.shape
+    if not stacked:
+        dH = dH[:, None, None] if single else dH[:, None]
+    dH = _flip(dH, flip)
+    # a reverse member meets boundary k after its run step n-k
+    cut_at = [[s for s, rev in enumerate(flip) if (n - t if rev else t) in cuts] for t in range(n)]
+    i, f, g, o = (GATES[..., k * hidden:(k + 1) * hidden] for k in range(4))
     TC = np.tanh(C)
     # o * tanh(c) is bit-identical to the forward outputs
-    HM = _carried_in(o * TC, reverse)
+    HM = _carried_in(o * TC)
     if rec_mask is not None:
         HM = HM * rec_mask
-    # every step's gate derivatives, as factors of the step's dc (i, f and
-    # g rows) and dh (o rows); the loop scales them into dZ in place
-    dZ = np.empty((n, batch, 4, hidden))
-    dZ[:, :, 0] = g * i * (1.0 - i)
-    dZ[:, :, 1] = _carried_in(C, reverse) * f * (1.0 - f)
-    dZ[:, :, 2] = i * (1.0 - g * g)
-    dZ[:, :, 3] = TC * o * (1.0 - o)
+    # per step, gate derivatives as factors of dc (i, f, g) and dh (o) that the
+    # loop scales in place; member-major, so each member's rows are contiguous
+    dZ = np.empty((n_lstm, n, batch, 4, hidden))
+    dZt = dZ.swapaxes(0, 1)
+    dZt[..., 0, :] = g * i * (1.0 - i)
+    dZt[..., 1, :] = _carried_in(C) * f * (1.0 - f)
+    dZt[..., 2, :] = i * (1.0 - g * g)
+    dZt[..., 3, :] = TC * o * (1.0 - o)
     DC = o * (1.0 - TC * TC)  # carries dh into dc through h = o tanh(c)
     del TC
-    dh_carry = np.zeros((batch, hidden))
-    dc_carry = np.zeros((batch, hidden))
-    order = range(n) if reverse else range(n - 1, -1, -1)
-    for t in order:
+    dh_carry = dc_carry = np.zeros((n_lstm, batch, hidden))
+    for t in range(n - 1, -1, -1):
         dh = dH[t] + dh_carry
         if ragged[t]:
             dh *= m[t]
             dc_carry = dc_carry * m[t]
         dc = dh * DC[t] + dc_carry
-        dz = dZ[t]
-        dz[:, :3] *= dc[:, None, :]
-        dz[:, 3] *= dh
-        dh_carry = dz.reshape(batch, 4 * hidden) @ U
+        dz = dZt[t]
+        dz[..., :3, :] *= dc[..., None, :]
+        dz[..., 3, :] *= dh
+        dh_carry = dz.reshape(n_lstm, batch, 4 * hidden) @ U
         if rec_mask is not None:
             dh_carry *= rec_mask
         dc_carry = dc * f[t]
-        # truncation: state gradients stop at chunk boundaries
-        boundary = t if not reverse else t + 1
-        if boundary in cuts:
-            dh_carry = np.zeros((batch, hidden))
-            dc_carry = np.zeros((batch, hidden))
-    Xm = cache["X"] * cache["in_mask"] if cache["in_mask"] is not None else cache["X"]
-    flat = dZ.reshape(n * batch, 4 * hidden)
-    grads = {
-        "W": flat.T @ Xm.reshape(n * batch, -1),
-        "U": flat.T @ HM.reshape(n * batch, hidden),
-        "b": flat.sum(axis=0),
-    }
-    dX = flat.reshape(n, batch, 4 * hidden) @ W
-    if cache["in_mask"] is not None:
-        dX = dX * cache["in_mask"]
-    return (dX[:, 0] if single else dX), grads
+        for s in cut_at[t]:  # truncation: state gradients stop at chunk boundaries
+            dh_carry[s] = dc_carry[s] = 0.0
+    # back in X's time order, each product below is the one a lone LSTM makes
+    for s in np.flatnonzero(flip):
+        dZ[s] = dZ[s, ::-1]
+    rows = dZ.reshape(n_lstm, n * batch, 4 * hidden)
+    Xm = cache["X"][None] if in_mask is None else cache["X"][None] * in_mask[:, None]
+    HM = _flip(HM, flip, axis=0).reshape(n_lstm, n * batch, hidden)
+    grads = {"W": rows.transpose(0, 2, 1) @ Xm.reshape(len(Xm), n * batch, -1),
+             "U": rows.transpose(0, 2, 1) @ HM, "b": rows.sum(axis=1)}
+    dX = dZ.reshape(n_lstm, n, batch, 4 * hidden) @ W[:, None]
+    if in_mask is not None:
+        dX = dX * in_mask[:, None]
+    if stacked:
+        return dX.swapaxes(0, 1), grads
+    return (dX[0, :, 0] if single else dX[0]), {k: v[0] for k, v in grads.items()}
 
 
 def attention_forward(E: np.ndarray, w_layer: np.ndarray, w_word: np.ndarray,
@@ -229,19 +243,16 @@ def dropout_mask(gen, size: int, rate: float) -> np.ndarray | None:
     return (gen.random(size) < keep).astype(float) / keep
 
 
-def global_norm(grads: dict) -> float:
+def global_norm(grads) -> float:
+    """sqrt of the sum of squares of an iterable of gradient arrays, summed
+    array by array in the order given."""
     total = 0.0
-    for g in grads.values():
+    for g in grads:
         total += float((g * g).sum())
     return float(np.sqrt(total))
 
 
-def clip_by_global_norm(grads: dict, max_norm: float) -> tuple:
-    """Scale all gradients by max_norm/||g|| when the global norm exceeds
-    max_norm. Returns (grads, norm_before, scale)."""
-    norm = global_norm(grads)
-    scale = 1.0
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        grads = {k: g * scale for k, g in grads.items()}
-    return grads, norm, scale
+def clip_scale(norm: float, max_norm: float) -> float:
+    """The factor max_norm/norm that global-norm clipping scales the
+    gradients by, or 1.0 when the norm is within max_norm."""
+    return max_norm / norm if norm > max_norm and norm > 0.0 else 1.0

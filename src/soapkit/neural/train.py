@@ -4,7 +4,10 @@ dropout schedule, and global-norm gradient clipping.
 Class weights are recomputed per batch as inverse expected class
 frequencies over that batch's targets; the batch loss is the sum of the
 speaker and section losses over all utterances of the batch. Each batch
-runs through the model as one masked, time-major pass.
+runs through the model as one masked, time-major pass. Work that does
+not change between batches is done once per run: each transcript's
+tokens are encoded as embedding-table rows up front, and Adam keeps the
+trained parameters, and its moments, in flat vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from ..baselines import inverse_frequency_weights
 from ..corpus import Rng, gold_labels, one_hot_targets
-from .network import clip_by_global_norm
+from .network import clip_scale, global_norm
 
 
 class TrainingError(RuntimeError):
@@ -46,36 +49,47 @@ class TrainConfig:
 
 
 class Adam:
-    def __init__(self, shapes: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+    """Adam (Kingma & Ba 2015) over one flat vector of parameters. Each
+    trained entry of `params` is rebound to a view of that vector, so a
+    step is a few whole-vector operations, not a loop over arrays."""
 
-    def step(self, params: dict, grads: dict) -> None:
+    def __init__(self, params: dict, names, lr: float, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        self.names = list(names)
+        self.flat = np.concatenate([params[k].ravel() for k in self.names])
+        start = 0
+        for k in self.names:
+            params[k] = self.flat[start:start + params[k].size].reshape(params[k].shape)
+            start += params[k].size
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+
+    def step(self, grads: dict, scale: float = 1.0) -> None:
+        """One update from the gradients of the trained names, scaled by
+        `scale` (the gradient clipping factor)."""
+        g = np.concatenate([grads[k].ravel() for k in self.names])
+        if scale != 1.0:
+            g *= scale
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
-        for k, g in grads.items():
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
-            params[k] = params[k] - self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+        bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        self.m *= b1
+        self.m += (1.0 - b1) * g
+        self.v *= b2
+        self.v += (1.0 - b2) * (g * g)
+        self.flat -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
-def _transcript_tokens(transcript) -> list:
-    tokens = []
-    for utt in transcript.utterances:
-        if utt.tokens is None:
-            raise TrainingError(
-                f"encounter {transcript.encounter_id}: utterance {utt.id} has no "
-                "tokens; run preprocessing first")
-        tokens.append(utt.tokens)
-    return tokens
+def _encoded(model, transcripts) -> list:
+    """Each transcript as rows of the model's embedding table, which grows
+    once for the whole corpus."""
+    for t in transcripts:
+        for utt in t.utterances:
+            if utt.tokens is None:
+                raise TrainingError(f"encounter {t.encounter_id}: utterance {utt.id} has no "
+                                    "tokens; run preprocessing first")
+    model.add_vocabulary(tok for t in transcripts for utt in t.utterances for tok in utt.tokens)
+    return [model.encode([utt.tokens for utt in t.utterances]) for t in transcripts]
 
 
 def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=None) -> list:
@@ -88,16 +102,11 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
     transcripts = [t for t in transcripts if t.utterances]
     if not transcripts:
         raise TrainingError("no non-empty transcripts to train on")
-    data = []
-    for t in transcripts:
-        spk_t, sect_t = one_hot_targets(t)
-        data.append((_transcript_tokens(t), spk_t, sect_t))
-    model.add_vocabulary(tok for tokens, _, _ in data for utt in tokens for tok in utt)
+    data = [(e,) + one_hot_targets(t) for e, t in zip(_encoded(model, transcripts), transcripts)]
     rng = Rng(cfg.seed)
     gen = rng.generator
     trainable = model.trainable()
-    opt = Adam({k: model.params[k].shape for k in trainable},
-               lr=cfg.learning_rate, beta1=cfg.adam_beta1,
+    opt = Adam(model.params, trainable, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
                beta2=cfg.adam_beta2, eps=cfg.adam_eps)
     epoch_losses = []
     for epoch, dropout in enumerate(cfg.dropout_schedule):
@@ -115,9 +124,9 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
                 raise TrainingError(
                     f"training diverged at epoch {epoch}, batch {start // cfg.batch_transcripts} "
                     f"(loss={loss!r})")
-            grads = {k: grads[k] for k in trainable}
-            grads, norm, scale = clip_by_global_norm(grads, cfg.grad_clip)
-            opt.step(model.params, grads)
+            norm = global_norm(grads[k] for k in trainable)
+            scale = clip_scale(norm, cfg.grad_clip)
+            opt.step(grads, scale)
             batch_losses.append(loss)
             if on_batch is not None:
                 on_batch({"epoch": epoch, "batch": start // cfg.batch_transcripts,
@@ -134,18 +143,10 @@ def collect_scores(model, transcripts) -> dict:
     transcripts = [t for t in transcripts if t.utterances]
     if not transcripts:
         raise TrainingError("no utterances to score")
-    tokens = [_transcript_tokens(t) for t in transcripts]
-    model.add_vocabulary(tok for utts in tokens for utt in utts for tok in utt)
+    encoded = _encoded(model, transcripts)
     group = TrainConfig().batch_transcripts
-    spk_scores = []
-    sect_scores = []
-    for start in range(0, len(tokens), group):
-        spk_p, sect_p = model.predict(tokens[start:start + group])
-        spk_scores.append(spk_p)
-        sect_scores.append(sect_p)
-    return {
-        "speaker": (np.concatenate(spk_scores),
-                    np.concatenate([gold_labels(t, "speaker") for t in transcripts])),
-        "soap": (np.concatenate(sect_scores),
-                 np.concatenate([gold_labels(t, "soap") for t in transcripts])),
-    }
+    scores = [model.predict(encoded[start:start + group])
+              for start in range(0, len(encoded), group)]
+    return {task: (np.concatenate([s[k] for s in scores]),
+                   np.concatenate([gold_labels(t, task) for t in transcripts]))
+            for k, task in enumerate(("speaker", "soap"))}

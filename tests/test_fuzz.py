@@ -1,9 +1,11 @@
-"""Fixed-seed fuzzing of the three JSON Lines readers and of `--config`.
+"""Fixed-seed fuzzing of the three JSON Lines readers, of `--config` and
+of model checkpoints.
 
-Each case takes a valid record (or config) and makes one mutation: it
-deletes a field, or swaps one value for an int, a string, a list, null or
-an object. A reader must then either accept the line or raise its own
-error class; the CLI must exit 0, 2 (missing file), 3 or 4, never 1.
+Each case takes a valid record (config, checkpoint) and makes one
+mutation: it deletes a field, or swaps one value for an int, a string, a
+list, null or an object. A reader must then either accept the line or
+raise its own error class; the CLI must exit 0, 2 (missing file), 3 or 4,
+never 1.
 """
 
 import copy
@@ -15,6 +17,7 @@ import pytest
 from soapkit.cli import main
 from soapkit.corpus import CorpusError, Rng, read_asr_raw, read_corpus, write_asr_raw, write_corpus
 from soapkit.irr import IrrError, read_notes
+from soapkit.neural.model import ModelConfig, SequenceClassifier
 from soapkit.project import project_corpus
 from soapkit.synth import CorruptionConfig, SynthConfig, corrupt_corpus, generate_corpus
 
@@ -73,8 +76,15 @@ def corpora(tmp_path_factory):
             {"subsection": "medications", "summary": "refill", "tags": [], "evidence": [2]}]}
             for t in refs]
         (root / f"notes_{name}.jsonl").write_text("".join(json.dumps(n) + "\n" for n in notes))
-    assert main(["train", "--corpus", str(root / "reference.jsonl"), "--variant", "mnb",
-                 "--out", str(root / "mnb.json")]) == 0
+    for variant in ("mc", "mnb", "lr"):
+        assert main(["train", "--corpus", str(root / "reference.jsonl"), "--variant", variant,
+                     "--out", str(root / f"{variant}.json")]) == 0
+    # neural checkpoints at tiny sizes, so that structural fields are a
+    # fair share of the mutation slots
+    for variant in ("wa", "bild"):
+        SequenceClassifier(ModelConfig(variant=variant, embed_dim=2, enc1_hidden=1,
+                                       enc2_hidden=1, decoder_hidden=1)).save(
+            root / f"{variant}.json")
     return root
 
 
@@ -156,3 +166,63 @@ def test_mutated_configs_never_exit_1(corpora, tmp_path, monkeypatch, capsys):
         assert rc in (0, 2, 3, 4) and "kind=internal" not in err, (command, config, err)
         codes.add(rc)
     assert {0, 4} <= codes
+
+
+def _eval_exit(root, tmp_path, rec, capsys) -> int:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(rec))
+    rc = main(["eval", "--model", str(path), "--test", str(root / "reference.jsonl")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4) and "kind=internal" not in err, (rec, err)
+    return rc
+
+
+@pytest.mark.parametrize("variants", [("wa", "bild"), ("mc", "mnb", "lr")],
+                         ids=["neural", "baseline"])
+def test_mutated_checkpoints_never_exit_1(corpora, tmp_path, capsys, variants):
+    records = [json.loads((corpora / f"{v}.json").read_text()) for v in variants]
+    for rec in records:
+        assert _eval_exit(corpora, tmp_path, rec, capsys) == 0
+    rng = random.Random(13)
+    codes = set()
+    for _ in range(N_CASES):
+        codes.add(_eval_exit(corpora, tmp_path, mutate(rng.choice(records), rng), capsys))
+    assert {0, 3} <= codes
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("variant, path, value", [
+    ("bild", ("embeddings", "type"), "glove"),
+    ("bild", ("embeddings",), {"type": "file", "path": "vectors.json"}),
+    ("bild", ("embeddings", "dim"), DROP),
+    ("bild", ("config",), DROP),
+    ("bild", ("config", "extra"), 1),
+    ("bild", ("config", "embed_dim"), "2"),
+    ("bild", ("params", "w_layer"), "abc"),
+    ("bild", ("params", "proj_sect_b"), DROP),
+    ("mnb", ("kind",), DROP),
+    ("mnb", ("task",), DROP),
+    ("mnb", ("n_classes",), DROP),
+    ("mnb", ("vocab",), DROP),
+    ("lr", ("weights",), DROP),
+    ("lr", ("bias",), DROP),
+    ("lr", ("weights",), "abc"),
+    ("mc", ("majority",), None),
+], ids=lambda x: "drop" if x is DROP else ".".join(x) if isinstance(x, tuple) else None)
+def test_malformed_checkpoint_exits_3(corpora, tmp_path, capsys, variant, path, value):
+    rec = json.loads((corpora / f"{variant}.json").read_text())
+    node = rec
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    assert _eval_exit(corpora, tmp_path, rec, capsys) == 3
+
+
+def test_checkpoint_that_is_a_json_list_exits_3(corpora, tmp_path, capsys):
+    rec = json.loads((corpora / "bild.json").read_text())
+    assert _eval_exit(corpora, tmp_path, [rec], capsys) == 3

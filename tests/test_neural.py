@@ -1,20 +1,25 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import (
     gradient_check,
+    lstm_backward_steps,
+    lstm_forward_steps,
     sigmoid_two_branch,
     transcript_loss_and_grads,
     transcript_predict,
 )
 
 from soapkit.corpus import Rng, one_hot_targets
-from soapkit.neural.embeddings import FileEmbeddings, HashEmbeddings, load_embeddings
+from soapkit.neural.embeddings import HashEmbeddings
 from soapkit.neural.model import ModelConfig, ModelError, SequenceClassifier, load_model
 from soapkit.neural.network import (
     attention_backward,
     attention_forward,
-    clip_by_global_norm,
+    clip_scale,
     dropout_mask,
     global_norm,
     init_lstm,
@@ -44,19 +49,6 @@ class TestHashEmbeddings:
         sample = np.concatenate([emb(f"tok{i}").ravel() for i in range(100)])
         assert abs(sample.mean()) < 0.05
         assert abs(sample.std() - 1.0) < 0.05
-
-    def test_file_embeddings_round_trip(self, tmp_path):
-        import json
-
-        from soapkit.neural.embeddings import EmbeddingError
-
-        path = tmp_path / "emb.json"
-        path.write_text(json.dumps({"pain": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]}))
-        emb = FileEmbeddings(path)
-        assert emb("pain").shape == (3, 2)
-        with pytest.raises(EmbeddingError, match="missing"):
-            emb("unseen")
-        assert load_embeddings(emb.spec())("pain").tolist() == emb("pain").tolist()
 
 
 class TestSigmoid:
@@ -179,6 +171,68 @@ class TestLstm:
         assert np.array_equal(dX_cut[3:], dX_full[3:])
 
 
+class TestStackedLstm:
+    """S LSTMs in lockstep over a ragged batch, against the step-by-step
+    oracle run one member and one sequence at a time."""
+
+    @pytest.mark.parametrize("reverse", [(False,), (True,), (False, True), (False, False)],
+                             ids=["S1-forward", "S1-reverse", "S2-bidirectional", "S2-forward"])
+    @pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])
+    def test_members_match_step_oracle(self, reverse, dropout):
+        gen = np.random.Generator(np.random.PCG64(21))
+        n, din, hidden, lengths = 7, 4, 5, (7, 2, 5, 1)
+        n_lstm, batch = len(reverse), len(lengths)
+        X = gen.normal(size=(n, batch, din))
+        mask = (np.arange(n)[:, None] < np.array(lengths)).astype(float)
+        members = [init_lstm(gen, din, hidden) for _ in range(n_lstm)]
+        W, U, b = (np.stack([p[k] for p in members]) for k in "WUb")
+        b = b + gen.normal(scale=0.3, size=b.shape)
+        im = rm = None
+        if dropout:
+            im = np.stack([dropout_mask(gen, (batch, din), 0.3) for _ in range(n_lstm)])
+            rm = np.stack([dropout_mask(gen, (batch, hidden), 0.3) for _ in range(n_lstm)])
+        dH = gen.normal(size=(n, n_lstm, batch, hidden)) * mask[:, None, :, None]
+        cuts = frozenset(range(2, n, 2))  # tbptt_len 2
+        H, cache = lstm_forward(X, W, U, b, im, rm, mask=mask, reverse=reverse)
+        H_nocache, none = lstm_forward(X, W, U, b, im, rm, mask=mask, reverse=reverse,
+                                       keep_cache=False)
+        assert none is None and np.array_equal(H, H_nocache)
+        dX, grads = lstm_backward(dH, cache, cuts)
+        assert H.shape == (n, n_lstm, batch, hidden) and dX.shape == (n, n_lstm, batch, din)
+        for s in range(n_lstm):
+            want = {k: 0.0 for k in "WUb"}
+            for j, L in enumerate(lengths):
+                h, c = lstm_forward_steps(X[:L, j], W[s], U[s], b[s],
+                                          None if im is None else im[s, j],
+                                          None if rm is None else rm[s, j], reverse=reverse[s])
+                dx, g = lstm_backward_steps(dH[:L, s, j], c, cuts)
+                assert np.abs(H[:L, s, j] - h).max() <= 1e-12
+                assert np.abs(dX[:L, s, j] - dx).max() <= 1e-12
+                assert not H[L:, s, j].any() and not dX[L:, s, j].any()
+                want = {k: want[k] + g[k] for k in want}
+            for k in want:
+                assert np.abs(grads[k][s] - want[k]).max() <= 1e-12, (s, k)
+
+    def test_stacked_members_equal_single_calls_bit_for_bit(self):
+        gen = np.random.Generator(np.random.PCG64(22))
+        n, batch, din, hidden = 6, 3, 4, 3
+        X = gen.normal(size=(n, batch, din))
+        mask = (np.arange(n)[:, None] < np.array([6, 3, 4])).astype(float)
+        members = [init_lstm(gen, din, hidden) for _ in range(2)]
+        im = [dropout_mask(gen, (batch, din), 0.25) for _ in range(2)]
+        rm = [dropout_mask(gen, (batch, hidden), 0.25) for _ in range(2)]
+        dH = gen.normal(size=(n, 2, batch, hidden))
+        H, cache = lstm_forward(X, *(np.stack([p[k] for p in members]) for k in "WUb"),
+                                np.stack(im), np.stack(rm), mask=mask, reverse=(False, True))
+        dX, grads = lstm_backward(dH, cache, frozenset({2, 4}))
+        for s, p in enumerate(members):
+            h, c = lstm_forward(X, p["W"], p["U"], p["b"], im[s], rm[s], mask=mask,
+                                reverse=s == 1)
+            dx, g = lstm_backward(dH[:, s], c, frozenset({2, 4}))
+            assert np.array_equal(H[:, s], h) and np.array_equal(dX[:, s], dx)
+            assert all(np.array_equal(grads[k][s], g[k]) for k in "WUb")
+
+
 class TestDropoutAndClip:
     def test_zero_rate_is_none(self):
         gen = np.random.Generator(np.random.PCG64(0))
@@ -191,18 +245,17 @@ class TestDropoutAndClip:
         assert mask.mean() == pytest.approx(1.0, abs=0.02)
 
     def test_clip_above_threshold(self):
-        grads = {"a": np.array([3.0, 4.0])}  # norm 5
-        out, norm, scale = clip_by_global_norm(grads, 2.5)
+        grads = [np.array([3.0, 4.0])]  # norm 5
+        norm = global_norm(grads)
+        scale = clip_scale(norm, 2.5)
         assert norm == pytest.approx(5.0)
         assert scale == pytest.approx(0.5)
-        assert out["a"].tolist() == [1.5, 2.0]
-        assert global_norm(out) == pytest.approx(2.5)
+        assert (grads[0] * scale).tolist() == [1.5, 2.0]
+        assert global_norm([grads[0] * scale]) == pytest.approx(2.5)
 
     def test_no_clip_below_threshold(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        out, norm, scale = clip_by_global_norm(grads, 5.0)
-        assert scale == 1.0
-        assert out["a"] is grads["a"]
+        norm = global_norm([np.array([0.3, 0.4])])
+        assert clip_scale(norm, 5.0) == 1.0
 
 
 class TestWeightedLoss:
@@ -238,17 +291,38 @@ class TestWeightedLoss:
 
 class TestAdam:
     def test_first_step_hand_value(self):
-        opt = Adam({"w": (1,)}, lr=0.001)
         params = {"w": np.array([1.0])}
-        opt.step(params, {"w": np.array([1.0])})
+        opt = Adam(params, ["w"], lr=0.001)
+        opt.step({"w": np.array([1.0])})
         # bias-corrected first step moves by lr * g/(|g| + eps) = lr
         assert params["w"][0] == pytest.approx(1.0 - 0.001, abs=1e-9)
 
     def test_zero_gradient_is_a_fixed_point(self):
-        opt = Adam({"w": (2,)}, lr=0.1)
         params = {"w": np.array([0.5, -0.5])}
-        opt.step(params, {"w": np.zeros(2)})
+        opt = Adam(params, ["w"], lr=0.1)
+        opt.step({"w": np.zeros(2)})
         assert params["w"].tolist() == [0.5, -0.5]
+
+    def test_flat_update_matches_per_array_update(self):
+        gen = np.random.Generator(np.random.PCG64(8))
+        params = {"a": gen.normal(size=(3, 2)), "frozen": np.ones(2), "b": gen.normal(size=4)}
+        frozen = params["frozen"]
+        ref = {k: params[k].copy() for k in ("a", "b")}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(x) for k, x in ref.items()}
+        opt = Adam(params, ["a", "b"], lr=0.01)
+        for t in (1, 2, 3):
+            grads = {k: gen.normal(size=ref[k].shape) for k in ref}
+            opt.step(grads, scale=0.5)
+            for k in ref:
+                g = grads[k] * 0.5
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+                ref[k] = ref[k] - 0.01 * (m[k] / (1.0 - 0.9 ** t)) / (
+                    np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8)
+                assert np.array_equal(params[k], ref[k]), (t, k)
+                assert np.shares_memory(params[k], opt.flat)
+        assert params["frozen"] is frozen and frozen.tolist() == [1.0, 1.0]
 
 
 def tiny_config(variant, seed=0):
@@ -328,6 +402,33 @@ class TestModel:
         rec["params"]["w_layer"][0] = float("nan")
         with pytest.raises(ModelError, match="non-finite"):
             SequenceClassifier.from_record(rec)
+
+    @pytest.mark.parametrize("variant", ["wa", "bild"])
+    def test_saved_checkpoint_is_the_json_of_its_record(self, variant, tmp_path):
+        m = trained_looking(variant)
+        path = tmp_path / "model.json"
+        m.save(path)
+        assert path.read_bytes() == json.dumps(m.to_record()).encode("utf-8")
+
+    def test_predict_keeps_no_lstm_caches(self, small_tokenized):
+        batch = [[u.tokens for u in t.utterances] for t in small_tokenized[:4]]
+        spk, sect = (np.concatenate(x) for x in zip(*map(one_hot_targets, small_tokenized[:4])))
+        m = trained_looking("bild")
+        cached = m._forward(batch)["probs"]  # also fills the embedding table
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                out = fn()
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        predict_peak, rows = peak(lambda: m.predict(batch))
+        loss_peak, _ = peak(lambda: m.compute_loss(batch, spk, sect, np.ones(4), np.ones(5)))
+        # with every LSTM cache kept, the two peaks are within 1% of each other
+        assert predict_peak < 0.8 * loss_peak
+        assert np.array_equal(rows[0], cached["spk"]) and np.array_equal(rows[1], cached["sect"])
 
     def test_checkpoint_round_trip_bit_exact(self, small_tokenized, tmp_path):
         tokens, _, _ = tiny_batch(small_tokenized)
