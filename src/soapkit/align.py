@@ -7,6 +7,9 @@ texts) falls below a threshold, so common short fragments never pin the
 alignment. The divergent gaps between anchors are then aligned with
 unit-cost edit-distance DP. Alignment is done on lowercased text with
 punctuation kept in place, so offsets map back to the original strings.
+An alignment is an op string with one letter per step: M (match), S
+(substitute), I (char only in the ASR text) or D (char only in the
+reference); `align` records and projection both read that string.
 
 The LCS scan keeps O(1) extra memory and runs its substring searches in
 C, skipping every start from which no match longer than the best so far
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -29,40 +31,6 @@ MAX_PARTITION_DEPTH = 64
 
 class AlignmentError(ValueError):
     pass
-
-
-class AlignOp(IntEnum):
-    MATCH = 0
-    SUBSTITUTE = 1
-    INSERT = 2  # char present only in the ASR string
-    DELETE = 3  # char present only in the reference string
-
-OP_CHARS = "MSID"
-
-
-@dataclass
-class CharAlignment:
-    """An op sequence mapping every char of both strings exactly once."""
-
-    ops: list
-    ref_len: int
-    asr_len: int
-
-    def __post_init__(self):
-        n_ref = sum(1 for op in self.ops if op != AlignOp.INSERT)
-        n_asr = sum(1 for op in self.ops if op != AlignOp.DELETE)
-        if n_ref != self.ref_len or n_asr != self.asr_len:
-            raise AlignmentError(
-                f"op counts ({n_ref} ref, {n_asr} asr) do not cover "
-                f"string lengths ({self.ref_len}, {self.asr_len})"
-            )
-
-    @property
-    def cost(self) -> int:
-        return sum(1 for op in self.ops if op != AlignOp.MATCH)
-
-    def op_string(self) -> str:
-        return "".join(OP_CHARS[op] for op in self.ops)
 
 
 def _codes(s: str) -> np.ndarray:
@@ -149,24 +117,18 @@ def expected_substring_count(pattern: str, ref_len: int, asr_len: int, model: Ch
     return float(ref_len - L + 1) * float(asr_len - L + 1) * p
 
 
-class PartitionStatus(IntEnum):
-    ANCHORED = 0
-    LEAF = 1
-
-
 @dataclass
 class Partition:
     """A tile of the (ref, asr) string pair.
 
     Anchored nodes carry the accepted LCS anchor (absolute offsets, equal
     length in both strings) plus left/right child partitions covering the
-    remainders; leaves are aligned by DP. Children and anchor tile the
-    node's spans without overlap.
+    remainders; leaves have no anchor and are aligned by DP. Children and
+    anchor tile the node's spans without overlap.
     """
 
     ref_span: tuple
     asr_span: tuple
-    status: PartitionStatus
     anchor: tuple | None = None  # (ref_start, asr_start, length)
     children: tuple = ()
 
@@ -186,32 +148,30 @@ def _partition(ref, asr, ref_off, asr_off, model, depth) -> Partition:
     ref_span = (ref_off, ref_off + len(ref))
     asr_span = (asr_off, asr_off + len(asr))
     if not ref or not asr:
-        return Partition(ref_span, asr_span, PartitionStatus.LEAF)
+        return Partition(ref_span, asr_span)
     i, j, L = longest_common_substring(ref, asr)
     if L == 0 or depth >= MAX_PARTITION_DEPTH:
-        return Partition(ref_span, asr_span, PartitionStatus.LEAF)
+        return Partition(ref_span, asr_span)
     e = expected_substring_count(ref[i:i + L], len(ref), len(asr), model)
     if e >= ANCHOR_THRESHOLD:
-        return Partition(ref_span, asr_span, PartitionStatus.LEAF)
+        return Partition(ref_span, asr_span)
     left = _partition(ref[:i], asr[:j], ref_off, asr_off, model, depth + 1)
     right = _partition(ref[i + L:], asr[j + L:], ref_off + i + L, asr_off + j + L, model, depth + 1)
-    return Partition(
-        ref_span, asr_span, PartitionStatus.ANCHORED,
-        anchor=(ref_off + i, asr_off + j, L),
-        children=(left, right),
-    )
+    return Partition(ref_span, asr_span, anchor=(ref_off + i, asr_off + j, L),
+                     children=(left, right))
 
 
-def dp_align(a: str, b: str) -> CharAlignment:
-    """Unit-cost edit alignment of two strings (full DP).
+def dp_align(a: str, b: str) -> str:
+    """Unit-cost edit alignment of two strings (full DP), as an op string:
+    M (match), S (substitute), I (char only in b), D (char only in a).
 
     Traceback tie preference: Match > Substitute > Delete > Insert.
     """
     n, m = len(a), len(b)
     if n == 0:
-        return CharAlignment([AlignOp.INSERT] * m, 0, m)
+        return "I" * m
     if m == 0:
-        return CharAlignment([AlignOp.DELETE] * n, n, 0)
+        return "D" * n
     ca, cb = _codes(a), _codes(b)
     D = np.empty((n + 1, m + 1), dtype=np.int32)
     idx = np.arange(m + 1, dtype=np.int32)
@@ -229,28 +189,27 @@ def dp_align(a: str, b: str) -> CharAlignment:
     while i > 0 or j > 0:
         d = D[i, j]
         if i > 0 and j > 0 and ca[i - 1] == cb[j - 1] and d == D[i - 1, j - 1]:
-            ops.append(AlignOp.MATCH)
+            ops.append("M")
             i -= 1
             j -= 1
         elif i > 0 and j > 0 and ca[i - 1] != cb[j - 1] and d == D[i - 1, j - 1] + 1:
-            ops.append(AlignOp.SUBSTITUTE)
+            ops.append("S")
             i -= 1
             j -= 1
         elif i > 0 and d == D[i - 1, j] + 1:
-            ops.append(AlignOp.DELETE)
+            ops.append("D")
             i -= 1
         else:
-            ops.append(AlignOp.INSERT)
+            ops.append("I")
             j -= 1
-    ops.reverse()
-    return CharAlignment(ops, n, m)
+    return "".join(reversed(ops))
 
 
 def _tiles(node: Partition, ref: str, asr: str):
     """The tiles of a partition tree in document order: (node, None) for
     each anchored node and (leaf, its DP alignment) for each leaf that
     covers any characters."""
-    if node.status is PartitionStatus.ANCHORED:
+    if node.anchor is not None:
         left, right = node.children
         yield from _tiles(left, ref, asr)
         yield node, None
@@ -262,16 +221,23 @@ def _tiles(node: Partition, ref: str, asr: str):
         yield node, dp_align(ref[rl:rh], asr[al:ah])
 
 
-def align_transcripts(ref_text: str, asr_text: str) -> CharAlignment:
+def align_transcripts(ref_text: str, asr_text: str) -> str:
     """Hierarchical alignment: partition by statistically confident LCS
     anchors, DP inside the leaves, concatenated in document order.
-    Performed on lowercased copies; offsets are valid for the originals."""
+    Performed on lowercased copies; offsets are valid for the originals.
+
+    The result is an op string (see `dp_align`) that covers every char of
+    both strings exactly once."""
     ref_l = fold_case(ref_text)
     asr_l = fold_case(asr_text)
-    ops = []
-    for node, sub in _tiles(partition_tree(ref_l, asr_l), ref_l, asr_l):
-        ops.extend([AlignOp.MATCH] * node.anchor[2] if sub is None else sub.ops)
-    return CharAlignment(ops, len(ref_text), len(asr_text))
+    ops = "".join("M" * node.anchor[2] if sub is None else sub
+                  for node, sub in _tiles(partition_tree(ref_l, asr_l), ref_l, asr_l))
+    n_ref, n_asr = len(ops) - ops.count("I"), len(ops) - ops.count("D")
+    if n_ref != len(ref_text) or n_asr != len(asr_text):
+        raise AlignmentError(
+            f"op counts ({n_ref} ref, {n_asr} asr) do not cover "
+            f"string lengths ({len(ref_text)}, {len(asr_text)})")
+    return ops
 
 
 def alignment_record(encounter_id: str, ref_text: str, asr_text: str) -> dict:
@@ -287,6 +253,6 @@ def alignment_record(encounter_id: str, ref_text: str, asr_text: str) -> dict:
             leaves.append({
                 "ref_span": list(node.ref_span),
                 "asr_span": list(node.asr_span),
-                "ops": sub.op_string(),
+                "ops": sub,
             })
     return {"encounter_id": encounter_id, "anchors": anchors, "leaves": leaves}

@@ -147,7 +147,7 @@ def train_mc(targets: np.ndarray, task: str) -> BaselineModel:
 
 
 def train_mnb(token_lists, targets: np.ndarray, task: str,
-              smoothing: float = 1.0, vocab: dict | None = None) -> BaselineModel:
+              smoothing: float = 1.0) -> BaselineModel:
     """Multinomial naive Bayes with a uniform class prior and additive
     smoothing; class-conditional counts are weighted by the (possibly
     fractional) target mass of each utterance."""
@@ -156,8 +156,7 @@ def train_mnb(token_lists, targets: np.ndarray, task: str,
     targets = np.asarray(targets, dtype=float)
     if len(token_lists) != targets.shape[0]:
         raise BaselineError("token lists and targets disagree on n")
-    if vocab is None:
-        vocab = fit_vocab(token_lists)
+    vocab = fit_vocab(token_lists)
     X = count_matrix(token_lists, vocab)
     M = targets.T @ X  # (C, V) expected counts
     denom = M.sum(axis=1, keepdims=True) + smoothing * len(vocab)
@@ -170,7 +169,6 @@ def train_mnb(token_lists, targets: np.ndarray, task: str,
 
 def train_lr(token_lists, targets: np.ndarray, task: str,
              class_weights: np.ndarray | None = None,
-             vocab: dict | None = None,
              max_iters: int = 1000, grad_tol: float = 1e-6) -> BaselineModel:
     """Multinomial logistic regression, full-batch gradient descent with
     backtracking line search on the weighted cross entropy. Stops when the
@@ -183,8 +181,7 @@ def train_lr(token_lists, targets: np.ndarray, task: str,
     targets = np.asarray(targets, dtype=float)
     if len(token_lists) != targets.shape[0] or targets.shape[0] == 0:
         raise BaselineError("token lists and targets disagree on n")
-    if vocab is None:
-        vocab = fit_vocab(token_lists)
+    vocab = fit_vocab(token_lists)
     # (V, n) contiguous, no copy: both products per iteration run about
     # twice as fast on it as on the transpose of a row-major (n, V) matrix
     XT = count_matrix(token_lists, vocab).T

@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import N_SOAP, SoapSection, read_jsonl
+from .metrics import confusion_and_f1
 
 # Fixed subsection taxonomy; every observation must use one of these.
 SUBSECTION_SECTIONS = {
@@ -246,29 +247,20 @@ def irr_report(pairs, transcripts) -> IrrReport:
     y_src = np.concatenate(src_all)
     y_ref = np.concatenate(ref_all)
 
+    scores = confusion_and_f1(y_src, y_ref, N_SOAP)
     sections = {}
     for section in SoapSection:
         s1 = y_src == section.value
         s2 = y_ref == section.value
         acc = float((s1 == s2).mean())
-        tp = float((s1 & s2).sum())
-        denom = float(s1.sum() + s2.sum())
-        f1 = 2.0 * tp / denom if denom > 0 else 0.0
         prevalence = float((s1.mean() + s2.mean()) / 2.0)
         n_pos = int(s2.sum())
         n_neg = s2.size - n_pos
         p_pos_pos = float((s1 & s2).sum() / n_pos) if n_pos else float("nan")
         p_pos_neg = float((s1 & ~s2).sum() / n_neg) if n_neg else float("nan")
         sections[section] = SectionAgreement(
-            accuracy=acc, f1=f1, prevalence=prevalence,
+            accuracy=acc, f1=scores["per_class_f1"][section.value], prevalence=prevalence,
             p_pos_given_pos=p_pos_pos, p_pos_given_neg=p_pos_neg)
-
-    all_accuracy = float((y_src == y_ref).mean())
-    f1s = []
-    for c in range(N_SOAP):
-        tp = float(((y_src == c) & (y_ref == c)).sum())
-        denom = float((y_src == c).sum() + (y_ref == c).sum())
-        f1s.append(2.0 * tp / denom if denom > 0 else 0.0)
     return IrrReport(
         n_pairs=len(pairs),
         identical=_mean_var(frac["identical"]),
@@ -278,8 +270,8 @@ def irr_report(pairs, transcripts) -> IrrReport:
         evidence_overlap=_mean_var(ev_overlaps),
         tag_overlap=_mean_var(tag_overlaps),
         sections=sections,
-        all_accuracy=all_accuracy,
-        all_macro_f1=float(np.mean(f1s)),
+        all_accuracy=scores["accuracy"],
+        all_macro_f1=scores["macro_f1"],
     )
 
 

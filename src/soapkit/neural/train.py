@@ -25,23 +25,23 @@ class TrainingError(RuntimeError):
     pass
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+BATCH_TRANSCRIPTS = 4
+TBPTT_LEN = 64  # utterances between truncated-BPTT cuts
+GRAD_CLIP = 5.0  # global-norm threshold
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_transcripts: int = 4
-    tbptt_len: int = 64
     dropout_schedule: tuple = (0.45, 0.30, 0.25, 0.22, 0.21)
-    grad_clip: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
         if any(not 0.0 <= r < 1.0 for r in self.dropout_schedule):
             raise TrainingError("dropout rates must be in [0, 1)")
-        if self.batch_transcripts < 1 or self.tbptt_len < 1:
-            raise TrainingError("batch_transcripts and tbptt_len must be positive")
 
     @property
     def epochs(self) -> int:
@@ -53,9 +53,8 @@ class Adam:
     trained entry of `params` is rebound to a view of that vector, so a
     step is a few whole-vector operations, not a loop over arrays."""
 
-    def __init__(self, params: dict, names, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+    def __init__(self, params: dict, names, lr: float):
+        self.lr, self.t = lr, 0
         self.names = list(names)
         self.flat = np.concatenate([params[k].ravel() for k in self.names])
         start = 0
@@ -71,13 +70,13 @@ class Adam:
         if scale != 1.0:
             g *= scale
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         self.m *= b1
         self.m += (1.0 - b1) * g
         self.v *= b2
         self.v += (1.0 - b2) * (g * g)
-        self.flat -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        self.flat -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 def _encoded(model, transcripts) -> list:
@@ -106,47 +105,44 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
     rng = Rng(cfg.seed)
     gen = rng.generator
     trainable = model.trainable()
-    opt = Adam(model.params, trainable, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
-               beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+    opt = Adam(model.params, trainable, lr=cfg.learning_rate)
     epoch_losses = []
     for epoch, dropout in enumerate(cfg.dropout_schedule):
         order = gen.permutation(len(data))
         batch_losses = []
-        for start in range(0, len(order), cfg.batch_transcripts):
-            batch = [data[i] for i in order[start:start + cfg.batch_transcripts]]
+        for start in range(0, len(order), BATCH_TRANSCRIPTS):
+            batch = [data[i] for i in order[start:start + BATCH_TRANSCRIPTS]]
             spk_t = np.concatenate([b[1] for b in batch])
             sect_t = np.concatenate([b[2] for b in batch])
             loss, grads = model.loss_and_grads(
                 [b[0] for b in batch], spk_t, sect_t,
                 inverse_frequency_weights(spk_t), inverse_frequency_weights(sect_t),
-                dropout=dropout, gen=gen, tbptt_len=cfg.tbptt_len)
+                dropout=dropout, gen=gen, tbptt_len=TBPTT_LEN)
             if not np.isfinite(loss):
                 raise TrainingError(
-                    f"training diverged at epoch {epoch}, batch {start // cfg.batch_transcripts} "
+                    f"training diverged at epoch {epoch}, batch {start // BATCH_TRANSCRIPTS} "
                     f"(loss={loss!r})")
             norm = global_norm(grads[k] for k in trainable)
-            scale = clip_scale(norm, cfg.grad_clip)
+            scale = clip_scale(norm, GRAD_CLIP)
             opt.step(grads, scale)
             batch_losses.append(loss)
             if on_batch is not None:
-                on_batch({"epoch": epoch, "batch": start // cfg.batch_transcripts,
+                on_batch({"epoch": epoch, "batch": start // BATCH_TRANSCRIPTS,
                           "loss": loss, "grad_norm": norm, "clip_scale": scale})
         epoch_losses.append(float(np.mean(batch_losses)))
     return epoch_losses
 
 
 def collect_scores(model, transcripts) -> dict:
-    """Run the model over a corpus, TrainConfig().batch_transcripts
-    transcripts per pass; returns stacked per-utterance scores plus gold
-    labels per task (reference labels, or argmax targets for ASR
-    transcripts)."""
+    """Run the model over a corpus, BATCH_TRANSCRIPTS transcripts per
+    pass; returns stacked per-utterance scores plus gold labels per task
+    (reference labels, or argmax targets for ASR transcripts)."""
     transcripts = [t for t in transcripts if t.utterances]
     if not transcripts:
         raise TrainingError("no utterances to score")
     encoded = _encoded(model, transcripts)
-    group = TrainConfig().batch_transcripts
-    scores = [model.predict(encoded[start:start + group])
-              for start in range(0, len(encoded), group)]
+    scores = [model.predict(encoded[start:start + BATCH_TRANSCRIPTS])
+              for start in range(0, len(encoded), BATCH_TRANSCRIPTS)]
     return {task: (np.concatenate([s[k] for s in scores]),
                    np.concatenate([gold_labels(t, task) for t in transcripts]))
             for k, task in enumerate(("speaker", "soap"))}

@@ -4,15 +4,20 @@ ASR utterances are rebuilt by splitting diarized turns at sentence-final
 punctuation; each ASR word then inherits label mass from the reference
 segment it aligned to, weighted by how cleanly it aligned; word vectors
 are averaged per utterance and normalized into the final soft targets.
+
+The alignment arrives as the op string of `align_transcripts`. Labels,
+the ASR-to-reference map and the word masses are per-transcript arrays,
+and the word masses of a transcript come from one vectorised pass over
+cumulative counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 import numpy as np
 
-from .align import AlignOp, CharAlignment, align_transcripts
+from .align import align_transcripts
 from .corpus import (
     N_SOAP,
     N_SPEAKER,
@@ -35,24 +40,7 @@ SENTENCE_END = ".?!"
 # Abbreviations whose trailing period never ends a sentence.
 ABBREVIATIONS = frozenset({"dr.", "mr.", "mrs.", "ms.", "mg.", "e.g.", "i.e."})
 
-
-@dataclass
-class WordLabelStats:
-    """Label mass and alignment confidence for one ASR word."""
-
-    span: tuple  # half-open char range in the ASR text
-    soap: np.ndarray  # (5,) mass per section
-    speaker: np.ndarray  # (4,) mass per speaker
-    confidence: float
-
-
-@dataclass
-class AsrUtterance:
-    """A sentence fragment recovered from a diarized turn."""
-
-    turn_id: int
-    span: tuple  # half-open char range in the ASR text (trimmed)
-    text: str
+_WORD = re.compile(r"\S+")
 
 
 def _trailing_token(text: str, lo: int, end: int) -> str:
@@ -65,9 +53,10 @@ def _trailing_token(text: str, lo: int, end: int) -> str:
 def reconstruct_utterances(asr_text: str, turns) -> list:
     """Split each diarized turn into sentences at '.', '?' or '!' followed
     by whitespace, guarding a small abbreviation list; empty fragments are
-    dropped. Returned spans are trimmed of surrounding whitespace."""
+    dropped. Returns half-open (start, end) spans in the ASR text, trimmed
+    of surrounding whitespace."""
     out = []
-    for turn_id, (ts, te) in enumerate(turns):
+    for ts, te in turns:
         start = ts
         breaks = []
         for k in range(ts, te):
@@ -77,105 +66,118 @@ def reconstruct_utterances(asr_text: str, turns) -> list:
                     continue
                 breaks.append(k + 1)
                 start = k + 1
-        pieces = []
-        lo = ts
-        for b in breaks:
-            pieces.append((lo, b))
-            lo = b
-        pieces.append((lo, te))
-        for (fs, fe) in pieces:
+        bounds = [ts] + breaks + [te]
+        for fs, fe in zip(bounds, bounds[1:]):
             while fs < fe and asr_text[fs].isspace():
                 fs += 1
             while fe > fs and asr_text[fe - 1].isspace():
                 fe -= 1
             if fe > fs:
-                out.append(AsrUtterance(
-                    turn_id=turn_id,
-                    span=(fs, fe),
-                    text=asr_text[fs:fe],
-                ))
+                out.append((fs, fe))
     return out
 
 
 def word_spans(text: str, lo: int, hi: int) -> list:
-    """Maximal non-space runs of text[lo:hi], as absolute spans."""
-    spans = []
-    i = lo
-    while i < hi:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < hi and not text[j].isspace():
-            j += 1
-        spans.append((i, j))
-        i = j
-    return spans
+    """Maximal non-space runs of text[lo:hi], as absolute spans. The
+    pattern's non-space class holds exactly the chars for which
+    str.isspace is false."""
+    return [m.span() for m in _WORD.finditer(text, lo, hi)]
 
 
 def char_label_table(transcript: Transcript) -> tuple:
     """Render a reference transcript and tag every char with its utterance's
-    (section, speaker); separator spaces carry no label.
+    section and speaker; whitespace, separators included, carries no label.
 
-    Returns (text, labels) where labels[i] is (section_idx, speaker_idx) or
-    None for whitespace.
+    Returns (text, (section, speaker)): two int8 arrays over the chars of
+    text, -1 on whitespace.
     """
     if transcript.kind is not TranscriptKind.REFERENCE:
         raise ProjectionError("label projection needs a reference transcript")
     text, spans = render_reference(transcript.utterances)
-    labels = [None] * len(text)
+    section = np.full(len(text), -1, dtype=np.int8)
+    speaker = np.full(len(text), -1, dtype=np.int8)
     for utt, (lo, hi) in zip(transcript.utterances, spans):
-        pair = (utt.section.value, utt.speaker.value)
-        for k in range(lo, hi):
-            if not text[k].isspace():
-                labels[k] = pair
-    return text, labels
+        section[lo:hi] = utt.section.value
+        speaker[lo:hi] = utt.speaker.value
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    space = np.isin(codes, [ord(c) for c in set(text) if c.isspace()])
+    section[space] = -1
+    speaker[space] = -1
+    return text, (section, speaker)
 
 
-def asr_to_ref_map(alignment: CharAlignment) -> tuple:
-    """Per-ASR-char arrays: aligned reference index (-1 for inserts) and
-    whether the pair was an exact match."""
-    ops = np.array(alignment.ops, dtype=np.int8)
-    ref_idx = np.cumsum(ops != AlignOp.INSERT) - 1
-    ref_idx[ops == AlignOp.INSERT] = -1
-    on_asr = ops != AlignOp.DELETE
-    return ref_idx[on_asr], (ops == AlignOp.MATCH)[on_asr]
+def asr_to_ref_map(ops: str) -> tuple:
+    """Per-ASR-char arrays from an op string: aligned reference index (-1
+    for inserts) and whether the pair was an exact match."""
+    codes = np.frombuffer(ops.encode("ascii"), dtype=np.uint8)
+    on_ref = codes != ord("I")
+    ref_idx = np.cumsum(on_ref) - 1
+    ref_idx[~on_ref] = -1
+    on_asr = codes != ord("D")
+    return ref_idx[on_asr], (codes == ord("M"))[on_asr]
 
 
-def word_label_probs(char_map: tuple, ref_labels, spans) -> list:
-    """Label mass per ASR word, given the (ref_idx, matched) arrays of
-    `asr_to_ref_map` for the whole transcript.
+def _prefix_counts(mask) -> np.ndarray:
+    """out[k] = number of true entries in mask[:k], as int32."""
+    out = np.zeros(len(mask) + 1, dtype=np.int32)
+    np.cumsum(mask, out=out[1:])
+    return out
+
+
+def _segments(char_map: tuple, ws, we) -> tuple:
+    """Which words have an aligned char, their reference segments
+    [r_lo, r_hi) and their confidences."""
+    ref_idx, matched = char_map
+    covered = ref_idx >= 0
+    cum_covered = _prefix_counts(covered)
+    # covered reference indices rise along the ASR text, so a word's
+    # segment runs from its first covered char to its last
+    first, last = cum_covered[ws], cum_covered[we] - 1
+    hit = np.flatnonzero(last >= first)
+    ws, we = ws[hit], we[hit]
+    cov_ref = ref_idx[covered]
+    r_lo, r_hi = cov_ref[first[hit]], cov_ref[last[hit]] + 1
+    cum_matched = _prefix_counts(matched)
+    conf = (cum_matched[we] - cum_matched[ws]) / np.maximum(we - ws, r_hi - r_lo)
+    return hit, r_lo, r_hi, conf
+
+
+def _class_counts(labels, n_classes: int, r_lo, r_hi) -> np.ndarray:
+    """(n, n_classes) int32 counts of each class among labels[r_lo:r_hi],
+    one column of a cumulative one-hot table at a time."""
+    counts = np.empty((len(r_lo), n_classes), dtype=np.int32)
+    cum = np.zeros(len(labels) + 1, dtype=np.int32)
+    for c in range(n_classes):
+        np.cumsum(labels == c, out=cum[1:])
+        np.subtract(cum[r_hi], cum[r_lo], out=counts[:, c])
+    return counts
+
+
+def word_label_probs(char_map: tuple, ref_labels: tuple, spans) -> tuple:
+    """Label mass of every ASR word of a transcript, given the (ref_idx,
+    matched) arrays of `asr_to_ref_map`, the (section, speaker) arrays of
+    `char_label_table` and the words' spans in the ASR text.
 
     For each word, the aligned reference segment is the char range spanned
     by the word's matched/substituted chars. Per-class mass is the fraction
     of non-space segment chars labeled with that class, scaled by
     confidence = exactly-matched chars / max(word length, segment length).
-    Words aligned to nothing get zero mass and zero confidence.
+    Words aligned to nothing get zero mass.
+
+    Returns (soap (n_words, 5), speaker (n_words, 4)).
     """
-    ref_idx, matched = char_map
-    out = []
-    for (ws, we) in spans:
-        idx = ref_idx[ws:we]
-        covered = idx >= 0
-        soap = np.zeros(N_SOAP)
-        speaker = np.zeros(N_SPEAKER)
-        if not covered.any():
-            out.append(WordLabelStats((ws, we), soap, speaker, 0.0))
-            continue
-        r_lo = int(idx[covered].min())
-        r_hi = int(idx[covered].max()) + 1
-        n_match = int(matched[ws:we].sum())
-        conf = n_match / max(we - ws, r_hi - r_lo)
-        seg = [ref_labels[k] for k in range(r_lo, r_hi)]
-        labeled = [pair for pair in seg if pair is not None]
-        if labeled:
-            for sec, spk in labeled:
-                soap[sec] += 1.0
-                speaker[spk] += 1.0
-            soap *= conf / len(labeled)
-            speaker *= conf / len(labeled)
-        out.append(WordLabelStats((ws, we), soap, speaker, conf))
-    return out
+    spans = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
+    hit, r_lo, r_hi, conf = _segments(char_map, spans[:, 0], spans[:, 1])
+    section, speaker = ref_labels
+    soap_counts = _class_counts(section, N_SOAP, r_lo, r_hi)
+    speaker_counts = _class_counts(speaker, N_SPEAKER, r_lo, r_hi)
+    n_labeled = soap_counts.sum(axis=1)
+    scale = np.divide(conf, n_labeled, out=np.zeros(len(hit)), where=n_labeled > 0)[:, None]
+    soap = np.zeros((len(spans), N_SOAP))
+    soap[hit] = soap_counts * scale
+    spk = np.zeros((len(spans), N_SPEAKER))
+    spk[hit] = speaker_counts * scale
+    return soap, spk
 
 
 def normalize_soap(content) -> np.ndarray:
@@ -215,15 +217,14 @@ def normalize_speaker(raw, mode: str = "l2") -> np.ndarray:
     return arr / norm
 
 
-def utterance_distributions(word_stats, speaker_mode: str = "l2") -> LabelDistribution:
-    """Average the word-level mass vectors and normalize: the soap target
-    puts the residual on none, the speaker vector is norm-normalized."""
-    if not word_stats:
+def utterance_distributions(soap_rows, speaker_rows, speaker_mode: str = "l2") -> LabelDistribution:
+    """Average an utterance's rows of word masses and normalize: the soap
+    target puts the residual on none, the speaker vector is
+    norm-normalized."""
+    if len(soap_rows) == 0:
         raise ProjectionError("utterance has no words")
-    soap_raw = np.mean([w.soap for w in word_stats], axis=0)
-    spk_raw = np.mean([w.speaker for w in word_stats], axis=0)
-    soap = normalize_soap(soap_raw[1:])
-    speaker = normalize_speaker(spk_raw, mode=speaker_mode)
+    soap = normalize_soap(soap_rows.mean(axis=0)[1:])
+    speaker = normalize_speaker(speaker_rows.mean(axis=0), mode=speaker_mode)
     return LabelDistribution(soap=tuple(soap), speaker=tuple(speaker))
 
 
@@ -232,14 +233,18 @@ def project_transcript(ref: Transcript, asr: AsrRaw, speaker_mode: str = "l2") -
     and attach per-utterance label distributions."""
     ref_text, ref_labels = char_label_table(ref)
     char_map = asr_to_ref_map(align_transcripts(ref_text, asr.text))
+    utt_spans = reconstruct_utterances(asr.text, asr.turns)
+    words = [word_spans(asr.text, lo, hi) for lo, hi in utt_spans]
+    soap, speaker = word_label_probs(char_map, ref_labels, [w for ws in words for w in ws])
     new_utts = []
-    for utt in reconstruct_utterances(asr.text, asr.turns):
-        spans = word_spans(asr.text, utt.span[0], utt.span[1])
-        word_stats = word_label_probs(char_map, ref_labels, spans)
+    start = 0
+    for (lo, hi), ws in zip(utt_spans, words):
+        rows = slice(start, start + len(ws))
+        start = rows.stop
         new_utts.append(Utterance(
             id=len(new_utts),
-            text=utt.text,
-            dist=utterance_distributions(word_stats, speaker_mode=speaker_mode),
+            text=asr.text[lo:hi],
+            dist=utterance_distributions(soap[rows], speaker[rows], speaker_mode=speaker_mode),
         ))
     return Transcript(encounter_id=ref.encounter_id, kind=TranscriptKind.ASR, utterances=tuple(new_utts))
 

@@ -11,7 +11,8 @@ turn merges and splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 
 from .corpus import (
     AsrRaw,
@@ -186,20 +187,6 @@ class CorruptionStats:
     n_merges: int = 0
     n_splits: int = 0
 
-    def to_record(self) -> dict:
-        return {
-            "encounter_id": self.encounter_id,
-            "n_sub": self.n_sub,
-            "n_del": self.n_del,
-            "n_ins": self.n_ins,
-            "sub_positions": self.sub_positions,
-            "del_positions": self.del_positions,
-            "ins_after_positions": self.ins_after_positions,
-            "dropped_punct_positions": self.dropped_punct_positions,
-            "n_merges": self.n_merges,
-            "n_splits": self.n_splits,
-        }
-
 
 def _speaker_turn_streams(transcript: Transcript) -> list:
     """Group consecutive same-speaker utterances; each turn is a list of
@@ -314,8 +301,7 @@ def corrupt_corpus(transcripts, corruption: CorruptionConfig, rng: Rng) -> tuple
 
 
 def write_sidecar(stats_list, path) -> None:
-    import json
     with open(path, "w", encoding="utf-8") as fh:
         for st in stats_list:
-            fh.write(json.dumps(st.to_record()))
+            fh.write(json.dumps(asdict(st)))
             fh.write("\n")

@@ -84,6 +84,37 @@ def asr_to_ref_map_loop(op_string: str) -> tuple:
     return ref_idx, matched
 
 
+def word_label_probs_loop(ref_idx, matched, section, speaker, spans) -> tuple:
+    """Label mass of each ASR word, one word at a time: the segment is the
+    reference range from the lowest to the highest aligned index among the
+    word's chars, each labeled (>= 0) segment char adds one to its section
+    and speaker, and both vectors are scaled by confidence / labeled count,
+    where confidence = exact matches / max(word length, segment length).
+    Returns (soap (n_words, 5), speaker (n_words, 4))."""
+    soap_rows, speaker_rows = [], []
+    for ws, we in spans:
+        idx = ref_idx[ws:we]
+        covered = idx >= 0
+        soap = np.zeros(5)
+        spk = np.zeros(4)
+        if covered.any():
+            r_lo = int(idx[covered].min())
+            r_hi = int(idx[covered].max()) + 1
+            n_match = int(matched[ws:we].sum())
+            conf = n_match / max(we - ws, r_hi - r_lo)
+            labeled = [(int(section[k]), int(speaker[k])) for k in range(r_lo, r_hi)
+                       if section[k] >= 0]
+            if labeled:
+                for sec, who in labeled:
+                    soap[sec] += 1.0
+                    spk[who] += 1.0
+                soap *= conf / len(labeled)
+                spk *= conf / len(labeled)
+        soap_rows.append(soap)
+        speaker_rows.append(spk)
+    return np.array(soap_rows).reshape(-1, 5), np.array(speaker_rows).reshape(-1, 4)
+
+
 def auroc_pairwise(scores, pos) -> float:
     """Probability a positive outscores a negative over all pairs, ties
     counting one half."""

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import asr_to_ref_map_loop
+from oracles import asr_to_ref_map_loop, word_label_probs_loop
 
 import soapkit.project
-from soapkit.align import AlignOp, CharAlignment
-
 from soapkit.corpus import (
     AsrRaw,
     Rng,
@@ -24,6 +22,7 @@ from soapkit.project import (
     project_corpus,
     project_transcript,
     reconstruct_utterances,
+    word_label_probs,
     word_spans,
 )
 from soapkit.synth import CorruptionConfig, corrupt_corpus
@@ -86,27 +85,76 @@ class TestNormalizeSpeaker:
 class TestReconstructUtterances:
     def test_sentences_split_with_abbreviation_guard(self):
         text = "dr. smith arrived. then what? yes."
-        utts = reconstruct_utterances(text, [(0, len(text))])
-        assert [u.text for u in utts] == ["dr. smith arrived.", "then what?", "yes."]
-        for u in utts:
-            assert text[u.span[0]:u.span[1]] == u.text
+        spans = reconstruct_utterances(text, [(0, len(text))])
+        assert spans == [(0, 18), (19, 29), (30, 34)]
+        assert [text[lo:hi] for lo, hi in spans] == ["dr. smith arrived.", "then what?", "yes."]
 
     def test_turn_boundaries_force_splits(self):
-        utts = reconstruct_utterances("hello there yes indeed", [(0, 11), (12, 22)])
-        assert [u.text for u in utts] == ["hello there", "yes indeed"]
+        text = "hello there yes indeed"
+        spans = reconstruct_utterances(text, [(0, 11), (12, 22)])
+        assert [text[lo:hi] for lo, hi in spans] == ["hello there", "yes indeed"]
 
 
 class TestAsrToRefMap:
     def test_matches_loop_oracle(self):
         gen = np.random.Generator(np.random.PCG64(13))
         for n in list(range(6)) + [60] * 100:
-            ops = [AlignOp(int(x)) for x in gen.integers(0, 4, n)]
-            al = CharAlignment(ops, sum(op != AlignOp.INSERT for op in ops),
-                               sum(op != AlignOp.DELETE for op in ops))
-            ref_idx, matched = asr_to_ref_map(al)
-            want_idx, want_matched = asr_to_ref_map_loop(al.op_string())
+            ops = "".join("MSID"[int(x)] for x in gen.integers(0, 4, n))
+            ref_idx, matched = asr_to_ref_map(ops)
+            want_idx, want_matched = asr_to_ref_map_loop(ops)
             assert ref_idx.tolist() == want_idx and matched.tolist() == want_matched
             assert ref_idx.dtype == np.int64 and matched.dtype == bool
+
+
+class TestWordLabelProbs:
+    @staticmethod
+    def random_case(gen, p_insert, p_space):
+        """A random op string with (section, speaker) labels on its
+        reference side, -1 with probability p_space, and random word spans
+        over its ASR side."""
+        n = int(gen.integers(0, 80))
+        p = np.array([1.0, 1.0, 4.0 * p_insert, 1.0])
+        ops = "".join(gen.choice(list("MSID"), size=n, p=p / p.sum()))
+        n_ref = len(ops) - ops.count("I")
+        n_asr = len(ops) - ops.count("D")
+        blank = gen.random(n_ref) < p_space
+        section = np.where(blank, -1, gen.integers(0, 5, n_ref)).astype(np.int8)
+        speaker = np.where(blank, -1, gen.integers(0, 4, n_ref)).astype(np.int8)
+        spans = []
+        pos = int(gen.integers(0, 3))
+        while pos < n_asr:
+            end = min(n_asr, pos + int(gen.integers(1, 7)))
+            spans.append((pos, end))
+            pos = end + int(gen.integers(0, 3))
+        return ops, (section, speaker), spans
+
+    def test_matches_per_word_loop_oracle(self):
+        gen = np.random.Generator(np.random.PCG64(29))
+        unaligned = all_blank = 0
+        for trial in range(400):
+            ops, labels, spans = self.random_case(gen, p_insert=(0.1, 0.5, 0.9)[trial % 3],
+                                                  p_space=(0.0, 0.3, 0.9)[trial % 4 % 3])
+            char_map = asr_to_ref_map(ops)
+            soap, speaker = word_label_probs(char_map, labels, spans)
+            want_soap, want_speaker = word_label_probs_loop(*char_map, *labels, spans)
+            assert soap.shape == (len(spans), 5) and speaker.shape == (len(spans), 4)
+            # bit-identical, not merely close
+            assert soap.tolist() == want_soap.tolist()
+            assert speaker.tolist() == want_speaker.tolist()
+            for (ws, we), row in zip(spans, soap):
+                idx = char_map[0][ws:we]
+                if (idx < 0).all():
+                    unaligned += 1
+                elif row.sum() == 0.0 and (labels[0][idx[idx >= 0].min():idx.max() + 1] < 0).all():
+                    all_blank += 1
+        # the draws reach both zero-mass cases many times
+        assert unaligned > 100 and all_blank > 100
+
+    def test_zero_words(self):
+        char_map = asr_to_ref_map("MMI")
+        labels = (np.zeros(2, np.int8), np.zeros(2, np.int8))
+        soap, speaker = word_label_probs(char_map, labels, [])
+        assert soap.shape == (0, 5) and speaker.shape == (0, 4)
 
 
 class TestCharLabelTable:
@@ -115,11 +163,19 @@ class TestCharLabelTable:
             Utterance(id=0, text="ab.", speaker=SpeakerLabel.DOCTOR, section=SoapSection.PLAN),
             Utterance(id=1, text="cd.", speaker=SpeakerLabel.PATIENT, section=SoapSection.NONE),
         ))
-        text, labels = char_label_table(ref)
+        text, (section, speaker) = char_label_table(ref)
         assert text == "ab. cd."
-        assert labels[0] == (SoapSection.PLAN.value, SpeakerLabel.DOCTOR.value)
-        assert labels[3] is None  # separator space
-        assert labels[4] == (SoapSection.NONE.value, SpeakerLabel.PATIENT.value)
+        plan, none = SoapSection.PLAN.value, SoapSection.NONE.value
+        doctor, patient = SpeakerLabel.DOCTOR.value, SpeakerLabel.PATIENT.value
+        # the separator space carries no label
+        assert section.tolist() == [plan] * 3 + [-1] + [none] * 3
+        assert speaker.tolist() == [doctor] * 3 + [-1] + [patient] * 3
+
+    def test_inner_whitespace_carries_no_label(self):
+        text, (section, speaker) = char_label_table(one_utt_ref("a b\tc."))
+        assert text == "a b\tc."
+        assert (section == -1).tolist() == [c.isspace() for c in text]
+        assert (speaker == -1).tolist() == [c.isspace() for c in text]
 
     def test_requires_reference_kind(self):
         from soapkit.corpus import LabelDistribution
