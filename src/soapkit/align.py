@@ -11,11 +11,14 @@ An alignment is an op string with one letter per step: M (match), S
 (substitute), I (char only in the ASR text) or D (char only in the
 reference); `align` records and projection both read that string.
 
-The LCS scan keeps O(1) extra memory and runs its substring searches in
-C, skipping every start from which no match longer than the best so far
-can begin (see `longest_common_substring`). Alignment stays superlinear:
-each search scans the ASR side, every recursion level searches all of its
-gaps again, and a DP leaf costs the product of its two lengths.
+The LCS scan keeps O(1) extra memory and steps over blocks of the first
+string, not over its starts (see `longest_common_substring`): a block
+absent from the ASR side costs one substring search in C, and a block
+found there at a few places is extended along those diagonals. A block
+found at many places falls back to a search per start. Alignment stays
+superlinear: each search scans the ASR side, every recursion level
+searches all of its gaps again, and a DP leaf, bounded by `MAX_DP_CELLS`,
+costs the product of its two lengths.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ import numpy as np
 
 ANCHOR_THRESHOLD = 0.001
 MAX_PARTITION_DEPTH = 64
+# DP leaves larger than this (200 MB of int32) are refused, not allocated
+MAX_DP_CELLS = 50_000_000
+# a block found at more places than this is scanned one start at a time
+MAX_BLOCK_HITS = 4
 
 
 class AlignmentError(ValueError):
@@ -46,29 +53,70 @@ def fold_case(s: str) -> str:
     return "".join(c.lower() if len(c.lower()) == 1 else c for c in s)
 
 
+def _block_hits(b: str, block: str) -> list:
+    """Leftmost-first starts of block in b, at most MAX_BLOCK_HITS + 1."""
+    hits = []
+    p = b.find(block)
+    while p >= 0 and len(hits) <= MAX_BLOCK_HITS:
+        hits.append(p)
+        p = b.find(block, p + 1)
+    return hits
+
+
+def _run_length(a: str, x: int, b: str, y: int, L: int) -> int:
+    """Length of the common prefix of a[x:] and b[y:], given that its
+    first L chars match."""
+    limit = min(len(a) - x, len(b) - y)
+    while L < limit and a[x + L] == b[y + L]:
+        L += 1
+    return L
+
+
 def longest_common_substring(a: str, b: str) -> tuple:
     """(a_start, b_start, length) of the longest substring shared by a and b.
 
     Ties are broken by the leftmost start in a, then the leftmost start in
-    b. One pass over the starts of a: at start i the best length L found
-    so far grows while a[i:i+L+1] occurs in b, so the first start that
-    reaches the final length keeps it, and b.find gives the leftmost start
-    in b. With h = (L + 2) // 2, a match of length L + 1 from i covers the
-    block a[k:k+h] at the first multiple k of h not below i; starts whose
-    block does not occur in b cannot improve L and are skipped.
+    b. `best` is the longest match from the starts seen so far. A match of
+    length best + 1 from a start in (k-h, k], with h = (best + 2) // 2 and
+    k a multiple of h, covers the block a[k:k+h], so one step settles all
+    of those starts, by how often the block occurs in b:
+
+    - never: none of them can beat best;
+    - up to MAX_BLOCK_HITS times: a longer match lies on the diagonal of
+      one occurrence, so each is extended left (fewer than h chars) and
+      right; of equal runs the one starting furthest left wins;
+    - more often: each start is searched in b, and each find is extended;
+    - the block is cut short by the end of a: no start left can reach
+      best + 1, and the scan ends.
     """
-    best = best_i = 0
-    block = (0, 0, True)  # (start, length, occurs in b) of the last block searched
-    for i in range(len(a)):
+    n, m = len(a), len(b)
+    best = best_i = i = 0
+    while True:
         h = (best + 2) // 2
         k = -(-i // h) * h
-        if block[:2] != (k, h):
-            block = (k, h, a[k:k + h] in b)
-        if not block[2]:
-            continue
-        while i + best < len(a) and a[i:i + best + 1] in b:
-            best += 1
-            best_i = i
+        if k + h > n:
+            break
+        hits = _block_hits(b, a[k:k + h])
+        if len(hits) > MAX_BLOCK_HITS:
+            for s in range(i, k + 1):
+                while s + best < n and (q := b.find(a[s:s + best + 1])) >= 0:
+                    best, best_i = _run_length(a, s, b, q, best + 1), s
+        else:
+            for p in hits:
+                d = p - k
+                lo, s = max(i, -d), k
+                while s > lo and a[s - 1] == b[s - 1 + d]:
+                    s -= 1
+                L = k + h - s
+                if L < best and (min(n - s, m - s - d) < best
+                                 or a[k + h:s + best] != b[p + h:s + d + best]):
+                    continue
+                L = _run_length(a, s, b, s + d, max(L, best))
+                # earlier steps saw only starts below i <= s, so s < best_i
+                # holds only for a run found in this step
+                if L > best or (L == best and s < best_i):
+                    best, best_i = L, s
+        i = k + 1
     if best == 0:
         return (0, 0, 0)
     return (best_i, b.find(a[best_i:best_i + best]), best)
@@ -164,10 +212,16 @@ def _partition(ref, asr, ref_off, asr_off, model, depth) -> Partition:
 def dp_align(a: str, b: str) -> str:
     """Unit-cost edit alignment of two strings (full DP), as an op string:
     M (match), S (substitute), I (char only in b), D (char only in a).
+    Raises AlignmentError, before allocating, when len(a) * len(b) exceeds
+    MAX_DP_CELLS.
 
     Traceback tie preference: Match > Substitute > Delete > Insert.
     """
     n, m = len(a), len(b)
+    if n * m > MAX_DP_CELLS:
+        raise AlignmentError(
+            f"a {n} x {m} alignment leaf exceeds the {MAX_DP_CELLS} cell budget; "
+            "the two texts share too little to anchor")
     if n == 0:
         return "I" * m
     if m == 0:

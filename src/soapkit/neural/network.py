@@ -25,8 +25,7 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 def sigmoid(z):
     """Logistic function; exp only ever sees -|z|, so it cannot overflow."""
     e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def init_lstm(gen, input_dim: int, hidden: int) -> dict:

@@ -181,51 +181,62 @@ def word_label_probs(char_map: tuple, ref_labels: tuple, spans) -> tuple:
 
 
 def normalize_soap(content) -> np.ndarray:
-    """Turn raw mass over the four content sections into a 5-way
-    distribution; the none class absorbs the residual probability."""
+    """Turn raw mass over the four content sections (one vector, or one
+    per row) into a 5-way distribution; none absorbs the residual."""
     arr = np.asarray(content, dtype=float)
-    if arr.shape != (N_SOAP - 1,):
+    if arr.shape[-1:] != (N_SOAP - 1,):
         raise ProjectionError(f"expected {N_SOAP - 1} content-section masses, got shape {arr.shape}")
     if (arr < -1e-12).any():
         raise ProjectionError("content-section masses must be non-negative")
-    s = float(arr.sum())
-    if s > 1.0 + 1e-9:
-        raise ProjectionError(f"content-section mass sums to {s!r} > 1")
-    out = np.empty(N_SOAP)
-    out[0] = max(0.0, 1.0 - s)
-    out[1:] = np.clip(arr, 0.0, None)
-    return out
+    s = arr.sum(axis=-1)
+    if (s > 1.0 + 1e-9).any():
+        raise ProjectionError(f"content-section mass sums to {float(s.max())!r} > 1")
+    return np.concatenate([np.maximum(0.0, 1.0 - s)[..., None], np.clip(arr, 0.0, None)], axis=-1)
 
 
 def normalize_speaker(raw, mode: str = "l2") -> np.ndarray:
-    """Normalize raw speaker mass to unit L2 norm (default) or unit sum.
-    An all-zero vector becomes uniform."""
+    """Normalize raw speaker mass (one vector, or one per row) to unit L2
+    norm (default) or unit sum. An all-zero vector becomes uniform."""
     arr = np.asarray(raw, dtype=float)
-    if arr.shape != (N_SPEAKER,):
+    if arr.shape[-1:] != (N_SPEAKER,):
         raise ProjectionError(f"expected {N_SPEAKER} speaker masses, got shape {arr.shape}")
     if (arr < -1e-12).any():
         raise ProjectionError("speaker masses must be non-negative")
-    arr = np.clip(arr, 0.0, None)
+    rows = np.clip(arr, 0.0, None).reshape(-1, N_SPEAKER)
     if mode == "l2":
-        norm = float(np.linalg.norm(arr))
+        # row by row: a batched norm sums the squares in another order
+        norm = np.array([np.linalg.norm(r) for r in rows])
     elif mode == "l1":
-        norm = float(arr.sum())
+        norm = rows.sum(axis=1)
     else:
         raise ProjectionError(f"unknown speaker normalization mode {mode!r}")
-    if norm == 0.0:
-        return np.full(N_SPEAKER, 1.0 / N_SPEAKER)
-    return arr / norm
+    out = rows / np.where(norm == 0.0, 1.0, norm)[:, None]
+    out[norm == 0.0] = 1.0 / N_SPEAKER
+    return out.reshape(arr.shape)
 
 
-def utterance_distributions(soap_rows, speaker_rows, speaker_mode: str = "l2") -> LabelDistribution:
-    """Average an utterance's rows of word masses and normalize: the soap
-    target puts the residual on none, the speaker vector is
-    norm-normalized."""
-    if len(soap_rows) == 0:
+def _run_means(rows, counts) -> np.ndarray:
+    """Mean of each run of counts[u] consecutive rows, summed in row order
+    one word position at a time, as ndarray.mean(axis=0) sums a run
+    (np.add.reduceat sums it in another order)."""
+    starts = np.cumsum(counts) - counts
+    sums = rows[starts]
+    for w in range(1, int(counts.max(initial=0))):
+        live = np.flatnonzero(counts > w)
+        sums[live] += rows[starts[live] + w]
+    return sums / counts[:, None]
+
+
+def utterance_distributions(soap_rows, speaker_rows, counts, speaker_mode: str = "l2") -> list:
+    """Soft targets of a transcript's utterances, given its word masses in
+    utterance order and each utterance's word count: each utterance's rows
+    are averaged, then normalized as one array per transcript."""
+    counts = np.asarray(counts, dtype=np.intp)
+    if (counts == 0).any():
         raise ProjectionError("utterance has no words")
-    soap = normalize_soap(soap_rows.mean(axis=0)[1:])
-    speaker = normalize_speaker(speaker_rows.mean(axis=0), mode=speaker_mode)
-    return LabelDistribution(soap=tuple(soap), speaker=tuple(speaker))
+    soap = normalize_soap(_run_means(soap_rows, counts)[:, 1:])
+    speaker = normalize_speaker(_run_means(speaker_rows, counts), mode=speaker_mode)
+    return [LabelDistribution(soap=tuple(s), speaker=tuple(p)) for s, p in zip(soap, speaker)]
 
 
 def project_transcript(ref: Transcript, asr: AsrRaw, speaker_mode: str = "l2") -> Transcript:
@@ -236,17 +247,11 @@ def project_transcript(ref: Transcript, asr: AsrRaw, speaker_mode: str = "l2") -
     utt_spans = reconstruct_utterances(asr.text, asr.turns)
     words = [word_spans(asr.text, lo, hi) for lo, hi in utt_spans]
     soap, speaker = word_label_probs(char_map, ref_labels, [w for ws in words for w in ws])
-    new_utts = []
-    start = 0
-    for (lo, hi), ws in zip(utt_spans, words):
-        rows = slice(start, start + len(ws))
-        start = rows.stop
-        new_utts.append(Utterance(
-            id=len(new_utts),
-            text=asr.text[lo:hi],
-            dist=utterance_distributions(soap[rows], speaker[rows], speaker_mode=speaker_mode),
-        ))
-    return Transcript(encounter_id=ref.encounter_id, kind=TranscriptKind.ASR, utterances=tuple(new_utts))
+    dists = utterance_distributions(soap, speaker, [len(ws) for ws in words],
+                                    speaker_mode=speaker_mode)
+    new_utts = tuple(Utterance(id=u, text=asr.text[lo:hi], dist=dist)
+                     for u, ((lo, hi), dist) in enumerate(zip(utt_spans, dists)))
+    return Transcript(encounter_id=ref.encounter_id, kind=TranscriptKind.ASR, utterances=new_utts)
 
 
 def project_corpus(refs, asr_records, speaker_mode: str = "l2", threads: int = 1) -> list:

@@ -19,11 +19,6 @@ def record_criterion(number: int, ok: bool, detail: str) -> None:
     assert ok, f"acceptance criterion {number} failed: {detail}"
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "acceptance: end-to-end acceptance criteria (one summary line each)")
-
-
 def pytest_terminal_summary(terminalreporter):
     if not _CRITERION_LINES:
         return

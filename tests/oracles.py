@@ -67,6 +67,30 @@ def lcs_rolling_dp(a: str, b: str) -> tuple:
     return (best_i - best_len + 1, best_j - best_len + 1, best_len)
 
 
+def lcs_per_start(a: str, b: str) -> tuple:
+    """The per-start longest-common-substring scan that the block-step scan
+    replaced: one step per start of a, growing the best length L while
+    a[i:i+L+1] occurs in b, and skipping a start only when the block
+    a[k:k+h] (h = (L + 2) // 2, k the first multiple of h not below it),
+    which any longer match from it would cover, is absent from b. Same
+    tie rule as `lcs_brute`."""
+    best = best_i = 0
+    block = (0, 0, True)  # (start, length, occurs in b) of the last block searched
+    for i in range(len(a)):
+        h = (best + 2) // 2
+        k = -(-i // h) * h
+        if block[:2] != (k, h):
+            block = (k, h, a[k:k + h] in b)
+        if not block[2]:
+            continue
+        while i + best < len(a) and a[i:i + best + 1] in b:
+            best += 1
+            best_i = i
+    if best == 0:
+        return (0, 0, 0)
+    return (best_i, b.find(a[best_i:best_i + best]), best)
+
+
 def asr_to_ref_map_loop(op_string: str) -> tuple:
     """Walk an "MSID" op string one op at a time: per ASR char, the
     reference index it aligned to (-1 for inserts) and whether it matched."""
@@ -113,6 +137,25 @@ def word_label_probs_loop(ref_idx, matched, section, speaker, spans) -> tuple:
         soap_rows.append(soap)
         speaker_rows.append(spk)
     return np.array(soap_rows).reshape(-1, 5), np.array(speaker_rows).reshape(-1, 4)
+
+
+def utterance_distributions_loop(soap_rows, speaker_rows, counts, mode="l2") -> list:
+    """One utterance at a time: the mean of its word rows, the content
+    masses' residual put on none, and the speaker mean scaled to unit L2
+    norm or unit sum (uniform when all zero). Returns (soap, speaker)
+    tuples of floats."""
+    out = []
+    start = 0
+    for c in counts:
+        soap = soap_rows[start:start + c].mean(axis=0)
+        speaker = np.clip(speaker_rows[start:start + c].mean(axis=0), 0.0, None)
+        start += c
+        content = np.clip(soap[1:], 0.0, None)
+        soap_dist = (max(0.0, 1.0 - float(soap[1:].sum())),) + tuple(float(x) for x in content)
+        norm = float(np.linalg.norm(speaker)) if mode == "l2" else float(speaker.sum())
+        spk_dist = (0.25,) * 4 if norm == 0.0 else tuple(float(x) for x in speaker / norm)
+        out.append((soap_dist, spk_dist))
+    return out
 
 
 def auroc_pairwise(scores, pos) -> float:

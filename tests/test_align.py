@@ -1,9 +1,10 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import edit_distance_textbook, lcs_brute, lcs_rolling_dp
+from oracles import edit_distance_textbook, lcs_brute, lcs_per_start, lcs_rolling_dp
 
 import soapkit.align
 from soapkit.align import (
@@ -42,6 +43,29 @@ def edit_cost(ops: str) -> int:
 def random_string(gen, alphabet, max_len):
     n = int(gen.integers(0, max_len + 1))
     return "".join(gen.choice(list(alphabet)) for _ in range(n))
+
+
+def planted_pair(gen):
+    """Random text over a 2-11 letter alphabet with shared runs of 8-150
+    chars planted into both sides, and sometimes a short chunk repeated
+    5-10 times in b (more places than a block may be extended from)."""
+    letters = np.array(list("abcdefghij "[:int(gen.integers(2, 12))]))
+
+    def text(n):
+        return "".join(letters[gen.integers(0, len(letters), n)])
+
+    def insert(s, piece):
+        at = int(gen.integers(0, len(s) + 1))
+        return s[:at] + piece + s[at:]
+
+    a, b = text(int(gen.integers(0, 300))), text(int(gen.integers(0, 300)))
+    for _ in range(int(gen.integers(0, 4))):
+        run = text(int(gen.integers(8, 151)))
+        a, b = insert(a, run), insert(b, run)
+    if gen.random() < 0.4:
+        chunk = text(int(gen.integers(3, 13)))
+        a, b = insert(a, chunk * 2), insert(b, chunk * int(gen.integers(5, 11)))
+    return a, b
 
 
 class TestFoldCase:
@@ -83,6 +107,68 @@ class TestLongestCommonSubstring:
             a = random_string(gen, alphabet, 300)
             b = random_string(gen, alphabet, 300)
             assert longest_common_substring(a, b) == lcs_rolling_dp(a, b), f"{a!r} vs {b!r}"
+
+    def test_matches_per_start_oracle_on_partition_calls(self, long_pair, monkeypatch):
+        calls = []
+        real = soapkit.align.longest_common_substring
+
+        def recording(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(soapkit.align, "longest_common_substring", recording)
+        partition_tree(*(fold_case(t) for t in long_pair))
+        assert len(calls) > 500
+        results = [real(a, b) for a, b in calls]
+        assert results == [lcs_per_start(a, b) for a, b in calls]
+        assert max(L for _, _, L in results) >= 100
+
+    def test_matches_per_start_oracle_on_planted_pairs(self, monkeypatch):
+        # every step of the scan searches one block a[k:k+h]; replaying its
+        # schedule (k the first multiple of h above the last block's k)
+        # tells which path each step took
+        searched = []
+        real_hits = soapkit.align._block_hits
+
+        def recording(b, block):
+            hits = real_hits(b, block)
+            searched.append((block, len(hits)))
+            return hits
+
+        monkeypatch.setattr(soapkit.align, "_block_hits", recording)
+        cap = soapkit.align.MAX_BLOCK_HITS
+        # over_cap counts blocks of 3+ chars only: the 1-char blocks of a
+        # scan's first steps nearly always occur at many places
+        paths = dict.fromkeys(["absent", "diagonal", "over_cap", "cut_short"], 0)
+        gen = np.random.Generator(np.random.PCG64(47))
+        for _ in range(300):
+            a, b = planted_pair(gen)
+            searched.clear()
+            got = longest_common_substring(a, b)
+            assert got == lcs_per_start(a, b), f"{a!r} vs {b!r}"
+            k = -1
+            for block, n_hits in searched:
+                h = len(block)
+                k = -(-(k + 1) // h) * h
+                assert a[k:k + h] == block
+                if n_hits == 0:
+                    paths["absent"] += 1
+                elif n_hits <= cap:
+                    paths["diagonal"] += 1
+                else:
+                    paths["over_cap"] += h >= 3
+            # the scan ends at the first block past the last one searched
+            # that does not fit in a; cut_short counts those starting inside a
+            h = (got[2] + 2) // 2
+            paths["cut_short"] += -(-(k + 1) // h) * h < len(a)
+        assert min(paths.values()) >= 20, paths
+
+    def test_block_hits_are_capped(self):
+        # leftmost first, overlapping, and one past the cap at most
+        assert soapkit.align._block_hits("xaxaxa", "a") == [1, 3, 5]
+        cap = soapkit.align.MAX_BLOCK_HITS
+        assert soapkit.align._block_hits("a" * 20, "aa") == list(range(cap + 1))
+        assert soapkit.align._block_hits("abc", "d") == []
 
     def test_matches_rolling_dp_on_transcript_text(self, long_pair):
         ref, asr = (fold_case(t) for t in long_pair)
@@ -148,6 +234,22 @@ class TestDpAlign:
         # "ab" -> "ba" admits cost-2 paths via two substitutions or an
         # insert/delete pair; the tie policy picks the substitutions
         assert dp_align("ab", "ba") == "SS"
+
+    def test_leaf_over_the_cell_budget_is_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(AlignmentError, match="cell budget"):
+                align_transcripts("a" * 8000, "b" * 8000)  # one 64M-cell leaf
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000  # the table alone would take 256 MB
+
+    def test_cell_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(soapkit.align, "MAX_DP_CELLS", 12)
+        assert dp_align("abc", "abcd") == "MMMI"
+        with pytest.raises(AlignmentError, match="cell budget"):
+            dp_align("abcd", "abcd")
 
     def test_op_string_must_cover_both_strings(self, monkeypatch):
         # a leaf alignment one op short covers neither string fully

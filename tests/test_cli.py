@@ -1,13 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import soapkit
+
+# the directory soapkit was imported from, so the CLI runs without an install
+_IMPORT_ROOT = str(Path(soapkit.__file__).resolve().parents[1])
+
 
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, [_IMPORT_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "soapkit.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +83,17 @@ class TestErrorPaths:
         res = run_cli("eval", "--model", "oracle", "--test", str(proj))
         assert res.returncode == 3
         assert "kind=parse-failure" in res.stderr and "finite" in res.stderr
+
+    def test_alignment_over_the_cell_budget_is_exit_4(self, tmp_path):
+        # texts with no char in common leave one 8000 x 8000 leaf
+        ref, asr = tmp_path / "ref.jsonl", tmp_path / "asr.jsonl"
+        ref.write_text(json.dumps({"encounter_id": "e0", "kind": "reference", "utterances": [
+            {"id": 0, "speaker": "doctor", "section": "plan", "text": "a" * 8000}]}) + "\n")
+        asr.write_text(json.dumps({"encounter_id": "e0", "text": "b" * 8000,
+                                   "turns": [[0, 8000]]}) + "\n")
+        res = run_cli("align", "--ref", str(ref), "--asr", str(asr))
+        assert res.returncode == 4
+        assert "kind=invalid-data" in res.stderr and "cell budget" in res.stderr
 
     def test_non_list_utterances_is_exit_3(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import asr_to_ref_map_loop, word_label_probs_loop
+from oracles import asr_to_ref_map_loop, utterance_distributions_loop, word_label_probs_loop
 
 import soapkit.project
 from soapkit.corpus import (
@@ -22,6 +22,7 @@ from soapkit.project import (
     project_corpus,
     project_transcript,
     reconstruct_utterances,
+    utterance_distributions,
     word_label_probs,
     word_spans,
 )
@@ -155,6 +156,31 @@ class TestWordLabelProbs:
         labels = (np.zeros(2, np.int8), np.zeros(2, np.int8))
         soap, speaker = word_label_probs(char_map, labels, [])
         assert soap.shape == (0, 5) and speaker.shape == (0, 4)
+
+
+class TestUtteranceDistributions:
+    def test_matches_per_utterance_loop_oracle(self):
+        # word rows shaped like word_label_probs output: each row is a
+        # confidence times class fractions, some rows all zero
+        gen = np.random.Generator(np.random.PCG64(53))
+        uniform = 0
+        for trial in range(200):
+            counts = gen.integers(1, 40, size=int(gen.integers(1, 30)))
+            n = int(counts.sum())
+            conf = gen.random(n) * (gen.random(n) < 0.85)
+            soap = gen.dirichlet(np.ones(5), n) * conf[:, None]
+            speaker = gen.dirichlet(np.ones(4), n) * conf[:, None]
+            speaker[:, 2:] *= gen.random() < 0.5
+            for mode in ("l2", "l1"):
+                got = utterance_distributions(soap, speaker, counts, speaker_mode=mode)
+                want = utterance_distributions_loop(soap, speaker, counts, mode)
+                assert [(d.soap, d.speaker) for d in got] == want
+                uniform += sum(d.speaker == (0.25,) * 4 for d in got)
+        assert uniform > 20
+
+    def test_utterance_without_words_is_rejected(self):
+        with pytest.raises(ProjectionError, match="no words"):
+            utterance_distributions(np.zeros((2, 5)), np.zeros((2, 4)), [2, 0])
 
 
 class TestCharLabelTable:
