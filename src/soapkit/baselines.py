@@ -146,21 +146,18 @@ def train_mc(targets: np.ndarray, task: str) -> BaselineModel:
                          majority=int(np.argmax(counts)))
 
 
-def train_mnb(token_lists, targets: np.ndarray, task: str,
-              smoothing: float = 1.0) -> BaselineModel:
-    """Multinomial naive Bayes with a uniform class prior and additive
-    smoothing; class-conditional counts are weighted by the (possibly
-    fractional) target mass of each utterance."""
-    if smoothing <= 0:
-        raise BaselineError("smoothing must be positive")
+def train_mnb(token_lists, targets: np.ndarray, task: str) -> BaselineModel:
+    """Multinomial naive Bayes with a uniform class prior and add-one
+    (Laplace) counts; class-conditional counts are weighted by the
+    (possibly fractional) target mass of each utterance."""
     targets = np.asarray(targets, dtype=float)
     if len(token_lists) != targets.shape[0]:
         raise BaselineError("token lists and targets disagree on n")
     vocab = fit_vocab(token_lists)
     X = count_matrix(token_lists, vocab)
     M = targets.T @ X  # (C, V) expected counts
-    denom = M.sum(axis=1, keepdims=True) + smoothing * len(vocab)
-    log_lik = np.log(M + smoothing) - np.log(denom)
+    denom = M.sum(axis=1, keepdims=True) + len(vocab)
+    log_lik = np.log(M + 1.0) - np.log(denom)
     n_classes = targets.shape[1]
     log_prior = np.full(n_classes, -np.log(n_classes))
     return BaselineModel(kind="mnb", task=task, n_classes=n_classes,

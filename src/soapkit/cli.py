@@ -34,7 +34,6 @@ from .corpus import (
 )
 from .irr import IrrError, format_report, irr_report, read_notes
 from .metrics import MetricError, MetricReport, evaluate, fit_platt, validation_split
-from .neural.embeddings import EmbeddingError
 from .neural.model import ModelConfig, ModelError, SequenceClassifier
 from .neural.train import TrainConfig, TrainingError, collect_scores, train_model
 from .preprocess import EmptyUtteranceError, preprocess_corpus
@@ -61,8 +60,8 @@ EXIT_INVALID = 4
 EXIT_INTERNAL = 1
 
 _DATA_ERRORS = (CorpusError, AlignmentError, ProjectionError, SynthError,
-                BaselineError, MetricError, ModelError, EmbeddingError,
-                TrainingError, IrrError, EmptyUtteranceError)
+                BaselineError, MetricError, ModelError, TrainingError,
+                IrrError, EmptyUtteranceError)
 
 
 class CliError(Exception):
@@ -126,9 +125,8 @@ def cmd_synth(args) -> int:
     ref_path = os.path.join(args.out_dir, "reference.jsonl")
     write_corpus(refs, ref_path)
     log.info("wrote %d transcripts to %s", len(refs), ref_path)
-    any_rate = any(v > 0 for v in (args.char_sub, args.char_del, args.char_ins,
-                                   args.turn_merge, args.turn_split))
-    if args.emit_asr or any_rate:
+    # rates are checked to lie in [0, 1], so any change from the default is a rate above 0
+    if args.emit_asr or corruption != CorruptionConfig():
         # offset keeps the corruption stream disjoint from the seed
         # sequence children the generator already consumed
         asr_records, stats = corrupt_corpus(refs, corruption, Rng(args.seed + 1))
@@ -162,25 +160,18 @@ def cmd_align(args) -> int:
 def cmd_project(args) -> int:
     refs = _read_input(read_corpus, args.ref)
     asr_records = _read_input(read_asr_raw, args.asr)
-    projected = project_corpus(refs, asr_records, speaker_mode=args.speaker_norm,
-                               threads=args.threads)
+    projected = project_corpus(refs, asr_records, threads=args.threads)
     write_corpus(projected, args.out)
     log.info("projected %d transcripts to %s", len(projected), args.out)
     return 0
 
 
 def _baseline_data(transcripts, task: str):
-    token_lists = []
-    rows = []
-    for t in transcripts:
-        spk, soap = one_hot_targets(t)
-        tgt = spk if task == "speaker" else soap
-        for utt, row in zip(t.utterances, tgt):
-            token_lists.append(utt.tokens)
-            rows.append(row)
-    if not rows:
+    token_lists = [utt.tokens for t in transcripts for utt in t.utterances]
+    if not token_lists:
         raise BaselineError("no utterances to train on")
-    return token_lists, np.asarray(rows)
+    k = ("speaker", "soap").index(task)  # one_hot_targets' order
+    return token_lists, np.concatenate([one_hot_targets(t)[k] for t in transcripts])
 
 
 def cmd_train(args) -> int:
@@ -206,43 +197,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _oracle_scores(transcripts) -> dict:
-    spk_s, soap_s, spk_g, soap_g = [], [], [], []
-    for t in transcripts:
-        if not t.utterances:
-            continue
-        spk, soap = one_hot_targets(t)
-        spk_s.append(spk)
-        soap_s.append(soap)
-        spk_g.append(gold_labels(t, "speaker"))
-        soap_g.append(gold_labels(t, "soap"))
-    if not spk_s:
-        raise MetricError("no utterances to score")
-    return {"speaker": (np.concatenate(spk_s), np.concatenate(spk_g)),
-            "soap": (np.concatenate(soap_s), np.concatenate(soap_g))}
-
-
-def _baseline_scores(model: BaselineModel, transcripts) -> dict:
-    token_lists = []
-    golds = []
-    for t in transcripts:
-        for utt in t.utterances:
-            token_lists.append(utt.tokens)
-        golds.append(gold_labels(t, model.task))
-    if not token_lists:
-        raise MetricError("no utterances to score")
-    return {model.task: (model.predict_matrix(token_lists), np.concatenate(golds))}
-
-
 def _score_tasks(model, transcripts) -> dict:
     """Per-task (scores, golds) arrays for whichever tasks the model
     covers. `model` may be the literal string "oracle", which reads the
     stored targets back as predictions."""
+    if isinstance(model, SequenceClassifier):
+        return collect_scores(model, transcripts)
+    transcripts = [t for t in transcripts if t.utterances]
+    if not transcripts:
+        raise MetricError("no utterances to score")
     if model == "oracle":
-        return _oracle_scores(transcripts)
-    if isinstance(model, BaselineModel):
-        return _baseline_scores(model, transcripts)
-    return collect_scores(model, transcripts)
+        spk, soap = zip(*map(one_hot_targets, transcripts))
+        scores = {"speaker": np.concatenate(spk), "soap": np.concatenate(soap)}
+    else:
+        scores = {model.task: model.predict_matrix(
+            [utt.tokens for t in transcripts for utt in t.utterances])}
+    return {task: (s, np.concatenate([gold_labels(t, task) for t in transcripts]))
+            for task, s in scores.items()}
 
 
 _EVAL_ROWS = (("accuracy", True), ("macro_f1", True), ("auroc", True),
@@ -250,8 +221,7 @@ _EVAL_ROWS = (("accuracy", True), ("macro_f1", True), ("auroc", True),
 
 
 def _metric_value(report: MetricReport, name: str) -> float:
-    value = getattr(report, name)
-    return float("nan") if value is None else float(value)
+    return float(getattr(report, name))
 
 
 def _format_eval_table(task: str, uncal: MetricReport, cal: MetricReport | None) -> str:
@@ -267,7 +237,7 @@ def _format_eval_table(task: str, uncal: MetricReport, cal: MetricReport | None)
             u = _metric_value(uncal, name)
             c = _metric_value(cal, name)
             mark_u = mark_c = " "
-            if not (np.isnan(u) or np.isnan(c)) and u != c:
+            if u != c:
                 if (u > c) == higher_better:
                     mark_u = "*"
                 else:
@@ -287,17 +257,17 @@ def cmd_eval(args) -> int:
     if args.calibrate:
         val = preprocess_corpus(_read_input(read_corpus, args.val_corpus))
         _, val_tail = validation_split(val)
-        for task, (scores, golds) in _score_tasks(model, val_tail).items():
-            if task in task_scores:
-                calibrators[task] = fit_platt(scores, golds, scores.shape[1])
+        if not val_tail:
+            raise MetricError(f"{args.val_corpus}: calibration needs at least two "
+                              "validation transcripts, got one")
+        calibrators = {task: fit_platt(scores, golds, scores.shape[1])
+                       for task, (scores, golds) in _score_tasks(model, val_tail).items()}
     blocks = []
     results = {}
     for task, (scores, golds) in task_scores.items():
         uncal = evaluate(scores, golds, scores.shape[1])
-        cal = None
-        if task in calibrators:
-            cal = evaluate(calibrators[task].probabilities(scores), golds,
-                           scores.shape[1])
+        cal = (evaluate(calibrators[task].probabilities(scores), golds, scores.shape[1])
+               if task in calibrators else None)
         blocks.append(_format_eval_table(task, uncal, cal))
         results[task] = (uncal, cal)
         if uncal.auroc_skipped:
@@ -375,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--asr", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--speaker-norm", choices=("l2", "l1"), default="l2")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("train", parents=[common], help="fit a classifier")
@@ -459,8 +428,10 @@ def main(argv=None) -> int:
         detail = " ".join(str(e.detail).split())
         print(f"soapkit: error kind={e.kind} detail={detail}", file=sys.stderr)
         return e.code
-    except FileNotFoundError as e:
-        print(f"soapkit: error kind=missing-file detail={e.filename or e}", file=sys.stderr)
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as e:
+        # a named path is missing, or is a file where a directory belongs or the reverse
+        kind = "missing-file" if isinstance(e, FileNotFoundError) else "bad-path"
+        print(f"soapkit: error kind={kind} detail={e.filename or e}", file=sys.stderr)
         return EXIT_MISSING
     except _DATA_ERRORS as e:
         detail = " ".join(str(e).split())

@@ -74,9 +74,9 @@ class LabelDistribution:
     """Per-utterance soft targets: a SOAP distribution and a speaker vector.
 
     The soap vector is a proper distribution (sums to 1). The speaker
-    vector is non-negative but its sum depends on the normalization mode
-    used to produce it (L2 by default), so only non-negativity is checked.
-    Every entry must be finite.
+    vector is non-negative; projection stores it at unit L2 norm and
+    `one_hot_targets` rescales it to sum 1, so only non-negativity is
+    checked. Every entry must be finite.
     """
 
     soap: tuple
@@ -193,11 +193,13 @@ def _utterance_to_record(utt: Utterance, kind: TranscriptKind) -> dict:
     return rec
 
 
-def _utterance_from_record(rec: dict, kind: TranscriptKind, where: str) -> Utterance:
+def _utterance_from_record(rec: dict, kind: TranscriptKind, where: str, uid: int) -> Utterance:
+    """Utterance `uid` of a transcript: the record's integer id is checked,
+    then replaced by the dense position, so ids are reindexed in file order."""
     if not isinstance(rec, dict):
         raise CorpusError(f"{where}: utterance record must be an object")
     try:
-        uid = int(rec["id"])
+        int(rec["id"])
         text = rec["text"]
     except KeyError as e:
         raise CorpusError(f"{where}: utterance record missing field {e.args[0]!r}") from None
@@ -246,13 +248,8 @@ def transcript_from_record(rec: dict, where: str = "record") -> Transcript:
         raise CorpusError(f"{where}: field 'kind': unknown transcript kind {kind_str!r}") from None
     if not isinstance(rec["utterances"], list):
         raise CorpusError(f"{where}: field 'utterances' must be a list")
-    utts = [_utterance_from_record(u, kind, where) for u in rec["utterances"]]
-    # ids are reindexed densely in file order
-    utts = [
-        Utterance(id=i, text=u.text, speaker=u.speaker, section=u.section, dist=u.dist)
-        for i, u in enumerate(utts)
-    ]
-    return Transcript(encounter_id=str(rec["encounter_id"]), kind=kind, utterances=tuple(utts))
+    utts = [_utterance_from_record(u, kind, where, i) for i, u in enumerate(rec["utterances"])]
+    return Transcript(encounter_id=str(rec["encounter_id"]), kind=kind, utterances=utts)
 
 
 def write_corpus(transcripts, path) -> None:
@@ -367,7 +364,7 @@ def one_hot_targets(transcript: Transcript) -> tuple:
 
     Reference transcripts produce one-hot rows from their hard labels; ASR
     transcripts return their stored distributions with the speaker vector
-    renormalized to sum 1 (projection stores it L2-normalized).
+    rescaled to sum 1 (projection stores it at unit L2 norm).
     """
     n = len(transcript.utterances)
     spk = np.zeros((n, N_SPEAKER))

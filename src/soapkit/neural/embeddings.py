@@ -2,7 +2,9 @@
 
 The provider derives deterministic pseudo-random vectors from a hash of
 (seed, layer, token), so any token has a stable embedding with no
-training, no vocabulary file and no download. Embeddings are inputs,
+training, no vocabulary file and no download. A model builds its provider
+from its own config; a checkpoint records the provider's `spec()` only so
+that loading can check it against that config. Embeddings are inputs,
 never parameters: no gradient flows into them. The provider does not
 cache; the model keeps one table of the vectors its corpus uses.
 """
@@ -12,10 +14,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-
-class EmbeddingError(ValueError):
-    pass
 
 
 class HashEmbeddings:
@@ -41,13 +39,3 @@ class HashEmbeddings:
 
     def spec(self) -> dict:
         return {"type": "hash", "dim": self.dim, "n_layers": self.n_layers, "seed": self.seed}
-
-
-def load_embeddings(spec) -> HashEmbeddings:
-    """The provider a checkpoint's `embeddings` spec describes."""
-    if not isinstance(spec, dict) or spec.get("type") != "hash":
-        raise EmbeddingError(f"unknown embedding spec {spec!r}")
-    for key, low in (("dim", 1), ("n_layers", 1), ("seed", 0)):
-        if type(spec.get(key)) is not int or spec[key] < low:
-            raise EmbeddingError(f"embedding spec needs an integer {key!r} of at least {low}")
-    return HashEmbeddings(dim=spec["dim"], n_layers=spec["n_layers"], seed=spec["seed"])

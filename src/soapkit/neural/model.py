@@ -25,7 +25,7 @@ import numpy as np
 
 from ..baselines import checked_array
 from ..corpus import N_SOAP, N_SPEAKER, Rng
-from .embeddings import HashEmbeddings, load_embeddings
+from .embeddings import HashEmbeddings
 from .network import (
     attention_backward,
     attention_forward,
@@ -71,12 +71,10 @@ class ModelConfig:
 
 
 class SequenceClassifier:
-    def __init__(self, config: ModelConfig, embeddings=None):
+    def __init__(self, config: ModelConfig):
         self.config = config
-        self.embeddings = embeddings if embeddings is not None else HashEmbeddings(
-            dim=config.embed_dim, n_layers=EMBED_LAYERS, seed=config.seed)
-        if self.embeddings.dim != config.embed_dim:
-            raise ModelError("embedding provider dim does not match config")
+        self.embeddings = HashEmbeddings(dim=config.embed_dim, n_layers=EMBED_LAYERS,
+                                         seed=config.seed)
         gen = Rng(config.seed).generator
         d = config.embed_dim
         p = {}
@@ -301,7 +299,7 @@ class SequenceClassifier:
     @classmethod
     def from_record(cls, rec) -> "SequenceClassifier":
         """A model from its checkpoint record; a record that `save` could
-        not have written raises ModelError (or EmbeddingError)."""
+        not have written raises ModelError."""
         if not isinstance(rec, dict):
             raise ModelError("checkpoint is not a JSON object")
         config, params = rec.get("config"), rec.get("params")
@@ -310,7 +308,11 @@ class SequenceClassifier:
         unknown = sorted(set(config) - set(ModelConfig.__dataclass_fields__))
         if unknown:
             raise ModelError(f"unknown config keys {unknown}")
-        model = cls(ModelConfig(**config), embeddings=load_embeddings(rec.get("embeddings")))
+        model = cls(ModelConfig(**config))
+        # compared as JSON text, so that 16.0 or true does not pass for 16 or 1
+        for key, want in (("variant", model.config.variant), ("embeddings", model.embeddings.spec())):
+            if json.dumps(rec.get(key), sort_keys=True) != json.dumps(want, sort_keys=True):
+                raise ModelError(f"checkpoint {key} {rec.get(key)!r} does not match its config's {want!r}")
         missing = sorted(set(model.params) - set(params))
         if missing:
             raise ModelError(f"checkpoint lacks parameters {missing}")

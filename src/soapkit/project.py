@@ -194,22 +194,17 @@ def normalize_soap(content) -> np.ndarray:
     return np.concatenate([np.maximum(0.0, 1.0 - s)[..., None], np.clip(arr, 0.0, None)], axis=-1)
 
 
-def normalize_speaker(raw, mode: str = "l2") -> np.ndarray:
+def normalize_speaker(raw) -> np.ndarray:
     """Normalize raw speaker mass (one vector, or one per row) to unit L2
-    norm (default) or unit sum. An all-zero vector becomes uniform."""
+    norm. An all-zero vector becomes uniform."""
     arr = np.asarray(raw, dtype=float)
     if arr.shape[-1:] != (N_SPEAKER,):
         raise ProjectionError(f"expected {N_SPEAKER} speaker masses, got shape {arr.shape}")
     if (arr < -1e-12).any():
         raise ProjectionError("speaker masses must be non-negative")
     rows = np.clip(arr, 0.0, None).reshape(-1, N_SPEAKER)
-    if mode == "l2":
-        # row by row: a batched norm sums the squares in another order
-        norm = np.array([np.linalg.norm(r) for r in rows])
-    elif mode == "l1":
-        norm = rows.sum(axis=1)
-    else:
-        raise ProjectionError(f"unknown speaker normalization mode {mode!r}")
+    # row by row: a batched norm sums the squares in another order
+    norm = np.array([np.linalg.norm(r) for r in rows])
     out = rows / np.where(norm == 0.0, 1.0, norm)[:, None]
     out[norm == 0.0] = 1.0 / N_SPEAKER
     return out.reshape(arr.shape)
@@ -227,7 +222,7 @@ def _run_means(rows, counts) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def utterance_distributions(soap_rows, speaker_rows, counts, speaker_mode: str = "l2") -> list:
+def utterance_distributions(soap_rows, speaker_rows, counts) -> list:
     """Soft targets of a transcript's utterances, given its word masses in
     utterance order and each utterance's word count: each utterance's rows
     are averaged, then normalized as one array per transcript."""
@@ -235,11 +230,11 @@ def utterance_distributions(soap_rows, speaker_rows, counts, speaker_mode: str =
     if (counts == 0).any():
         raise ProjectionError("utterance has no words")
     soap = normalize_soap(_run_means(soap_rows, counts)[:, 1:])
-    speaker = normalize_speaker(_run_means(speaker_rows, counts), mode=speaker_mode)
+    speaker = normalize_speaker(_run_means(speaker_rows, counts))
     return [LabelDistribution(soap=tuple(s), speaker=tuple(p)) for s, p in zip(soap, speaker)]
 
 
-def project_transcript(ref: Transcript, asr: AsrRaw, speaker_mode: str = "l2") -> Transcript:
+def project_transcript(ref: Transcript, asr: AsrRaw) -> Transcript:
     """Full projection for one encounter: align, rebuild ASR utterances,
     and attach per-utterance label distributions."""
     ref_text, ref_labels = char_label_table(ref)
@@ -247,22 +242,21 @@ def project_transcript(ref: Transcript, asr: AsrRaw, speaker_mode: str = "l2") -
     utt_spans = reconstruct_utterances(asr.text, asr.turns)
     words = [word_spans(asr.text, lo, hi) for lo, hi in utt_spans]
     soap, speaker = word_label_probs(char_map, ref_labels, [w for ws in words for w in ws])
-    dists = utterance_distributions(soap, speaker, [len(ws) for ws in words],
-                                    speaker_mode=speaker_mode)
+    dists = utterance_distributions(soap, speaker, [len(ws) for ws in words])
     new_utts = tuple(Utterance(id=u, text=asr.text[lo:hi], dist=dist)
                      for u, ((lo, hi), dist) in enumerate(zip(utt_spans, dists)))
     return Transcript(encounter_id=ref.encounter_id, kind=TranscriptKind.ASR, utterances=new_utts)
 
 
-def project_corpus(refs, asr_records, speaker_mode: str = "l2", threads: int = 1) -> list:
+def project_corpus(refs, asr_records, threads: int = 1) -> list:
     """Project every encounter; ASR records are matched to references by
     encounter_id. Result order follows the reference corpus order."""
     jobs, missing = pair_by_encounter(refs, asr_records)
     if missing:
         raise ProjectionError(f"no asr record for encounters: {', '.join(missing[:5])}")
     if threads <= 1:
-        return [project_transcript(t, rec, speaker_mode=speaker_mode) for t, rec in jobs]
+        return [project_transcript(t, rec) for t, rec in jobs]
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(project_transcript, t, rec, speaker_mode=speaker_mode) for t, rec in jobs]
+        futures = [pool.submit(project_transcript, t, rec) for t, rec in jobs]
         return [f.result() for f in futures]

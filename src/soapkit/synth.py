@@ -90,9 +90,7 @@ class CorruptionConfig:
     turn_split_rate: float = 0.0
 
     def __post_init__(self):
-        for name in ("char_sub_rate", "char_del_rate", "char_ins_rate",
-                     "turn_merge_rate", "turn_split_rate"):
-            v = getattr(self, name)
+        for name, v in vars(self).items():
             if not 0.0 <= v <= 1.0:
                 raise SynthError(f"{name} must be in [0, 1], got {v!r}")
 

@@ -139,11 +139,11 @@ def word_label_probs_loop(ref_idx, matched, section, speaker, spans) -> tuple:
     return np.array(soap_rows).reshape(-1, 5), np.array(speaker_rows).reshape(-1, 4)
 
 
-def utterance_distributions_loop(soap_rows, speaker_rows, counts, mode="l2") -> list:
+def utterance_distributions_loop(soap_rows, speaker_rows, counts) -> list:
     """One utterance at a time: the mean of its word rows, the content
     masses' residual put on none, and the speaker mean scaled to unit L2
-    norm or unit sum (uniform when all zero). Returns (soap, speaker)
-    tuples of floats."""
+    norm (uniform when all zero). Returns (soap, speaker) tuples of
+    floats."""
     out = []
     start = 0
     for c in counts:
@@ -152,7 +152,7 @@ def utterance_distributions_loop(soap_rows, speaker_rows, counts, mode="l2") -> 
         start += c
         content = np.clip(soap[1:], 0.0, None)
         soap_dist = (max(0.0, 1.0 - float(soap[1:].sum())),) + tuple(float(x) for x in content)
-        norm = float(np.linalg.norm(speaker)) if mode == "l2" else float(speaker.sum())
+        norm = float(np.linalg.norm(speaker))
         spk_dist = (0.25,) * 4 if norm == 0.0 else tuple(float(x) for x in speaker / norm)
         out.append((soap_dist, spk_dist))
     return out

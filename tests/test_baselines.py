@@ -70,7 +70,7 @@ class TestNaiveBayes:
         targets = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         model = train_mnb(docs, targets, task="soap")
         # class-conditional expected counts: M0 = [2.5, 1.5], M1 = [0.5, 2.5];
-        # with smoothing 1 and |V| = 2: p(apple|0) = 3.5/6, p(apple|1) = 1.5/5
+        # with add-one counts and |V| = 2: p(apple|0) = 3.5/6, p(apple|1) = 1.5/5
         p0, p1 = 3.5 / 6.0, 1.5 / 5.0
         want = p0 / (p0 + p1)  # uniform prior cancels
         got = model.predict_scores(["apple"])
@@ -82,10 +82,6 @@ class TestNaiveBayes:
         targets = np.eye(2)
         model = train_mnb(docs, targets, task="soap")
         assert model.predict_scores(["cherry"]).tolist() == [0.5, 0.5]
-
-    def test_smoothing_must_be_positive(self):
-        with pytest.raises(BaselineError):
-            train_mnb([["a"]], np.array([[1.0, 0.0]]), task="soap", smoothing=0.0)
 
 
 class TestLogisticRegression:

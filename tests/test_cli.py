@@ -62,6 +62,15 @@ class TestErrorPaths:
         assert res.returncode == 2
         assert "kind=missing-file" in res.stderr
 
+    def test_output_path_of_the_wrong_kind_is_exit_2(self, workspace, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        res = run_cli("synth", "--out-dir", str(taken), "--n", "1")
+        assert res.returncode == 2 and "kind=bad-path" in res.stderr, res.stderr
+        res = run_cli("train", "--corpus", str(workspace / "data" / "reference.jsonl"),
+                      "--variant", "mc", "--out", str(tmp_path))
+        assert res.returncode == 2 and "kind=bad-path" in res.stderr, res.stderr
+
     def test_malformed_input_is_exit_3(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{oops\n")
@@ -227,16 +236,25 @@ class TestPipeline:
         for task in ("soap", "speaker"):
             assert out[task]["uncalibrated"]["accuracy"] == 1.0
 
-    def test_project_applies_speaker_norm_choice(self, workspace):
+    def test_project_has_no_speaker_norm_choice(self, workspace, tmp_path):
         data = workspace / "data"
-        out_l1 = workspace / "proj_l1.jsonl"
-        res = run_cli("project", "--ref", str(data / "reference.jsonl"),
-                      "--asr", str(data / "asr.jsonl"), "--out", str(out_l1),
-                      "--speaker-norm", "l1")
-        assert res.returncode == 0, res.stderr
-        rec = json.loads(out_l1.read_text().splitlines()[0])
-        spk = rec["utterances"][0]["speaker_dist"]
-        assert sum(spk) == pytest.approx(1.0, abs=1e-9)
+        argv = ("project", "--ref", str(data / "reference.jsonl"),
+                "--asr", str(data / "asr.jsonl"), "--out", str(tmp_path / "p.jsonl"))
+        res = run_cli(*argv, "--speaker-norm", "l1")
+        assert res.returncode == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speaker_norm": "l1"}))
+        res = run_cli(*argv, "--config", str(cfg))
+        assert res.returncode == 4 and "kind=invalid-config-key" in res.stderr
+
+    def test_calibration_on_one_validation_transcript_names_the_cause(self, workspace, tmp_path):
+        data = workspace / "data"
+        one = tmp_path / "one.jsonl"
+        one.write_text((data / "reference.jsonl").read_text().splitlines()[0] + "\n")
+        res = run_cli("eval", "--model", "oracle", "--test", str(data / "reference.jsonl"),
+                      "--calibrate", "--val-corpus", str(one))
+        assert res.returncode == 4
+        assert "at least two validation transcripts" in res.stderr
 
     def test_train_eval_baseline(self, workspace):
         data = workspace / "data"

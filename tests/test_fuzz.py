@@ -125,7 +125,7 @@ def _flag_configs(root):
         "align": (["--ref", ref, "--asr", asr], {
             **common, "ref": ref, "asr": asr, "out": "align.jsonl"}),
         "project": (["--ref", ref, "--asr", asr, "--out", "p.jsonl"], {
-            **common, "ref": ref, "asr": asr, "out": "p2.jsonl", "speaker_norm": "l1"}),
+            **common, "ref": ref, "asr": asr, "out": "p2.jsonl"}),
         "train": (["--corpus", ref, "--variant", "mnb", "--out", "m.json"], {
             **common, "corpus": ref, "variant": "lr", "task": "speaker",
             "with_asr": str(root / "projected.jsonl"), "out": "m2.json"}),
@@ -197,6 +197,9 @@ DROP = object()
     ("bild", ("embeddings", "type"), "glove"),
     ("bild", ("embeddings",), {"type": "file", "path": "vectors.json"}),
     ("bild", ("embeddings", "dim"), DROP),
+    ("bild", ("embeddings", "n_layers"), 2),
+    ("bild", ("embeddings", "seed"), 9),
+    ("bild", ("variant",), "wa"),
     ("bild", ("config",), DROP),
     ("bild", ("config", "extra"), 1),
     ("bild", ("config", "embed_dim"), "2"),

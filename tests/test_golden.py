@@ -1,12 +1,18 @@
-"""Byte-identity guard for synth -> align -> project.
+"""Byte-identity guard for synth -> align -> project -> train -> eval.
 
-Runs the three subcommands in-process at a fixed seed with the README
-noise settings and compares each output file's sha256 with a digest
-recorded before the alignment became an op string and word masses became
-one per-transcript pass. A digest that moves means a seeded output moved.
+Runs the subcommands in-process at a fixed seed with the README noise
+settings and compares each output's sha256 with a recorded digest. The
+synth, align and project digests were recorded before the alignment
+became an op string and word masses became one per-transcript pass; the
+train and eval digests were recorded before the projection's speaker
+normalization choice, the injectable embedding provider and eval's
+separate oracle and baseline scoring paths were removed. A digest that
+moves means a seeded output moved.
 """
 
 import hashlib
+
+import pytest
 
 import soapkit.cli
 
@@ -19,21 +25,85 @@ GOLDEN = {
     "data/asr_sidecar.jsonl": "7b4c4bc8583c42e256a424842997bea697eaf77fadc64abe8460f34cdf0a4ab0",
     "alignments.jsonl": "5f3580b9c081985ccea485f7ed05ee90d7ee79259334a64388b4764d882d80db",
     "projected.jsonl": "e772a8a7c44759fbdcdcc7ddac3bc9bb1f0e2fa6143c6222681a8fa36fda274a",
-    "projected_l1.jsonl": "c6910be3687dbe08eb09777f50bd7e491d5f27e8927ced5e2ccedf1e5a2e0c63",
+}
+
+# checkpoint -> extra train flags: baselines fit the soap task on the
+# reference plus projected corpus, neural variants fit both tasks
+TRAIN = {
+    "mc": ["--task", "soap", "--with-asr", "projected.jsonl"],
+    "mnb": ["--task", "soap", "--with-asr", "projected.jsonl"],
+    "lr": ["--task", "soap", "--with-asr", "projected.jsonl"],
+    "wa": ["--seed", "3"],
+    "bild": ["--seed", "3"],
+}
+
+GOLDEN_TRAIN = {
+    "mc": "9dd87ab9854f66b513633724bd1a9cc900a0eac18bdf70e38d29b9234eb0b53e",
+    "mnb": "2cf5d5467ba0598818a029b034d2192e9555f2a8d4096954d8a8fb5709609bdf",
+    "lr": "f5d72caa25deee36b32f37751766e420623d27e1399f87259cac2eac5868b753",
+    "wa": "fcf0e798657fe075cf9ef2ce7f2dc70723c4726da44ea0a7fb3853dc0415bbc6",
+    "bild": "ea4fcd230c28a335672fe70322a233892fca1df85ed672a9d25561f1e8d471d2",
+}
+
+# sha256 of eval's standard output on the projected corpus: `--json` for
+# the oracle and each checkpoint, and the calibrated table (calibrator fit
+# on the reference corpus's tail) for each checkpoint
+GOLDEN_EVAL = {
+    "oracle --json": "0f3b9bdfbc4d97164d3d8fc8ec48610142143dd15ced63c6ddc0c4e2c0cf55b6",
+    "mc --json": "cbbbe0d3c7431e18cb8f2945d90f953bbc00087a494e561f7c1e77fd15ea986a",
+    "mc --calibrate": "1145feb30ffaecde156eb10673699bd421e621b2681d288648be8da1935c6cb7",
+    "mnb --json": "4e3d1940414bb7967d3ce1f545705d13bb28543b6ae9ee290f475b28745c9dbe",
+    "mnb --calibrate": "1a4c29a0fc3b6f1991fd0d04aa8bfb8f5a92dec5cf760ea12d4181a2e9ccf95e",
+    "lr --json": "d1b1432bb7a8edf8e7b5f564db54bb6a4fb80b8e83986f9f6ffd0928b3595a37",
+    "lr --calibrate": "8744b734f7de0d1d2440f9b29abc499b0347e5b4f9e3fe3763e28c5af7483046",
+    "wa --json": "e93302de0fe81db883ce83e076aecb89a7387485790b7fb1d39784132d9fa5f9",
+    "wa --calibrate": "da0c84e4a44a4ea8f6c5fd7ac1f9d6ce285214933e55daf0df2e542e24512220",
+    "bild --json": "10eda888a9b542469f78538484995f4be802bb0662b39a544355a9ba40886e29",
+    "bild --calibrate": "5e40d5555f8e8240fedeaf11cc6b53fcda0ea24c09ca61fc346f26f60ebaf86e",
 }
 
 
-def test_synth_align_project_outputs_match_recorded_digests(tmp_path):
-    data = tmp_path / "data"
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    data = root / "data"
     ref, asr = str(data / "reference.jsonl"), str(data / "asr.jsonl")
     runs = [
         ["synth", "--out-dir", str(data), "--n", "8", "--seed", "41", *NOISE],
-        ["align", "--ref", ref, "--asr", asr, "--out", str(tmp_path / "alignments.jsonl")],
-        ["project", "--ref", ref, "--asr", asr, "--out", str(tmp_path / "projected.jsonl")],
-        ["project", "--ref", ref, "--asr", asr, "--speaker-norm", "l1",
-         "--out", str(tmp_path / "projected_l1.jsonl")],
+        ["align", "--ref", ref, "--asr", asr, "--out", str(root / "alignments.jsonl")],
+        ["project", "--ref", ref, "--asr", asr, "--out", str(root / "projected.jsonl")],
     ]
     for argv in runs:
         assert soapkit.cli.main(argv) == 0, argv
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
+    return root
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_synth_align_project_outputs_match_recorded_digests(workdir):
+    got = {name: _sha((workdir / name).read_bytes()) for name in GOLDEN}
     assert got == GOLDEN
+
+
+def test_train_and_eval_outputs_match_recorded_digests(workdir, capsys):
+    ref, proj = str(workdir / "data" / "reference.jsonl"), str(workdir / "projected.jsonl")
+    got_train, got_eval = {}, {}
+    for variant, flags in TRAIN.items():
+        ckpt = str(workdir / f"{variant}.json")
+        flags = [str(workdir / f) if f.endswith(".jsonl") else f for f in flags]
+        argv = ["train", "--corpus", ref, "--variant", variant, *flags, "--out", ckpt]
+        assert soapkit.cli.main(argv) == 0, argv
+        got_train[variant] = _sha((workdir / f"{variant}.json").read_bytes())
+    capsys.readouterr()
+    for model in ["oracle", *TRAIN]:
+        path = model if model == "oracle" else str(workdir / f"{model}.json")
+        runs = {f"{model} --json": ["--json"]}
+        if model != "oracle":
+            runs[f"{model} --calibrate"] = ["--calibrate", "--val-corpus", ref]
+        for name, flags in runs.items():
+            assert soapkit.cli.main(["eval", "--model", path, "--test", proj, *flags]) == 0
+            got_eval[name] = _sha(capsys.readouterr().out.encode("utf-8"))
+    assert got_train == GOLDEN_TRAIN
+    assert got_eval == GOLDEN_EVAL
