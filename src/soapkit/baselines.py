@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import checked_array, inverse_frequency_weights
+from .neural.network import softmax
+
 
 class BaselineError(ValueError):
     pass
@@ -37,33 +40,6 @@ def count_matrix(token_lists, vocab) -> np.ndarray:
     return X
 
 
-def checked_array(value, what: str, shape: tuple, error) -> np.ndarray:
-    """A checkpoint value as a finite float array of the given shape, else
-    `error` naming `what`."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise error(f"{what} is not an array of numbers") from None
-    if arr.shape != shape:
-        raise error(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise error(f"{what} has non-finite entries")
-    return arr
-
-
-def inverse_frequency_weights(targets: np.ndarray) -> np.ndarray:
-    """Per-class weights proportional to inverse expected class frequency,
-    normalized so present classes have mean weight 1; absent classes get 1."""
-    counts = np.asarray(targets, dtype=float).sum(axis=0)
-    present = counts > 0
-    w = np.ones_like(counts)
-    if present.any():
-        inv = np.zeros_like(counts)
-        inv[present] = 1.0 / counts[present]
-        w[present] = inv[present] / inv[present].mean()
-    return w
-
-
 @dataclass
 class BaselineModel:
     """A fitted baseline; `kind` selects the scoring rule."""
@@ -80,23 +56,24 @@ class BaselineModel:
 
     def predict_scores(self, tokens) -> np.ndarray:
         """Probability-like scores (C,) for one utterance."""
-        if self.kind == "mc":
-            out = np.zeros(self.n_classes)
-            out[self.majority] = 1.0
-            return out
-        counts = count_matrix([tokens], self.vocab)[0]
-        if self.kind == "mnb":
-            z = self.log_prior + self.log_likelihood @ counts
-        elif self.kind == "lr":
-            z = self.weights @ counts + self.bias
-        else:
-            raise BaselineError(f"unknown baseline kind {self.kind!r}")
-        z = z - z.max()
-        e = np.exp(z)
-        return e / e.sum()
+        return self.predict_matrix([tokens])[0]
 
     def predict_matrix(self, token_lists) -> np.ndarray:
-        return np.stack([self.predict_scores(t) for t in token_lists])
+        """Probability-like scores (n, C), one row per utterance. Each row's
+        logits are their own matrix-vector product: one matrix product
+        would round some scores differently in the last bits."""
+        if self.kind == "mc":
+            out = np.zeros((len(token_lists), self.n_classes))
+            out[:, self.majority] = 1.0
+            return out
+        X = count_matrix(token_lists, self.vocab)
+        if self.kind == "mnb":
+            Z = [self.log_prior + self.log_likelihood @ x for x in X]
+        elif self.kind == "lr":
+            Z = [self.weights @ x + self.bias for x in X]
+        else:
+            raise BaselineError(f"unknown baseline kind {self.kind!r}")
+        return softmax(np.array(Z).reshape(-1, self.n_classes), axis=1)
 
     def save(self, path) -> None:
         rec = {"family": "baseline", "kind": self.kind, "task": self.task,

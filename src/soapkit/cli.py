@@ -31,6 +31,7 @@ from .corpus import (
     render_reference,
     write_asr_raw,
     write_corpus,
+    write_jsonl,
 )
 from .irr import IrrError, format_report, irr_report, read_notes
 from .metrics import MetricError, MetricReport, evaluate, fit_platt, validation_split
@@ -144,16 +145,13 @@ def cmd_align(args) -> int:
     pairs, missing = pair_by_encounter(refs, asr_records)
     if missing:
         raise CorpusError(f"no ASR record for encounter {missing[0]!r}")
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for ref, asr in pairs:
-            ref_text, _ = render_reference(ref.utterances)
-            rec = alignment_record(ref.encounter_id, ref_text, asr.text)
-            out.write(json.dumps(rec))
-            out.write("\n")
-    finally:
-        if args.out:
-            out.close()
+    records = (alignment_record(ref.encounter_id, render_reference(ref.utterances)[0], asr.text)
+               for ref, asr in pairs)
+    if args.out:
+        write_jsonl(records, args.out)
+    else:
+        for rec in records:
+            print(json.dumps(rec))
     return 0
 
 
@@ -304,19 +302,20 @@ def cmd_irr(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--config", default=None,
                         help="JSON file whose keys override flags")
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads for project's per-transcript fan-out "
                              "(other subcommands ignore it)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = argparse.ArgumentParser(
         prog="soapkit",
         description="Align, label, and classify clinical conversation transcripts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[seeded],
                        help="generate a synthetic labeled corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n", type=int, default=100, help="number of transcripts")
@@ -347,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("train", parents=[common], help="fit a classifier")
+    p = sub.add_parser("train", parents=[seeded], help="fit a classifier")
     p.add_argument("--corpus", required=True, help="training corpus (jsonl)")
     p.add_argument("--variant", required=True,
                    choices=BASELINE_VARIANTS + NEURAL_VARIANTS)
@@ -420,7 +419,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         _apply_config(args)
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise CliError(EXIT_INVALID, "invalid-seed",
                            f"--seed must be non-negative, got {args.seed}")
         return args.func(args)

@@ -16,9 +16,6 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-SOAP_STRINGS = ("none", "subjective", "objective", "assessment", "plan")
-SPEAKER_STRINGS = ("doctor", "patient", "caregiver", "other")
-
 N_SOAP = 5
 N_SPEAKER = 4
 
@@ -29,39 +26,38 @@ class CorpusError(ValueError):
     """Raised on malformed corpus files or invalid record fields."""
 
 
-class SoapSection(IntEnum):
+class Label(IntEnum):
+    """A hard label whose file form is its lowercased member name; `noun`
+    names the label kind in errors."""
+
+    def __init_subclass__(cls, noun: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.noun = noun
+
+    def to_string(self) -> str:
+        return self.name.lower()
+
+    @classmethod
+    def from_string(cls, s: str) -> "Label":
+        member = cls.__members__.get(s.upper()) if isinstance(s, str) else None
+        if member is None or member.to_string() != s:
+            raise CorpusError(f"unknown {cls.noun} label {s!r}")
+        return member
+
+
+class SoapSection(Label, noun="section"):
     NONE = 0
     SUBJECTIVE = 1
     OBJECTIVE = 2
     ASSESSMENT = 3
     PLAN = 4
 
-    def to_string(self) -> str:
-        return SOAP_STRINGS[self.value]
 
-    @classmethod
-    def from_string(cls, s: str) -> "SoapSection":
-        try:
-            return cls(SOAP_STRINGS.index(s))
-        except ValueError:
-            raise CorpusError(f"unknown section label {s!r}") from None
-
-
-class SpeakerLabel(IntEnum):
+class SpeakerLabel(Label, noun="speaker"):
     DOCTOR = 0
     PATIENT = 1
     CAREGIVER = 2
     OTHER = 3
-
-    def to_string(self) -> str:
-        return SPEAKER_STRINGS[self.value]
-
-    @classmethod
-    def from_string(cls, s: str) -> "SpeakerLabel":
-        try:
-            return cls(SPEAKER_STRINGS.index(s))
-        except ValueError:
-            raise CorpusError(f"unknown speaker label {s!r}") from None
 
 
 class TranscriptKind(Enum):
@@ -152,12 +148,11 @@ def render_reference(utterances) -> tuple:
     spans = []
     pos = 0
     for i, utt in enumerate(utterances):
-        text = utt.text if hasattr(utt, "text") else utt
         if i > 0:
             pos += 1
-        spans.append((pos, pos + len(text)))
-        pos += len(text)
-        parts.append(text)
+        spans.append((pos, pos + len(utt.text)))
+        pos += len(utt.text)
+        parts.append(utt.text)
     return " ".join(parts), spans
 
 
@@ -252,11 +247,16 @@ def transcript_from_record(rec: dict, where: str = "record") -> Transcript:
     return Transcript(encounter_id=str(rec["encounter_id"]), kind=kind, utterances=utts)
 
 
-def write_corpus(transcripts, path) -> None:
+def write_jsonl(records, path) -> None:
+    """Write each record as one line of JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        for t in transcripts:
-            fh.write(json.dumps(transcript_to_record(t)))
+        for rec in records:
+            fh.write(json.dumps(rec))
             fh.write("\n")
+
+
+def write_corpus(transcripts, path) -> None:
+    write_jsonl(map(transcript_to_record, transcripts), path)
 
 
 def read_jsonl(path, error=CorpusError):
@@ -279,6 +279,20 @@ def read_jsonl(path, error=CorpusError):
 
 def read_corpus(path) -> list:
     return [transcript_from_record(rec, where) for where, rec in read_jsonl(path)]
+
+
+def checked_array(value, what: str, shape: tuple, error) -> np.ndarray:
+    """A checkpoint value as a finite float array of the given shape, else
+    `error` naming `what`."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{what} is not an array of numbers") from None
+    if arr.shape != shape:
+        raise error(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise error(f"{what} has non-finite entries")
+    return arr
 
 
 # --- raw ASR output (pre-projection): text plus diarized turn spans ---
@@ -335,14 +349,8 @@ def pair_by_encounter(records, others) -> tuple:
 
 
 def write_asr_raw(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps({
-                "encounter_id": rec.encounter_id,
-                "text": rec.text,
-                "turns": [list(t) for t in rec.turns],
-            }))
-            fh.write("\n")
+    write_jsonl(({"encounter_id": rec.encounter_id, "text": rec.text,
+                  "turns": [list(t) for t in rec.turns]} for rec in records), path)
 
 
 def read_asr_raw(path) -> list:
@@ -366,19 +374,27 @@ def one_hot_targets(transcript: Transcript) -> tuple:
     transcripts return their stored distributions with the speaker vector
     rescaled to sum 1 (projection stores it at unit L2 norm).
     """
-    n = len(transcript.utterances)
-    spk = np.zeros((n, N_SPEAKER))
-    soap = np.zeros((n, N_SOAP))
-    for i, utt in enumerate(transcript.utterances):
-        if transcript.kind is TranscriptKind.REFERENCE:
-            spk[i, utt.speaker.value] = 1.0
-            soap[i, utt.section.value] = 1.0
-        else:
-            s = np.asarray(utt.dist.speaker, dtype=float)
-            tot = s.sum()
-            spk[i] = s / tot if tot > 0 else np.full(N_SPEAKER, 1.0 / N_SPEAKER)
-            soap[i] = np.asarray(utt.dist.soap, dtype=float)
-    return spk, soap
+    utts = transcript.utterances
+    if transcript.kind is TranscriptKind.REFERENCE:
+        return (np.eye(N_SPEAKER)[[u.speaker for u in utts]],
+                np.eye(N_SOAP)[[u.section for u in utts]])
+    spk = np.array([u.dist.speaker for u in utts]).reshape(-1, N_SPEAKER)
+    tot = spk.sum(axis=1, keepdims=True)
+    spk = np.divide(spk, tot, out=np.full_like(spk, 1.0 / N_SPEAKER), where=tot > 0)
+    return spk, np.array([u.dist.soap for u in utts]).reshape(-1, N_SOAP)
+
+
+def inverse_frequency_weights(targets: np.ndarray) -> np.ndarray:
+    """Per-class weights proportional to inverse expected class frequency,
+    normalized so present classes have mean weight 1; absent classes get 1."""
+    counts = np.asarray(targets, dtype=float).sum(axis=0)
+    present = counts > 0
+    w = np.ones_like(counts)
+    if present.any():
+        inv = np.zeros_like(counts)
+        inv[present] = 1.0 / counts[present]
+        w[present] = inv[present] / inv[present].mean()
+    return w
 
 
 def gold_labels(transcript: Transcript, task: str) -> np.ndarray:
@@ -386,11 +402,8 @@ def gold_labels(transcript: Transcript, task: str) -> np.ndarray:
     argmax of the stored target distribution for ASR transcripts."""
     if task not in ("speaker", "soap"):
         raise ValueError(f"unknown task {task!r}")
-    out = []
-    for utt in transcript.utterances:
-        if transcript.kind is TranscriptKind.REFERENCE:
-            out.append(utt.speaker.value if task == "speaker" else utt.section.value)
-        else:
-            vec = utt.dist.speaker if task == "speaker" else utt.dist.soap
-            out.append(int(np.argmax(vec)))
-    return np.asarray(out, dtype=int)
+    speaker, utts = task == "speaker", transcript.utterances
+    if transcript.kind is TranscriptKind.REFERENCE:
+        return np.array([u.speaker if speaker else u.section for u in utts], dtype=int)
+    vecs = np.array([u.dist.speaker if speaker else u.dist.soap for u in utts])
+    return vecs.reshape(-1, N_SPEAKER if speaker else N_SOAP).argmax(axis=1)

@@ -9,13 +9,12 @@ treating the reference annotator as gold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .corpus import N_SOAP, SoapSection, read_jsonl
+from .corpus import N_SOAP, SoapSection, read_jsonl, write_jsonl
 from .metrics import confusion_and_f1
 
 # Fixed subsection taxonomy; every observation must use one of these.
@@ -279,17 +278,10 @@ def irr_report(pairs, transcripts) -> IrrReport:
 
 
 def write_notes(notes, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for note in notes:
-            fh.write(json.dumps({
-                "encounter_id": note.encounter_id,
-                "observations": [
-                    {"subsection": o.subsection, "summary": o.summary,
-                     "tags": sorted(o.tags), "evidence": sorted(o.evidence)}
-                    for o in note.observations
-                ],
-            }))
-            fh.write("\n")
+    write_jsonl(({"encounter_id": note.encounter_id, "observations": [
+        {"subsection": o.subsection, "summary": o.summary,
+         "tags": sorted(o.tags), "evidence": sorted(o.evidence)}
+        for o in note.observations]} for note in notes), path)
 
 
 def _observation_from_record(o) -> Observation:

@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..baselines import checked_array
-from ..corpus import N_SOAP, N_SPEAKER, Rng
+from ..corpus import N_SOAP, N_SPEAKER, Rng, checked_array
 from .embeddings import HashEmbeddings
 from .network import (
     attention_backward,

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines import inverse_frequency_weights
-from ..corpus import Rng, gold_labels, one_hot_targets
+from ..corpus import Rng, gold_labels, inverse_frequency_weights, one_hot_targets
 from .network import clip_scale, global_norm
 
 

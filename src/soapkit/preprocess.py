@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 import warnings
+from dataclasses import replace
 
-from .corpus import Transcript, Utterance
+from .corpus import Transcript
 
 MAX_TOKENS = 32
 
@@ -103,14 +104,8 @@ def preprocess_transcript(transcript: Transcript, shared: dict | None = None) ->
             tokens = clean_and_tokenize(utt.text)
         except EmptyUtteranceError:
             continue
-        kept.append(Utterance(
-            id=len(kept),
-            text=utt.text,
-            speaker=utt.speaker,
-            section=utt.section,
-            dist=utt.dist,
-            tokens=tuple(shared.setdefault(tok, tok) for tok in tokens),
-        ))
+        kept.append(replace(utt, id=len(kept),
+                            tokens=tuple(shared.setdefault(tok, tok) for tok in tokens)))
     return Transcript(encounter_id=transcript.encounter_id, kind=transcript.kind, utterances=tuple(kept))
 
 

@@ -11,7 +11,6 @@ turn merges and splits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 from .corpus import (
@@ -23,6 +22,7 @@ from .corpus import (
     TranscriptKind,
     Utterance,
     render_reference,
+    write_jsonl,
 )
 from .project import SENTENCE_END
 
@@ -186,94 +186,84 @@ class CorruptionStats:
     n_splits: int = 0
 
 
-def _speaker_turn_streams(transcript: Transcript) -> list:
-    """Group consecutive same-speaker utterances; each turn is a list of
-    (char, origin_index) pairs over the rendered reference text."""
-    text, spans = render_reference(transcript.utterances)
-    turns = []
-    current = None
-    cur_speaker = None
-    for utt, (lo, hi) in zip(transcript.utterances, spans):
-        if current is not None and utt.speaker == cur_speaker:
-            current.append((" ", lo - 1))  # separator space inside the turn
-            current.extend((text[k], k) for k in range(lo, hi))
-        else:
-            if current is not None:
-                turns.append(current)
-            current = [(text[k], k) for k in range(lo, hi)]
-            cur_speaker = utt.speaker
-    if current is not None:
-        turns.append(current)
-    return turns
-
-
 def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> tuple:
     """Apply the ASR channel to one reference transcript.
 
     Returns (AsrRaw, CorruptionStats). With all rates zero the output text
     equals the rendered reference and turns equal the speaker grouping.
 
-    Turn merges drop the boundary and the sentence punctuation at the seam
-    (a missed speaker change also loses the segmentation cue); splits move
-    a boundary to a random internal whitespace. Character noise applies
-    per char: delete, else maybe substitute, then maybe insert after.
+    A turn is a list of offsets into the rendered reference text; a run of
+    same-speaker utterances starts as every offset of its span, separators
+    included. Turn merges drop the boundary and the sentence punctuation
+    at the seam (a missed speaker change also loses the segmentation cue)
+    and join the turns at the separator's offset; splits move a boundary
+    to a random offset that holds a space. Character noise applies per
+    char: delete, else maybe substitute, then maybe insert after.
     """
     gen = rng.generator
     stats = CorruptionStats(encounter_id=transcript.encounter_id)
-    streams = _speaker_turn_streams(transcript)
+    text, spans = render_reference(transcript.utterances)
+    # a seam whose position holds no space (only turns of empty-text
+    # utterances make one) gets a space past the end of `chars`, and
+    # `seam` maps that offset back to the position it stands for
+    chars, seam = list(text), {}
+    turns = []
+    for i, (utt, (lo, hi)) in enumerate(zip(transcript.utterances, spans)):
+        if i and utt.speaker == transcript.utterances[i - 1].speaker:
+            turns[-1] = range(turns[-1].start, hi)
+        else:
+            turns.append(range(lo, hi))
 
     # turn merges: walk original boundaries left to right
-    if streams:
-        merged = [streams[0]]
-        sep_origin = None
-        for nxt in streams[1:]:
-            left_end = merged[-1][-1][1] if merged[-1] else None
-            if gen.random() < corruption.turn_merge_rate:
-                left = merged[-1]
-                if left and left[-1][0] in SENTENCE_END:
-                    stats.dropped_punct_positions.append(left[-1][1])
-                    left.pop()
-                sep = left_end + 1 if left_end is not None else (nxt[0][1] - 1 if nxt else 0)
-                left.append((" ", sep))
-                left.extend(nxt)
-                stats.n_merges += 1
-            else:
-                merged.append(nxt)
-        streams = merged
+    merged = []
+    for turn in turns:
+        if merged and gen.random() < corruption.turn_merge_rate:
+            left = merged[-1]
+            at = seam.get(left[-1], left[-1]) + 1 if left else (turn[0] - 1 if turn else 0)
+            if left and chars[left[-1]] in SENTENCE_END:
+                stats.dropped_punct_positions.append(left.pop())
+            if not (at < len(text) and text[at] == " "):
+                seam[len(chars)] = at
+                at = len(chars)
+                chars.append(" ")
+            left.append(at)
+            left.extend(turn)
+            stats.n_merges += 1
+        else:
+            merged.append(list(turn))
 
     # turn splits: move one boundary into the middle of a turn
-    split_streams = []
-    for stream in streams:
-        space_at = [k for k, (c, _) in enumerate(stream) if c == " "]
+    split = []
+    for turn in merged:
+        space_at = [k for k, o in enumerate(turn) if chars[o] == " "]
         if space_at and gen.random() < corruption.turn_split_rate:
             cut = int(gen.choice(space_at))
-            split_streams.append(stream[:cut])
-            split_streams.append(stream[cut + 1:])
+            split += [turn[:cut], turn[cut + 1:]]
             stats.n_splits += 1
         else:
-            split_streams.append(stream)
-    streams = split_streams
+            split.append(turn)
 
     # character noise
     out_texts = []
-    for stream in streams:
-        chars = []
-        for c, origin in stream:
+    for turn in split:
+        out = []
+        for o in turn:
+            c = chars[o]
             if gen.random() < corruption.char_del_rate:
                 stats.n_del += 1
-                stats.del_positions.append(origin)
+                stats.del_positions.append(seam.get(o, o))
             else:
                 if gen.random() < corruption.char_sub_rate:
                     pool = CORRUPTION_ALPHABET.replace(c, "")
                     c = pool[int(gen.integers(len(pool)))]
                     stats.n_sub += 1
-                    stats.sub_positions.append(origin)
-                chars.append(c)
+                    stats.sub_positions.append(seam.get(o, o))
+                out.append(c)
             if gen.random() < corruption.char_ins_rate:
-                chars.append(CORRUPTION_ALPHABET[int(gen.integers(len(CORRUPTION_ALPHABET)))])
+                out.append(CORRUPTION_ALPHABET[int(gen.integers(len(CORRUPTION_ALPHABET)))])
                 stats.n_ins += 1
-                stats.ins_after_positions.append(origin)
-        out_texts.append("".join(chars))
+                stats.ins_after_positions.append(seam.get(o, o))
+        out_texts.append("".join(out))
 
     asr_text = " ".join(out_texts)
     spans = []
@@ -299,7 +289,4 @@ def corrupt_corpus(transcripts, corruption: CorruptionConfig, rng: Rng) -> tuple
 
 
 def write_sidecar(stats_list, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for st in stats_list:
-            fh.write(json.dumps(asdict(st)))
-            fh.write("\n")
+    write_jsonl(map(asdict, stats_list), path)

@@ -648,3 +648,91 @@ def platt_fit_reference(z, y, max_iters=200, grad_tol=1e-9):
             step *= 0.5
         a, b, loss, ga, gb = a2, b2, loss2, ga2, gb2
     return a, b
+
+
+# --- the ASR channel over (char, origin) turn streams ---
+#
+# Each turn is a list of (char, position in the rendered reference)
+# pairs: the implementation the walk over reference offsets in
+# soapkit.synth replaced. Merges, then splits, then per-char noise, in
+# the same draw order.
+
+
+def corrupt_turn_streams(utterances, cfg, gen, alphabet="abcdefghijklmnopqrstuvwxyz ",
+                         sentence_end=".?!"):
+    """(asr_text, turn spans, stats dict) of one reference transcript;
+    `cfg` carries the five rates, `gen` is a numpy Generator."""
+    text = " ".join(u.text for u in utterances)
+    streams, current, cur_speaker, pos = [], None, None, 0
+    for i, utt in enumerate(utterances):
+        lo = pos + (1 if i else 0)
+        hi = lo + len(utt.text)
+        pos = hi
+        if current is not None and utt.speaker == cur_speaker:
+            current.append((" ", lo - 1))
+            current.extend((text[k], k) for k in range(lo, hi))
+        else:
+            if current is not None:
+                streams.append(current)
+            current = [(text[k], k) for k in range(lo, hi)]
+            cur_speaker = utt.speaker
+    if current is not None:
+        streams.append(current)
+
+    stats = {"n_sub": 0, "n_del": 0, "n_ins": 0, "sub_positions": [],
+             "del_positions": [], "ins_after_positions": [],
+             "dropped_punct_positions": [], "n_merges": 0, "n_splits": 0}
+    if streams:
+        merged = [streams[0]]
+        for nxt in streams[1:]:
+            left_end = merged[-1][-1][1] if merged[-1] else None
+            if gen.random() < cfg.turn_merge_rate:
+                left = merged[-1]
+                if left and left[-1][0] in sentence_end:
+                    stats["dropped_punct_positions"].append(left[-1][1])
+                    left.pop()
+                sep = left_end + 1 if left_end is not None else (nxt[0][1] - 1 if nxt else 0)
+                left.append((" ", sep))
+                left.extend(nxt)
+                stats["n_merges"] += 1
+            else:
+                merged.append(nxt)
+        streams = merged
+
+    split_streams = []
+    for stream in streams:
+        space_at = [k for k, (c, _) in enumerate(stream) if c == " "]
+        if space_at and gen.random() < cfg.turn_split_rate:
+            cut = int(gen.choice(space_at))
+            split_streams.append(stream[:cut])
+            split_streams.append(stream[cut + 1:])
+            stats["n_splits"] += 1
+        else:
+            split_streams.append(stream)
+
+    out_texts = []
+    for stream in split_streams:
+        chars = []
+        for c, origin in stream:
+            if gen.random() < cfg.char_del_rate:
+                stats["n_del"] += 1
+                stats["del_positions"].append(origin)
+            else:
+                if gen.random() < cfg.char_sub_rate:
+                    pool = alphabet.replace(c, "")
+                    c = pool[int(gen.integers(len(pool)))]
+                    stats["n_sub"] += 1
+                    stats["sub_positions"].append(origin)
+                chars.append(c)
+            if gen.random() < cfg.char_ins_rate:
+                chars.append(alphabet[int(gen.integers(len(alphabet)))])
+                stats["n_ins"] += 1
+                stats["ins_after_positions"].append(origin)
+        out_texts.append("".join(chars))
+
+    spans, pos = [], 0
+    for i, t in enumerate(out_texts):
+        end = pos + len(t) + (1 if i < len(out_texts) - 1 else 0)
+        spans.append((pos, end))
+        pos = end
+    return " ".join(out_texts), tuple(spans), stats

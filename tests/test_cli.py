@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import soapkit
+from soapkit.cli import main
 
 # the directory soapkit was imported from, so the CLI runs without an install
 _IMPORT_ROOT = str(Path(soapkit.__file__).resolve().parents[1])
@@ -182,6 +184,38 @@ class TestErrorPaths:
         res = run_cli("synth", "--out-dir", str(tmp_path / "x"), "--n", "2", "--seed", "-1")
         assert res.returncode == 4, res.stderr
         assert "kind=invalid-seed" in res.stderr
+
+    # every subcommand's flags, as its --help lists them; only the
+    # subcommands that draw random numbers take --seed
+    FLAGS = {
+        "synth": {"--out-dir", "--n", "--min-utterances", "--max-utterances",
+                  "--context-strength", "--char-sub", "--char-del", "--char-ins",
+                  "--turn-merge", "--turn-split", "--emit-asr", "--seed"},
+        "align": {"--ref", "--asr", "--out"},
+        "project": {"--ref", "--asr", "--out"},
+        "train": {"--corpus", "--variant", "--task", "--with-asr", "--out", "--seed"},
+        "eval": {"--model", "--test", "--calibrate", "--val-corpus", "--json"},
+        "irr": {"--notes-a", "--notes-b", "--transcripts"},
+    }
+
+    def test_each_subcommand_has_its_flag_set(self, capsys):
+        for command, flags in self.FLAGS.items():
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+            assert listed == flags | {"--help", "--config", "--threads"}, command
+
+    def test_seed_is_not_a_flag_of_subcommands_that_draw_nothing(self, workspace, tmp_path):
+        data = workspace / "data"
+        res = run_cli("align", "--ref", str(data / "reference.jsonl"),
+                      "--asr", str(data / "asr.jsonl"), "--seed", "1")
+        assert res.returncode == 2 and "--seed" in res.stderr
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        res = run_cli("eval", "--model", "oracle", "--test", str(data / "reference.jsonl"),
+                      "--config", str(cfg))
+        assert res.returncode == 4 and "kind=invalid-config-key" in res.stderr
 
     def test_irr_bad_note_line_is_exit_3(self, workspace, tmp_path):
         data = workspace / "data"

@@ -16,8 +16,10 @@ from soapkit.corpus import (
     pair_by_encounter,
     read_asr_raw,
     read_corpus,
+    read_jsonl,
     render_reference,
     transcript_to_record,
+    write_jsonl,
     write_asr_raw,
     write_corpus,
 )
@@ -106,8 +108,20 @@ class TestTranscriptInvariants:
             assert SoapSection.from_string(sec.to_string()) is sec
         for spk in SpeakerLabel:
             assert SpeakerLabel.from_string(spk.to_string()) is spk
-        with pytest.raises(CorpusError):
-            SoapSection.from_string("prognosis")
+        # only a member's exact lowercased name is a label
+        for bad in ("prognosis", "Plan", "plan ", "PLAN", 1, None, "ſubjective", "noun"):
+            with pytest.raises(CorpusError, match=r"^unknown section label "):
+                SoapSection.from_string(bad)
+            with pytest.raises(CorpusError, match=r"^unknown speaker label "):
+                SpeakerLabel.from_string(bad)
+
+
+def test_write_jsonl_writes_one_object_per_line(tmp_path):
+    recs = [{"a": 1, "b": [1.5, "x"]}, {}, {"c": None}]
+    path = tmp_path / "r.jsonl"
+    write_jsonl(iter(recs), path)
+    assert path.read_text() == '{"a": 1, "b": [1.5, "x"]}\n{}\n{"c": null}\n'
+    assert [rec for _, rec in read_jsonl(path)] == recs
 
 
 class TestRenderReference:
@@ -221,6 +235,26 @@ class TestTargets:
         assert spk.sum(axis=1) == pytest.approx([1.0])
         assert np.array_equal(spk[0], [0.5, 0.5, 0, 0])
         assert np.array_equal(soap[0], [0.2] * 5)
+
+    def test_asr_zero_speaker_vector_becomes_uniform(self):
+        d = LabelDistribution(soap=(1, 0, 0, 0, 0), speaker=(0, 0, 0, 0))
+        t = Transcript("e1", TranscriptKind.ASR, (Utterance(id=0, text="x.", dist=d),))
+        assert one_hot_targets(t)[0].tolist() == [[0.25] * 4]
+
+    def test_asr_gold_is_argmax_of_the_stored_vector(self):
+        # dividing by the sum rounds the first two entries to one value,
+        # whose argmax would be class 0
+        d = LabelDistribution(soap=(0.2,) * 5, speaker=(0.4, 0.4000000000000001, 0.318, 0.0))
+        t = Transcript("e1", TranscriptKind.ASR, (Utterance(id=0, text="x.", dist=d),))
+        spk, _ = one_hot_targets(t)
+        assert spk[0, 0] == spk[0, 1]
+        assert gold_labels(t, "speaker").tolist() == [1]
+
+    @pytest.mark.parametrize("kind", list(TranscriptKind))
+    def test_empty_transcript_targets_keep_their_width(self, kind):
+        t = Transcript("e1", kind, ())
+        assert [a.shape for a in one_hot_targets(t)] == [(0, 4), (0, 5)]
+        assert gold_labels(t, "soap").shape == gold_labels(t, "speaker").shape == (0,)
 
     def test_gold_labels_argmax_for_asr(self):
         d = LabelDistribution(soap=(0.1, 0.0, 0.6, 0.3, 0.0), speaker=(0.2, 0.9, 0.1, 0.0))

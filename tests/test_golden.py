@@ -6,8 +6,10 @@ synth, align and project digests were recorded before the alignment
 became an op string and word masses became one per-transcript pass; the
 train and eval digests were recorded before the projection's speaker
 normalization choice, the injectable embedding provider and eval's
-separate oracle and baseline scoring paths were removed. A digest that
-moves means a seeded output moved.
+separate oracle and baseline scoring paths were removed. The split and
+context-rule synth digests and the stdout form of align were recorded
+before the JSONL writers became one and `corrupt` became a walk over
+reference offsets. A digest that moves means a seeded output moved.
 """
 
 import hashlib
@@ -25,6 +27,16 @@ GOLDEN = {
     "data/asr_sidecar.jsonl": "7b4c4bc8583c42e256a424842997bea697eaf77fadc64abe8460f34cdf0a4ab0",
     "alignments.jsonl": "5f3580b9c081985ccea485f7ed05ee90d7ee79259334a64388b4764d882d80db",
     "projected.jsonl": "e772a8a7c44759fbdcdcc7ddac3bc9bb1f0e2fa6143c6222681a8fa36fda274a",
+}
+
+# a run whose turns split and whose context rule fires, neither of which
+# the run above does
+SPLIT_FLAGS = ["--turn-split", "0.3", "--context-strength", "0.5"]
+
+GOLDEN_SPLIT = {
+    "reference.jsonl": "a318b60329e267f0a54a200622cfbd11301e0ecceeef3e44062f3f35760b6259",
+    "asr.jsonl": "81c66a9c0f91346c033db914139c96eb265ddc21a01054a3e40d42478ee9799c",
+    "asr_sidecar.jsonl": "40b95555a9e56f174a77b98a761fa398a95ae27f9ecf5ea1c50a1da898f45d13",
 }
 
 # checkpoint -> extra train flags: baselines fit the soap task on the
@@ -85,6 +97,21 @@ def _sha(data: bytes) -> str:
 def test_synth_align_project_outputs_match_recorded_digests(workdir):
     got = {name: _sha((workdir / name).read_bytes()) for name in GOLDEN}
     assert got == GOLDEN
+
+
+def test_align_to_stdout_writes_the_recorded_bytes(workdir, capsys):
+    data = workdir / "data"
+    capsys.readouterr()
+    assert soapkit.cli.main(["align", "--ref", str(data / "reference.jsonl"),
+                             "--asr", str(data / "asr.jsonl")]) == 0
+    assert _sha(capsys.readouterr().out.encode("utf-8")) == GOLDEN["alignments.jsonl"]
+
+
+def test_split_and_context_synth_outputs_match_recorded_digests(tmp_path):
+    argv = ["synth", "--out-dir", str(tmp_path), "--n", "8", "--seed", "41",
+            *NOISE, *SPLIT_FLAGS]
+    assert soapkit.cli.main(argv) == 0
+    assert {name: _sha((tmp_path / name).read_bytes()) for name in GOLDEN_SPLIT} == GOLDEN_SPLIT
 
 
 def test_train_and_eval_outputs_match_recorded_digests(workdir, capsys):

@@ -1,9 +1,19 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from oracles import corrupt_turn_streams
 
-from soapkit.corpus import Rng, SoapSection, transcript_to_record
+from soapkit.corpus import (
+    Rng,
+    SoapSection,
+    SpeakerLabel,
+    Transcript,
+    TranscriptKind,
+    Utterance,
+    transcript_to_record,
+)
 from soapkit.synth import (
     FUNCTION_WORDS,
     GENERIC_WORDS,
@@ -154,6 +164,57 @@ class TestCorrupt:
         split, stats = corrupt(t, CorruptionConfig(turn_split_rate=1.0), Rng(0))
         assert len(split.turns) == len(clean.turns) + stats.n_splits
         assert stats.n_splits > 0
+
+    # rate settings: none, README noise, heavy char noise with frequent
+    # merges and splits, every other boundary merged and turn split (the
+    # setting that most often merges two turns of empty-text utterances),
+    # and every boundary merged and every turn split
+    ORACLE_RATES = (
+        CorruptionConfig(),
+        CorruptionConfig(char_sub_rate=0.03, char_del_rate=0.01, char_ins_rate=0.01,
+                         turn_merge_rate=0.3),
+        CorruptionConfig(char_sub_rate=0.2, char_del_rate=0.2, char_ins_rate=0.2,
+                         turn_merge_rate=0.9, turn_split_rate=0.9),
+        CorruptionConfig(char_sub_rate=0.1, char_del_rate=0.1, char_ins_rate=0.1,
+                         turn_merge_rate=0.5, turn_split_rate=0.5),
+        CorruptionConfig(char_sub_rate=0.05, turn_merge_rate=1.0, turn_split_rate=1.0),
+    )
+
+    @staticmethod
+    def _odd_transcript(gen, i):
+        """A transcript of 0-9 utterances whose speaker changes with
+        probability 0.75 at each boundary, so both same-speaker runs and
+        turns of one empty-text utterance are common; the texts include
+        empty, punctuation-only and space-edged ones."""
+        texts = ("", "", "", "Hi.", ".", "so well", "ok?", " a b ", "Pain is worse!")
+        utts, speaker = [], 0
+        for k in range(int(gen.integers(10))):
+            speaker ^= int(gen.random() < 0.75)
+            utts.append(Utterance(id=k, text=texts[int(gen.integers(len(texts)))],
+                                  speaker=SpeakerLabel(speaker), section=SoapSection.NONE))
+        return Transcript(encounter_id=f"odd{i}", kind=TranscriptKind.REFERENCE,
+                          utterances=utts)
+
+    def test_matches_turn_stream_oracle(self):
+        gen = np.random.default_rng(2024)
+        corpus = generate_corpus(SynthConfig(n_transcripts=40, min_utterances=2,
+                                             max_utterances=16, seed=5))
+        corpus += [self._odd_transcript(gen, i) for i in range(160)]
+        # four turns of empty-text utterances after a non-empty one: merge
+        # seams chained at positions that hold no space
+        chain = [Utterance(id=k, text=text, speaker=SpeakerLabel(k % 2),
+                           section=SoapSection.NONE)
+                 for k, text in enumerate(("Hi.", "", "", "", "", "ok"))]
+        corpus += [Transcript(encounter_id="chain", kind=TranscriptKind.REFERENCE,
+                              utterances=chain)] * 40
+        for cfg in self.ORACLE_RATES:
+            for seed, t in enumerate(corpus):
+                rec, stats = corrupt(t, cfg, Rng(seed))
+                text, turns, want = corrupt_turn_streams(t.utterances, cfg, Rng(seed).generator)
+                assert (rec.text, rec.turns) == (text, turns), (cfg, t)
+                got = asdict(stats)
+                assert got.pop("encounter_id") == t.encounter_id
+                assert got == want, (cfg, t)
 
     def test_sidecar_round_trips_as_jsonl(self, small_corpus, tmp_path):
         _, stats = corrupt_corpus(small_corpus, CorruptionConfig(char_sub_rate=0.05), Rng(1))
