@@ -122,49 +122,6 @@ def longest_common_substring(a: str, b: str) -> tuple:
     return (best_i, b.find(a[best_i:best_i + best]), best)
 
 
-@dataclass(frozen=True)
-class CharModel:
-    """Unigram character model with a floor for unseen characters.
-
-    Observed chars get their empirical frequency; a char absent from the
-    model gets 1 / (total observed + alphabet size).
-    """
-
-    probs: dict
-    floor: float
-
-    @classmethod
-    def from_texts(cls, texts) -> "CharModel":
-        counts = Counter()
-        for t in texts:
-            counts.update(t)
-        total = sum(counts.values())
-        if total == 0:
-            return cls(probs={}, floor=1.0)
-        probs = {c: n / total for c, n in counts.items()}
-        return cls(probs=probs, floor=1.0 / (total + len(counts)))
-
-    def prob(self, ch: str) -> float:
-        return self.probs.get(ch, self.floor)
-
-
-def expected_substring_count(pattern: str, ref_len: int, asr_len: int, model: CharModel) -> float:
-    """Expected number of chance co-occurrences of `pattern` in two strings
-    of the given lengths under the unigram model:
-    (ref_len - L + 1) * (asr_len - L + 1) * prod(p(c))."""
-    L = len(pattern)
-    if L == 0:
-        raise AlignmentError("pattern must be non-empty")
-    if ref_len < L or asr_len < L:
-        raise AlignmentError("pattern longer than one of the strings")
-    p = 1.0
-    for c in pattern:
-        p *= model.prob(c)
-        if p == 0.0:
-            break
-    return float(ref_len - L + 1) * float(asr_len - L + 1) * p
-
-
 @dataclass
 class Partition:
     """A tile of the (ref, asr) string pair.
@@ -184,15 +141,14 @@ class Partition:
 def partition_tree(ref: str, asr: str) -> Partition:
     """Recursive LCS-anchor partition of the full string pair.
 
-    The character model is estimated once from the concatenation of both
-    strings; the expected-count test uses the lengths of the strings
-    currently being partitioned.
+    The character frequencies are counted once over both strings; the
+    expected-count test uses the lengths of the strings currently being
+    partitioned.
     """
-    model = CharModel.from_texts([ref, asr])
-    return _partition(ref, asr, 0, 0, model, 0)
+    return _partition(ref, asr, 0, 0, (Counter(ref + asr), len(ref) + len(asr)), 0)
 
 
-def _partition(ref, asr, ref_off, asr_off, model, depth) -> Partition:
+def _partition(ref, asr, ref_off, asr_off, freqs, depth) -> Partition:
     ref_span = (ref_off, ref_off + len(ref))
     asr_span = (asr_off, asr_off + len(asr))
     if not ref or not asr:
@@ -200,11 +156,16 @@ def _partition(ref, asr, ref_off, asr_off, model, depth) -> Partition:
     i, j, L = longest_common_substring(ref, asr)
     if L == 0 or depth >= MAX_PARTITION_DEPTH:
         return Partition(ref_span, asr_span)
-    e = expected_substring_count(ref[i:i + L], len(ref), len(asr), model)
-    if e >= ANCHOR_THRESHOLD:
+    counts, total = freqs
+    p = 1.0
+    for c in ref[i:i + L]:
+        p *= counts[c] / total
+        if p == 0.0:
+            break
+    if float(len(ref) - L + 1) * float(len(asr) - L + 1) * p >= ANCHOR_THRESHOLD:
         return Partition(ref_span, asr_span)
-    left = _partition(ref[:i], asr[:j], ref_off, asr_off, model, depth + 1)
-    right = _partition(ref[i + L:], asr[j + L:], ref_off + i + L, asr_off + j + L, model, depth + 1)
+    left = _partition(ref[:i], asr[:j], ref_off, asr_off, freqs, depth + 1)
+    right = _partition(ref[i + L:], asr[j + L:], ref_off + i + L, asr_off + j + L, freqs, depth + 1)
     return Partition(ref_span, asr_span, anchor=(ref_off + i, asr_off + j, L),
                      children=(left, right))
 

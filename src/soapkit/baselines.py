@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import checked_array, inverse_frequency_weights
+from .corpus import atomic_output, checked_array, inverse_frequency_weights
 from .neural.network import softmax
 
 
@@ -54,10 +54,6 @@ class BaselineModel:
     weights: np.ndarray | None = None  # (C, V)
     bias: np.ndarray | None = None  # (C,)
 
-    def predict_scores(self, tokens) -> np.ndarray:
-        """Probability-like scores (C,) for one utterance."""
-        return self.predict_matrix([tokens])[0]
-
     def predict_matrix(self, token_lists) -> np.ndarray:
         """Probability-like scores (n, C), one row per utterance. Each row's
         logits are their own matrix-vector product: one matrix product
@@ -82,7 +78,7 @@ class BaselineModel:
         for name in ("log_prior", "log_likelihood", "weights", "bias"):
             arr = getattr(self, name)
             rec[name] = None if arr is None else np.asarray(arr).tolist()
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_output(path) as fh:
             fh.write(json.dumps(rec))
 
     @classmethod

@@ -35,7 +35,7 @@ from .corpus import (
 )
 from .irr import IrrError, format_report, irr_report, read_notes
 from .metrics import MetricError, MetricReport, evaluate, fit_platt, validation_split
-from .neural.model import ModelConfig, ModelError, SequenceClassifier
+from .neural.model import MODEL_VARIANTS, ModelConfig, ModelError, SequenceClassifier
 from .neural.train import TrainConfig, TrainingError, collect_scores, train_model
 from .preprocess import EmptyUtteranceError, preprocess_corpus
 from .project import ProjectionError, project_corpus
@@ -51,7 +51,6 @@ from .synth import (
 log = logging.getLogger("soapkit")
 
 BASELINE_VARIANTS = ("mc", "mnb", "lr")
-NEURAL_VARIANTS = ("dlb", "wa", "bil", "bild")
 
 # 0 ok; 2 missing input file (argparse usage errors also exit 2);
 # 3 unparsable input; 4 data fails an invariant; 1 anything unexpected.
@@ -218,22 +217,18 @@ _EVAL_ROWS = (("accuracy", True), ("macro_f1", True), ("auroc", True),
               ("auprc", True), ("log_loss", False))
 
 
-def _metric_value(report: MetricReport, name: str) -> float:
-    return float(getattr(report, name))
-
-
 def _format_eval_table(task: str, uncal: MetricReport, cal: MetricReport | None) -> str:
     lines = [f"task {task} (n={uncal.n}, classes={uncal.n_classes})"]
     if cal is None:
         lines.append(f"{'metric':10s} {'value':>12s}")
         for name, _ in _EVAL_ROWS:
-            lines.append(f"{name:10s} {_metric_value(uncal, name):12.4f}")
+            lines.append(f"{name:10s} {getattr(uncal, name):12.4f}")
     else:
         # two columns, asterisk on the better cell (ties unmarked)
         lines.append(f"{'metric':10s} {'uncalibrated':>14s} {'calibrated':>14s}")
         for name, higher_better in _EVAL_ROWS:
-            u = _metric_value(uncal, name)
-            c = _metric_value(cal, name)
+            u = getattr(uncal, name)
+            c = getattr(cal, name)
             mark_u = mark_c = " "
             if u != c:
                 if (u > c) == higher_better:
@@ -274,9 +269,9 @@ def cmd_eval(args) -> int:
     if args.json:
         out = {}
         for task, (uncal, cal) in results.items():
-            out[task] = {"uncalibrated": {n: _metric_value(uncal, n) for n, _ in _EVAL_ROWS}}
+            out[task] = {"uncalibrated": {n: getattr(uncal, n) for n, _ in _EVAL_ROWS}}
             if cal is not None:
-                out[task]["calibrated"] = {n: _metric_value(cal, n) for n, _ in _EVAL_ROWS}
+                out[task]["calibrated"] = {n: getattr(cal, n) for n, _ in _EVAL_ROWS}
         print(json.dumps(out, sort_keys=True))
     else:
         print("\n\n".join(blocks))
@@ -349,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[seeded], help="fit a classifier")
     p.add_argument("--corpus", required=True, help="training corpus (jsonl)")
     p.add_argument("--variant", required=True,
-                   choices=BASELINE_VARIANTS + NEURAL_VARIANTS)
+                   choices=BASELINE_VARIANTS + MODEL_VARIANTS)
     p.add_argument("--task", choices=("soap", "speaker"), default="soap",
                    help="target task for baseline variants (neural variants fit both)")
     p.add_argument("--with-asr", default=None,

@@ -9,8 +9,10 @@ stored as JSON Lines, one encounter per line.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -247,9 +249,28 @@ def transcript_from_record(rec: dict, where: str = "record") -> Transcript:
     return Transcript(encounter_id=str(rec["encounter_id"]), kind=kind, utterances=utts)
 
 
+@contextlib.contextmanager
+def atomic_output(path):
+    """A text handle whose contents replace `path` when the block completes,
+    through a sibling temporary file and `os.replace`. On any failure that
+    file is removed and `path` is left as it was; an OS error names `path`."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as e:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            e.filename, e.filename2 = path, None
+        raise
+
+
 def write_jsonl(records, path) -> None:
-    """Write each record as one line of JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write each record as one line of JSON, all or nothing."""
+    with atomic_output(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec))
             fh.write("\n")

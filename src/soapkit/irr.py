@@ -121,31 +121,20 @@ def map_notes(source: SoapNote, reference: SoapNote) -> NoteMapping:
     every same-subsection source observation is a deletion (the mirror of
     insertion, so swapping roles swaps the two counts).
     """
+    refs = reference.observations
+    table = [[overlap_score(obs, ref) if ref.subsection == obs.subsection else 0.0
+              for ref in refs] for obs in source.observations]
     entries = []
-    for obs in source.observations:
-        best_score = 0.0
-        best_idx = None
-        for j, ref in enumerate(reference.observations):
-            if ref.subsection != obs.subsection:
-                continue
-            score = overlap_score(obs, ref)
-            if score > best_score:
-                best_score = score
-                best_idx = j
-        if best_idx is None:
+    for obs, row in zip(source.observations, table):
+        best = max(row, default=0.0)
+        if best == 0.0:
             entries.append((NoteCategory.INSERTION, None, 0.0, 0.0))
             continue
-        ref = reference.observations[best_idx]
-        category = NoteCategory.IDENTICAL if _exact_match(obs, ref) else NoteCategory.SUBSTITUTION
-        entries.append((category, best_idx,
-                        jaccard(obs.evidence, ref.evidence),
-                        jaccard(obs.tags, ref.tags)))
-    deletions = []
-    for j, ref in enumerate(reference.observations):
-        if all(overlap_score(obs, ref) == 0.0
-               for obs in source.observations
-               if obs.subsection == ref.subsection):
-            deletions.append(j)
+        j = row.index(best)
+        category = NoteCategory.IDENTICAL if _exact_match(obs, refs[j]) else NoteCategory.SUBSTITUTION
+        entries.append((category, j, jaccard(obs.evidence, refs[j].evidence),
+                        jaccard(obs.tags, refs[j].tags)))
+    deletions = [j for j in range(len(refs)) if not any(row[j] for row in table)]
     return NoteMapping(entries=entries, deletions=deletions)
 
 
@@ -212,9 +201,7 @@ def irr_report(pairs, transcripts) -> IrrReport:
     pairs = list(pairs)
     if not pairs:
         raise IrrError("no note pairs to compare")
-    by_id = {}
-    for t in transcripts:
-        by_id[t.encounter_id] = len(t.utterances)
+    by_id = {t.encounter_id: len(t.utterances) for t in transcripts}
     frac = {"identical": [], "substitution": [], "insertion": [], "deletion": []}
     ev_overlaps = []
     tag_overlaps = []

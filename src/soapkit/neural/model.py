@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus import N_SOAP, N_SPEAKER, Rng, checked_array
+from ..corpus import N_SOAP, N_SPEAKER, Rng, atomic_output, checked_array
 from .embeddings import HashEmbeddings
 from .network import (
     attention_backward,
@@ -292,7 +292,7 @@ class SequenceClassifier:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_output(path) as fh:
             fh.write(json.dumps(self.to_record()))
 
     @classmethod

@@ -194,19 +194,16 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
 
     A turn is a list of offsets into the rendered reference text; a run of
     same-speaker utterances starts as every offset of its span, separators
-    included. Turn merges drop the boundary and the sentence punctuation
-    at the seam (a missed speaker change also loses the segmentation cue)
-    and join the turns at the separator's offset; splits move a boundary
-    to a random offset that holds a space. Character noise applies per
-    char: delete, else maybe substitute, then maybe insert after.
+    included. A merge drops the sentence punctuation ending the left turn
+    (a missed speaker change also loses the segmentation cue) and joins
+    the turns at the separator before the right one, the space at its
+    start - 1; a split moves a boundary to a random offset that holds a
+    space. Character noise applies per char: delete, else maybe
+    substitute, then maybe insert after.
     """
     gen = rng.generator
     stats = CorruptionStats(encounter_id=transcript.encounter_id)
     text, spans = render_reference(transcript.utterances)
-    # a seam whose position holds no space (only turns of empty-text
-    # utterances make one) gets a space past the end of `chars`, and
-    # `seam` maps that offset back to the position it stands for
-    chars, seam = list(text), {}
     turns = []
     for i, (utt, (lo, hi)) in enumerate(zip(transcript.utterances, spans)):
         if i and utt.speaker == transcript.utterances[i - 1].speaker:
@@ -219,14 +216,9 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
     for turn in turns:
         if merged and gen.random() < corruption.turn_merge_rate:
             left = merged[-1]
-            at = seam.get(left[-1], left[-1]) + 1 if left else (turn[0] - 1 if turn else 0)
-            if left and chars[left[-1]] in SENTENCE_END:
+            if left and text[left[-1]] in SENTENCE_END:
                 stats.dropped_punct_positions.append(left.pop())
-            if not (at < len(text) and text[at] == " "):
-                seam[len(chars)] = at
-                at = len(chars)
-                chars.append(" ")
-            left.append(at)
+            left.append(turn.start - 1)
             left.extend(turn)
             stats.n_merges += 1
         else:
@@ -235,7 +227,7 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
     # turn splits: move one boundary into the middle of a turn
     split = []
     for turn in merged:
-        space_at = [k for k, o in enumerate(turn) if chars[o] == " "]
+        space_at = [k for k, o in enumerate(turn) if text[o] == " "]
         if space_at and gen.random() < corruption.turn_split_rate:
             cut = int(gen.choice(space_at))
             split += [turn[:cut], turn[cut + 1:]]
@@ -248,21 +240,21 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
     for turn in split:
         out = []
         for o in turn:
-            c = chars[o]
+            c = text[o]
             if gen.random() < corruption.char_del_rate:
                 stats.n_del += 1
-                stats.del_positions.append(seam.get(o, o))
+                stats.del_positions.append(o)
             else:
                 if gen.random() < corruption.char_sub_rate:
                     pool = CORRUPTION_ALPHABET.replace(c, "")
                     c = pool[int(gen.integers(len(pool)))]
                     stats.n_sub += 1
-                    stats.sub_positions.append(seam.get(o, o))
+                    stats.sub_positions.append(o)
                 out.append(c)
             if gen.random() < corruption.char_ins_rate:
                 out.append(CORRUPTION_ALPHABET[int(gen.integers(len(CORRUPTION_ALPHABET)))])
                 stats.n_ins += 1
-                stats.ins_after_positions.append(seam.get(o, o))
+                stats.ins_after_positions.append(o)
         out_texts.append("".join(out))
 
     asr_text = " ".join(out_texts)
@@ -278,14 +270,9 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
 def corrupt_corpus(transcripts, corruption: CorruptionConfig, rng: Rng) -> tuple:
     """Corrupt every transcript with per-transcript seed splits.
     Returns (asr_records, stats_list) in corpus order."""
-    parts = rng.split(len(transcripts))
-    records = []
-    stats = []
-    for t, part in zip(transcripts, parts):
-        rec, st = corrupt(t, corruption, part)
-        records.append(rec)
-        stats.append(st)
-    return records, stats
+    pairs = [corrupt(t, corruption, part)
+             for t, part in zip(transcripts, rng.split(len(transcripts)))]
+    return [rec for rec, _ in pairs], [st for _, st in pairs]
 
 
 def write_sidecar(stats_list, path) -> None:

@@ -91,6 +91,63 @@ def lcs_per_start(a: str, b: str) -> tuple:
     return (best_i, b.find(a[best_i:best_i + best]), best)
 
 
+class CharModel:
+    """Unigram character model with a floor for unseen characters:
+    observed chars get their empirical frequency, a char absent from the
+    model gets 1 / (total observed + alphabet size)."""
+
+    def __init__(self, texts):
+        counts = {}
+        for t in texts:
+            for c in t:
+                counts[c] = counts.get(c, 0) + 1
+        total = sum(counts.values())
+        self.probs = {c: n / total for c, n in counts.items()}
+        self.floor = 1.0 / (total + len(counts)) if total else 1.0
+
+    def prob(self, ch: str) -> float:
+        return self.probs.get(ch, self.floor)
+
+
+def expected_substring_count(pattern: str, ref_len: int, asr_len: int, model: CharModel) -> float:
+    """Expected number of chance co-occurrences of `pattern` in two strings
+    of the given lengths under the unigram model:
+    (ref_len - L + 1) * (asr_len - L + 1) * prod(p(c))."""
+    L = len(pattern)
+    if L == 0 or ref_len < L or asr_len < L:
+        raise ValueError("pattern must be non-empty and fit in both strings")
+    p = 1.0
+    for c in pattern:
+        p *= model.prob(c)
+        if p == 0.0:
+            break
+    return float(ref_len - L + 1) * float(asr_len - L + 1) * p
+
+
+def partition_reference(ref: str, asr: str, threshold=0.001, max_depth=64) -> tuple:
+    """The LCS-anchor partition tree as nested (ref_span, asr_span, anchor,
+    children) tuples: anchor is (ref_start, asr_start, length) or None,
+    children () or (left, right). The longest common substring comes from
+    `lcs_per_start`; an anchor is accepted when `expected_substring_count`
+    under one `CharModel` of both strings, at the lengths of the strings
+    being partitioned, is below `threshold`."""
+    model = CharModel([ref, asr])
+
+    def part(r, a, r_off, a_off, depth):
+        spans = ((r_off, r_off + len(r)), (a_off, a_off + len(a)))
+        if not r or not a:
+            return spans + (None, ())
+        i, j, L = lcs_per_start(r, a)
+        if (L == 0 or depth >= max_depth
+                or expected_substring_count(r[i:i + L], len(r), len(a), model) >= threshold):
+            return spans + (None, ())
+        return spans + ((r_off + i, a_off + j, L), (
+            part(r[:i], a[:j], r_off, a_off, depth + 1),
+            part(r[i + L:], a[j + L:], r_off + i + L, a_off + j + L, depth + 1)))
+
+    return part(ref, asr, 0, 0, 0)
+
+
 def asr_to_ref_map_loop(op_string: str) -> tuple:
     """Walk an "MSID" op string one op at a time: per ASR char, the
     reference index it aligned to (-1 for inserts) and whether it matched."""
@@ -663,7 +720,7 @@ def corrupt_turn_streams(utterances, cfg, gen, alphabet="abcdefghijklmnopqrstuvw
     """(asr_text, turn spans, stats dict) of one reference transcript;
     `cfg` carries the five rates, `gen` is a numpy Generator."""
     text = " ".join(u.text for u in utterances)
-    streams, current, cur_speaker, pos = [], None, None, 0
+    streams, starts, current, cur_speaker, pos = [], [], None, None, 0
     for i, utt in enumerate(utterances):
         lo = pos + (1 if i else 0)
         hi = lo + len(utt.text)
@@ -675,6 +732,7 @@ def corrupt_turn_streams(utterances, cfg, gen, alphabet="abcdefghijklmnopqrstuvw
             if current is not None:
                 streams.append(current)
             current = [(text[k], k) for k in range(lo, hi)]
+            starts.append(lo)
             cur_speaker = utt.speaker
     if current is not None:
         streams.append(current)
@@ -684,15 +742,14 @@ def corrupt_turn_streams(utterances, cfg, gen, alphabet="abcdefghijklmnopqrstuvw
              "dropped_punct_positions": [], "n_merges": 0, "n_splits": 0}
     if streams:
         merged = [streams[0]]
-        for nxt in streams[1:]:
-            left_end = merged[-1][-1][1] if merged[-1] else None
+        for nxt, start in zip(streams[1:], starts[1:]):
             if gen.random() < cfg.turn_merge_rate:
                 left = merged[-1]
                 if left and left[-1][0] in sentence_end:
                     stats["dropped_punct_positions"].append(left[-1][1])
                     left.pop()
-                sep = left_end + 1 if left_end is not None else (nxt[0][1] - 1 if nxt else 0)
-                left.append((" ", sep))
+                # the space that joined the two speakers' utterances
+                left.append((" ", start - 1))
                 left.extend(nxt)
                 stats["n_merges"] += 1
             else:

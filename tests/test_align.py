@@ -4,16 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import edit_distance_textbook, lcs_brute, lcs_per_start, lcs_rolling_dp
+from oracles import (
+    CharModel,
+    edit_distance_textbook,
+    expected_substring_count,
+    lcs_brute,
+    lcs_per_start,
+    lcs_rolling_dp,
+    partition_reference,
+)
 
 import soapkit.align
 from soapkit.align import (
     AlignmentError,
-    CharModel,
     align_transcripts,
     alignment_record,
     dp_align,
-    expected_substring_count,
     fold_case,
     longest_common_substring,
     partition_tree,
@@ -181,32 +187,6 @@ class TestLongestCommonSubstring:
             assert longest_common_substring(a, b) == lcs_rolling_dp(a, b), f"{a!r} vs {b!r}"
 
 
-class TestCharModel:
-    def test_empirical_frequencies_and_floor(self):
-        m = CharModel.from_texts(["aaab"])
-        assert m.prob("a") == pytest.approx(0.75)
-        assert m.prob("b") == pytest.approx(0.25)
-        assert m.prob("z") == pytest.approx(1.0 / 6.0)  # 1/(4 observed + 2 distinct)
-
-    def test_empty_model(self):
-        m = CharModel.from_texts([])
-        assert m.prob("a") == 1.0
-
-
-class TestExpectedSubstringCount:
-    def test_hand_value(self):
-        m = CharModel.from_texts(["aaab"])
-        # (4-2+1) * (4-2+1) * p(a) p(b) = 9 * 0.1875
-        assert expected_substring_count("ab", 4, 4, m) == pytest.approx(1.6875)
-
-    def test_errors(self):
-        m = CharModel.from_texts(["ab"])
-        with pytest.raises(AlignmentError):
-            expected_substring_count("", 4, 4, m)
-        with pytest.raises(AlignmentError):
-            expected_substring_count("abc", 2, 9, m)
-
-
 class TestDpAlign:
     def test_matches_textbook_distance(self):
         gen = np.random.Generator(np.random.PCG64(23))
@@ -274,7 +254,7 @@ class TestPartitionTree:
         ref = "the patient reports mild chest pain since tuesday evening."
         asr = "the patient report mild chest pane since tuesday evening"
         tree = partition_tree(ref, asr)
-        model = CharModel.from_texts([ref, asr])
+        model = CharModel([ref, asr])
         nodes = walk_partitions(tree, [])
         anchored = [n for n in nodes if n.anchor is not None]
         assert anchored, "expected at least one confident anchor"
@@ -293,6 +273,34 @@ class TestPartitionTree:
             assert right.ref_span == (ri + L, node.ref_span[1])
             assert left.asr_span == (node.asr_span[0], ai)
             assert right.asr_span == (ai + L, node.asr_span[1])
+
+    @staticmethod
+    def _as_tuples(node):
+        return (node.ref_span, node.asr_span, node.anchor,
+                tuple(TestPartitionTree._as_tuples(c) for c in node.children))
+
+    def test_matches_reference_partition(self):
+        # 300-utterance encounters at README noise, shorter ones at heavy
+        # char noise with merges and splits, and a few edge pairs
+        heavy = CorruptionConfig(char_sub_rate=0.2, char_del_rate=0.2, char_ins_rate=0.2,
+                                 turn_merge_rate=0.5, turn_split_rate=0.3)
+        pairs = [("", "abc"), ("abc", ""), ("ab", "ba"), ("aaaa", "aaaa"),
+                 ("the patient reports pain", "the patient reports pain")]
+        for seed, n_utt, noise in ((11, 300, README_NOISE), (12, 300, README_NOISE),
+                                   (13, 40, heavy), (14, 40, heavy), (15, 12, README_NOISE)):
+            refs = generate_corpus(SynthConfig(n_transcripts=8 if n_utt < 300 else 2,
+                                               min_utterances=n_utt, max_utterances=n_utt,
+                                               seed=seed))
+            asr, _ = corrupt_corpus(refs, noise, Rng(seed + 100))
+            pairs += [(fold_case(render_reference(r.utterances)[0]), fold_case(a.text))
+                      for r, a in zip(refs, asr)]
+        assert len(pairs) >= 30
+        anchors = 0
+        for ref, asr in pairs:
+            tree = partition_tree(ref, asr)
+            assert self._as_tuples(tree) == partition_reference(ref, asr), (ref[:40], asr[:40])
+            anchors += sum(n.anchor is not None for n in walk_partitions(tree, []))
+        assert anchors > 1000
 
     def test_unanchorable_pair_is_a_leaf(self):
         tree = partition_tree("ab", "ba")

@@ -53,7 +53,7 @@ class TestMajorityClass:
         targets = np.array([[0.6, 0.4], [0.3, 0.7], [0.55, 0.45]])
         model = train_mc(targets, task="soap")
         assert model.majority == 1
-        assert model.predict_scores(["anything"]).tolist() == [0.0, 1.0]
+        assert model.predict_matrix([["anything"]])[0].tolist() == [0.0, 1.0]
 
     def test_tie_goes_to_lowest_index(self):
         model = train_mc(np.array([[0.5, 0.5]]), task="soap")
@@ -73,7 +73,7 @@ class TestNaiveBayes:
         # with add-one counts and |V| = 2: p(apple|0) = 3.5/6, p(apple|1) = 1.5/5
         p0, p1 = 3.5 / 6.0, 1.5 / 5.0
         want = p0 / (p0 + p1)  # uniform prior cancels
-        got = model.predict_scores(["apple"])
+        got = model.predict_matrix([["apple"]])[0]
         assert got[0] == pytest.approx(want, abs=1e-12)
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -81,7 +81,7 @@ class TestNaiveBayes:
         docs = [["apple"], ["banana"]]
         targets = np.eye(2)
         model = train_mnb(docs, targets, task="soap")
-        assert model.predict_scores(["cherry"]).tolist() == [0.5, 0.5]
+        assert model.predict_matrix([["cherry"]])[0].tolist() == [0.5, 0.5]
 
 
 class TestLogisticRegression:
@@ -160,7 +160,7 @@ class TestPersistence:
         back = load_baseline(path)
         assert back.kind == kind and back.task == "soap"
         for doc in docs:
-            assert np.array_equal(model.predict_scores(doc), back.predict_scores(doc))
+            assert np.array_equal(model.predict_matrix([doc])[0], back.predict_matrix([doc])[0])
 
     def test_non_finite_array_rejected_at_load(self, tmp_path):
         model = train_mnb([["apple"], ["pie"]], np.array([[1.0, 0.0], [0.0, 1.0]]), "soap")
@@ -174,4 +174,4 @@ class TestPersistence:
     def test_unknown_kind_rejected_at_predict(self):
         model = BaselineModel(kind="nope", task="soap", n_classes=2, vocab={"a": 0})
         with pytest.raises(BaselineError):
-            model.predict_scores(["a"])
+            model.predict_matrix([["a"]])

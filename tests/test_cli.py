@@ -72,6 +72,8 @@ class TestErrorPaths:
         res = run_cli("train", "--corpus", str(workspace / "data" / "reference.jsonl"),
                       "--variant", "mc", "--out", str(tmp_path))
         assert res.returncode == 2 and "kind=bad-path" in res.stderr, res.stderr
+        # the checkpoint's temporary file is gone
+        assert list(tmp_path.iterdir()) == [taken]
 
     def test_malformed_input_is_exit_3(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -105,6 +107,24 @@ class TestErrorPaths:
         res = run_cli("align", "--ref", str(ref), "--asr", str(asr))
         assert res.returncode == 4
         assert "kind=invalid-data" in res.stderr and "cell budget" in res.stderr
+
+    def test_failed_align_leaves_no_output_file(self, tmp_path):
+        # the second encounter's texts share no char: one 8000 x 8000 leaf
+        ref, asr, out = tmp_path / "ref.jsonl", tmp_path / "asr.jsonl", tmp_path / "out.jsonl"
+        ref.write_text("".join(json.dumps({
+            "encounter_id": eid, "kind": "reference", "utterances": [
+                {"id": 0, "speaker": "doctor", "section": "plan", "text": text}]}) + "\n"
+            for eid, text in (("e0", "take two daily."), ("e1", "a" * 8000))))
+        asr.write_text("".join(json.dumps({"encounter_id": eid, "text": text,
+                                           "turns": [[0, len(text)]]}) + "\n"
+                               for eid, text in (("e0", "take to daily"), ("e1", "b" * 8000))))
+        res = run_cli("align", "--ref", str(ref), "--asr", str(asr), "--out", str(out))
+        assert res.returncode == 4 and "cell budget" in res.stderr, res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["asr.jsonl", "ref.jsonl"]
+        out.write_text("kept\n")
+        res = run_cli("align", "--ref", str(ref), "--asr", str(asr), "--out", str(out))
+        assert res.returncode == 4, res.stderr
+        assert out.read_text() == "kept\n" and len(list(tmp_path.iterdir())) == 3
 
     def test_non_list_utterances_is_exit_3(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

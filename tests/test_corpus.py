@@ -19,6 +19,7 @@ from soapkit.corpus import (
     read_jsonl,
     render_reference,
     transcript_to_record,
+    atomic_output,
     write_jsonl,
     write_asr_raw,
     write_corpus,
@@ -122,6 +123,40 @@ def test_write_jsonl_writes_one_object_per_line(tmp_path):
     write_jsonl(iter(recs), path)
     assert path.read_text() == '{"a": 1, "b": [1.5, "x"]}\n{}\n{"c": null}\n'
     assert [rec for _, rec in read_jsonl(path)] == recs
+
+
+def test_write_jsonl_is_all_or_nothing(tmp_path):
+    def failing():
+        yield {"a": 1}
+        raise CorpusError("second record")
+
+    path = tmp_path / "r.jsonl"
+    with pytest.raises(CorpusError):
+        write_jsonl(failing(), path)
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("old\n")
+    with pytest.raises(CorpusError):
+        write_jsonl(failing(), path)
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == "old\n"
+
+
+def test_atomic_output_gets_the_mode_of_a_plain_open(tmp_path):
+    with open(tmp_path / "plain", "w"):
+        pass
+    with atomic_output(tmp_path / "out") as fh:
+        fh.write("x")
+    assert (tmp_path / "out").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain"]
+
+
+def test_atomic_output_onto_a_directory_names_it_and_leaves_nothing(tmp_path):
+    target = tmp_path / "dir"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        with atomic_output(target) as fh:
+            fh.write("x")
+    assert err.value.filename == str(target)
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
 class TestRenderReference:

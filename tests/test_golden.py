@@ -9,14 +9,19 @@ normalization choice, the injectable embedding provider and eval's
 separate oracle and baseline scoring paths were removed. The split and
 context-rule synth digests and the stdout form of align were recorded
 before the JSONL writers became one and `corrupt` became a walk over
-reference offsets. A digest that moves means a seeded output moved.
+reference offsets. The irr digests were recorded before `map_notes`
+scored each observation pair once. A digest that moves means a seeded
+output moved.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import soapkit.cli
+from soapkit.corpus import read_corpus
+from soapkit.irr import SUBSECTION_SECTIONS, NoteCategory, Observation, SoapNote, map_notes, write_notes
 
 NOISE = ["--char-sub", "0.03", "--char-del", "0.01", "--char-ins", "0.01",
          "--turn-merge", "0.3"]
@@ -72,6 +77,13 @@ GOLDEN_EVAL = {
     "wa --calibrate": "da0c84e4a44a4ea8f6c5fd7ac1f9d6ce285214933e55daf0df2e542e24512220",
     "bild --json": "10eda888a9b542469f78538484995f4be802bb0662b39a544355a9ba40886e29",
     "bild --calibrate": "5e40d5555f8e8240fedeaf11cc6b53fcda0ea24c09ca61fc346f26f60ebaf86e",
+}
+
+# sha256 of irr's standard output on two seeded note files built from the
+# reference corpus, in both directions (source --notes-a, reference --notes-b)
+GOLDEN_IRR = {
+    "a b": "93ba2444380fd06cfd72e3c78cbf13d1a79f4b07584d56b90343b3f5c1d7ebe3",
+    "b a": "1284f6639c3a1f360e11adb665b62712abe598671b3a7584f67d61b1897536b2",
 }
 
 
@@ -134,3 +146,68 @@ def test_train_and_eval_outputs_match_recorded_digests(workdir, capsys):
             got_eval[name] = _sha(capsys.readouterr().out.encode("utf-8"))
     assert got_train == GOLDEN_TRAIN
     assert got_eval == GOLDEN_EVAL
+
+
+def _annotator_notes(ref_path, seed=17):
+    """Two annotators' notes on the reference corpus. A cites the
+    utterances of each content section in runs of two, cycling through the
+    section's subsections. B keeps, reformats (extra spaces, still
+    identical), trims (a substitution), moves to another subsection or
+    drops each of A's observations, and adds some of its own."""
+    gen = np.random.default_rng(seed)
+    by_section = {}
+    for sub, section in sorted(SUBSECTION_SECTIONS.items()):
+        by_section.setdefault(section, []).append(sub)
+    notes_a, notes_b = [], []
+    for t in read_corpus(ref_path):
+        obs_a = []
+        for section, subs in by_section.items():
+            ids = [u.id for u in t.utterances if u.section == section]
+            for k in range(0, len(ids), 2):
+                cited = ids[k:k + 2]
+                words = [w.strip(".?").lower() for i in cited for w in t.utterances[i].text.split()]
+                obs_a.append(Observation(subs[(k // 2) % len(subs)], t.utterances[cited[0]].text,
+                                         frozenset(words[:3]), frozenset(cited)))
+        obs_b = []
+        for o in obs_a:
+            u = gen.random()
+            if u < 0.15:
+                continue
+            if u < 0.3:
+                o = Observation(o.subsection, "  ".join(o.summary.split()), o.tags, o.evidence)
+            elif u < 0.55:
+                o = Observation(o.subsection, o.summary, frozenset(sorted(o.tags)[1:]),
+                                frozenset(sorted(o.evidence)[:1]))
+            elif u < 0.65:
+                subs = by_section[o.section]
+                o = Observation(subs[(subs.index(o.subsection) + 1) % len(subs)],
+                                o.summary, o.tags, o.evidence)
+            obs_b.append(o)
+        for _ in range(int(gen.integers(0, 3))):
+            sub = sorted(SUBSECTION_SECTIONS)[int(gen.integers(len(SUBSECTION_SECTIONS)))]
+            obs_b.append(Observation(sub, "added", frozenset({"added"}),
+                                     frozenset({int(gen.integers(len(t.utterances)))})))
+        notes_a.append(SoapNote(t.encounter_id, tuple(obs_a)))
+        notes_b.append(SoapNote(t.encounter_id, tuple(obs_b)))
+    return notes_a, notes_b
+
+
+def test_irr_report_matches_recorded_digests(workdir, capsys):
+    ref = workdir / "data" / "reference.jsonl"
+    notes = dict(zip("ab", _annotator_notes(ref)))
+    # the notes hold every category, so the digests pin each of them
+    mappings = [map_notes(s, r) for s, r in zip(notes["a"], notes["b"])]
+    for category in NoteCategory:
+        assert any(m.count(category) for m in mappings), category
+    assert any(m.deletions for m in mappings)
+    for name, group in notes.items():
+        write_notes(group, workdir / f"notes_{name}.jsonl")
+    capsys.readouterr()
+    got = {}
+    for run in GOLDEN_IRR:
+        a, b = run.split()
+        assert soapkit.cli.main(["irr", "--notes-a", str(workdir / f"notes_{a}.jsonl"),
+                                 "--notes-b", str(workdir / f"notes_{b}.jsonl"),
+                                 "--transcripts", str(ref)]) == 0
+        got[run] = _sha(capsys.readouterr().out.encode("utf-8"))
+    assert got == GOLDEN_IRR

@@ -12,6 +12,7 @@ from soapkit.corpus import (
     Transcript,
     TranscriptKind,
     Utterance,
+    render_reference,
     transcript_to_record,
 )
 from soapkit.synth import (
@@ -112,7 +113,6 @@ class TestGenerateCorpus:
 class TestCorrupt:
     def test_zero_rates_identity(self, small_corpus):
         asr, stats = corrupt_corpus(small_corpus, CorruptionConfig(), Rng(3))
-        from soapkit.corpus import render_reference
         for t, rec, st in zip(small_corpus, asr, stats):
             text, _ = render_reference(t.utterances)
             assert rec.text == text
@@ -138,7 +138,6 @@ class TestCorrupt:
         assert abs(total - n_chars * rate) < 4 * sd
 
     def test_stats_positions_index_reference_text(self, small_corpus):
-        from soapkit.corpus import render_reference
         t = small_corpus[0]
         text, _ = render_reference(t.utterances)
         _, stats = corrupt(t, CorruptionConfig(char_sub_rate=0.2, char_del_rate=0.1,
@@ -195,26 +194,53 @@ class TestCorrupt:
         return Transcript(encounter_id=f"odd{i}", kind=TranscriptKind.REFERENCE,
                           utterances=utts)
 
-    def test_matches_turn_stream_oracle(self):
+    @pytest.fixture(scope="class")
+    def oracle_corpus(self):
         gen = np.random.default_rng(2024)
         corpus = generate_corpus(SynthConfig(n_transcripts=40, min_utterances=2,
                                              max_utterances=16, seed=5))
-        corpus += [self._odd_transcript(gen, i) for i in range(160)]
-        # four turns of empty-text utterances after a non-empty one: merge
-        # seams chained at positions that hold no space
+        corpus += [self._odd_transcript(gen, i) for i in range(400)]
+        # four turns of empty-text utterances after a non-empty one: their
+        # merge seams are the spaces that join them
         chain = [Utterance(id=k, text=text, speaker=SpeakerLabel(k % 2),
                            section=SoapSection.NONE)
                  for k, text in enumerate(("Hi.", "", "", "", "", "ok"))]
         corpus += [Transcript(encounter_id="chain", kind=TranscriptKind.REFERENCE,
                               utterances=chain)] * 40
+        return corpus
+
+    def test_matches_turn_stream_oracle(self, oracle_corpus):
         for cfg in self.ORACLE_RATES:
-            for seed, t in enumerate(corpus):
+            for seed, t in enumerate(oracle_corpus):
                 rec, stats = corrupt(t, cfg, Rng(seed))
                 text, turns, want = corrupt_turn_streams(t.utterances, cfg, Rng(seed).generator)
                 assert (rec.text, rec.turns) == (text, turns), (cfg, t)
                 got = asdict(stats)
                 assert got.pop("encounter_id") == t.encounter_id
                 assert got == want, (cfg, t)
+
+    def test_sidecar_names_each_position_once(self, oracle_corpus):
+        for cfg in self.ORACLE_RATES:
+            for seed, t in enumerate(oracle_corpus):
+                text = render_reference(t.utterances)[0]
+                _, stats = corrupt(t, cfg, Rng(seed))
+                assert stats.n_sub == len(stats.sub_positions)
+                for positions in (stats.sub_positions, stats.del_positions,
+                                  stats.ins_after_positions):
+                    assert len(set(positions)) == len(positions), (cfg, t)
+                    assert all(0 <= p < len(text) for p in positions), (cfg, t)
+
+    def test_merge_seam_of_empty_turns_is_their_separator(self):
+        # reference "Hi.   ok": the merged seams are the spaces at 4 and 5,
+        # which the channel turned into "w" and "m"
+        utts = [Utterance(id=k, text=text, speaker=SpeakerLabel(k % 2),
+                          section=SoapSection.NONE)
+                for k, text in enumerate(("Hi.", "", "", "ok"))]
+        t = Transcript(encounter_id="e0", kind=TranscriptKind.REFERENCE, utterances=utts)
+        rec, stats = corrupt(t, CorruptionConfig(char_sub_rate=0.3, turn_merge_rate=0.5), Rng(0))
+        assert render_reference(utts)[0] == "Hi.   ok"
+        assert rec.text == "Hik wmok"
+        assert stats.sub_positions == [2, 4, 5]
 
     def test_sidecar_round_trips_as_jsonl(self, small_corpus, tmp_path):
         _, stats = corrupt_corpus(small_corpus, CorruptionConfig(char_sub_rate=0.05), Rng(1))
