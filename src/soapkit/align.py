@@ -13,10 +13,13 @@ reference); `align` records and projection both read that string.
 
 The LCS scan keeps O(1) extra memory and steps over blocks of the first
 string, not over its starts (see `longest_common_substring`): a block
-absent from the ASR side costs one substring search in C, and a block
-found there at a few places is extended along those diagonals. A block
-found at many places falls back to a search per start. Alignment stays
-superlinear: each search scans the ASR side, every recursion level
+absent from the ASR side costs one substring search in C and no Python
+call, and a block found there at a few places is extended along those
+diagonals. A block found at many places falls back to a search per
+start. A leaf with a one-char side (most leaves of a long encounter) is
+answered in closed form, one `rfind`, not by the DP table, and the
+tiles are read off the tree by a walk with its own stack. Alignment
+stays superlinear: each search scans the ASR side, every recursion level
 searches all of its gaps again, and a DP leaf, bounded by `MAX_DP_CELLS`,
 costs the product of its two lengths.
 """
@@ -53,13 +56,20 @@ def fold_case(s: str) -> str:
     return "".join(c.lower() if len(c.lower()) == 1 else c for c in s)
 
 
-def _block_hits(b: str, block: str) -> list:
-    """Leftmost-first starts of block in b, at most MAX_BLOCK_HITS + 1."""
-    hits = []
-    p = b.find(block)
-    while p >= 0 and len(hits) <= MAX_BLOCK_HITS:
-        hits.append(p)
+# the search that opens each scan step; a step whose block it does not
+# find ends there (tests wrap this name to watch the steps)
+_find = str.find
+
+
+def _block_hits(b: str, block: str, p: int) -> list:
+    """Leftmost-first starts of block in b, from its leftmost start p, at
+    most MAX_BLOCK_HITS + 1."""
+    hits = [p]
+    while len(hits) <= MAX_BLOCK_HITS:
         p = b.find(block, p + 1)
+        if p < 0:
+            break
+        hits.append(p)
     return hits
 
 
@@ -81,7 +91,8 @@ def longest_common_substring(a: str, b: str) -> tuple:
     k a multiple of h, covers the block a[k:k+h], so one step settles all
     of those starts, by how often the block occurs in b:
 
-    - never: none of them can beat best;
+    - never: none of them can beat best, and the next block is searched
+      at once, with no other work in between;
     - up to MAX_BLOCK_HITS times: a longer match lies on the diagonal of
       one occurrence, so each is extended left (fewer than h chars) and
       right; of equal runs the one starting furthest left wins;
@@ -94,9 +105,14 @@ def longest_common_substring(a: str, b: str) -> tuple:
     while True:
         h = (best + 2) // 2
         k = -(-i // h) * h
+        while k + h <= n and (p := _find(b, a[k:k + h])) < 0:
+            k += h
         if k + h > n:
             break
-        hits = _block_hits(b, a[k:k + h])
+        if k - h >= i:
+            # the blocks stepped over settled every start up to k - h
+            i = k - h + 1
+        hits = _block_hits(b, a[k:k + h], p)
         if len(hits) > MAX_BLOCK_HITS:
             for s in range(i, k + 1):
                 while s + best < n and (q := b.find(a[s:s + best + 1])) >= 0:
@@ -104,14 +120,17 @@ def longest_common_substring(a: str, b: str) -> tuple:
         else:
             for p in hits:
                 d = p - k
-                lo, s = max(i, -d), k
+                lo = i if i > -d else -d
+                s = k
                 while s > lo and a[s - 1] == b[s - 1 + d]:
                     s -= 1
                 L = k + h - s
-                if L < best and (min(n - s, m - s - d) < best
-                                 or a[k + h:s + best] != b[p + h:s + d + best]):
-                    continue
-                L = _run_length(a, s, b, s + d, max(L, best))
+                if L < best:
+                    if (n - s < best or m - s - d < best
+                            or a[k + h:s + best] != b[p + h:s + d + best]):
+                        continue
+                    L = best
+                L = _run_length(a, s, b, s + d, L)
                 # earlier steps saw only starts below i <= s, so s < best_i
                 # holds only for a run found in this step
                 if L > best or (L == best and s < best_i):
@@ -157,12 +176,14 @@ def _partition(ref, asr, ref_off, asr_off, freqs, depth) -> Partition:
     if L == 0 or depth >= MAX_PARTITION_DEPTH:
         return Partition(ref_span, asr_span)
     counts, total = freqs
+    places = float(len(ref) - L + 1) * float(len(asr) - L + 1)
     p = 1.0
     for c in ref[i:i + L]:
         p *= counts[c] / total
-        if p == 0.0:
+        # no factor exceeds 1, so p only falls: the test is settled here
+        if places * p < ANCHOR_THRESHOLD:
             break
-    if float(len(ref) - L + 1) * float(len(asr) - L + 1) * p >= ANCHOR_THRESHOLD:
+    if places * p >= ANCHOR_THRESHOLD:
         return Partition(ref_span, asr_span)
     left = _partition(ref[:i], asr[:j], ref_off, asr_off, freqs, depth + 1)
     right = _partition(ref[i + L:], asr[j + L:], ref_off + i + L, asr_off + j + L, freqs, depth + 1)
@@ -187,53 +208,59 @@ def dp_align(a: str, b: str) -> str:
         return "I" * m
     if m == 0:
         return "D" * n
+    # a one-char side matches the other's last copy of it, or else takes
+    # a substitution at the other's end: the tie rule below, in closed form
+    if n == 1:
+        k = b.rfind(a)
+        return "I" * (m - 1) + "S" if k < 0 else "I" * k + "M" + "I" * (m - k - 1)
+    if m == 1:
+        k = a.rfind(b)
+        return "D" * (n - 1) + "S" if k < 0 else "D" * k + "M" + "D" * (n - k - 1)
     ca, cb = _codes(a), _codes(b)
-    D = np.empty((n + 1, m + 1), dtype=np.int32)
-    idx = np.arange(m + 1, dtype=np.int32)
-    D[0] = idx
-    tmp = np.empty(m + 1, dtype=np.int32)
+    # E[i, j] = D[i, j] - j, the distance less the j inserts of b[:j]: the
+    # left-to-right insert recurrence of a row is then a running minimum
+    E = np.empty((n + 1, m + 1), dtype=np.int32)
+    E[0] = 0
     for i in range(1, n + 1):
-        neq = (cb != ca[i - 1]).astype(np.int32)
-        tmp[0] = i
-        np.minimum(D[i - 1, :-1] + neq, D[i - 1, 1:] + 1, out=tmp[1:])
-        # running-min trick folds in the left-to-right insert recurrence:
-        # D[i,j] = j + min_{k<=j}(tmp[k] - k)
-        D[i] = idx + np.minimum.accumulate(tmp - idx)
+        row = E[i]
+        np.minimum(E[i - 1, :-1] - (cb == ca[i - 1]), E[i - 1, 1:] + 1, out=row[1:])
+        row[0] = i
+        np.minimum.accumulate(row, out=row)
     ops = []
     i, j = n, m
-    while i > 0 or j > 0:
-        d = D[i, j]
-        if i > 0 and j > 0 and ca[i - 1] == cb[j - 1] and d == D[i - 1, j - 1]:
-            ops.append("M")
+    while i > 0 and j > 0:
+        e, same = E.item(i, j), a[i - 1] == b[j - 1]
+        if e == E.item(i - 1, j - 1) - same:
+            ops.append("M" if same else "S")
             i -= 1
             j -= 1
-        elif i > 0 and j > 0 and ca[i - 1] != cb[j - 1] and d == D[i - 1, j - 1] + 1:
-            ops.append("S")
-            i -= 1
-            j -= 1
-        elif i > 0 and d == D[i - 1, j] + 1:
+        elif e == E.item(i - 1, j) + 1:
             ops.append("D")
             i -= 1
         else:
             ops.append("I")
             j -= 1
-    return "".join(reversed(ops))
+    return "I" * j + "D" * i + "".join(reversed(ops))
 
 
-def _tiles(node: Partition, ref: str, asr: str):
+def _tiles(root: Partition, ref: str, asr: str):
     """The tiles of a partition tree in document order: (node, None) for
     each anchored node and (leaf, its DP alignment) for each leaf that
-    covers any characters."""
-    if node.anchor is not None:
-        left, right = node.children
-        yield from _tiles(left, ref, asr)
-        yield node, None
-        yield from _tiles(right, ref, asr)
-        return
-    rl, rh = node.ref_span
-    al, ah = node.asr_span
-    if rh > rl or ah > al:
-        yield node, dp_align(ref[rl:rh], asr[al:ah])
+    covers any characters. The walk keeps its own stack: an anchored
+    node is pushed back as its tile, between its two children."""
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is tuple:
+            yield node
+        elif node.anchor is not None:
+            left, right = node.children
+            todo += (right, (node, None), left)
+        else:
+            rl, rh = node.ref_span
+            al, ah = node.asr_span
+            if rh > rl or ah > al:
+                yield node, dp_align(ref[rl:rh], asr[al:ah])
 
 
 def align_transcripts(ref_text: str, asr_text: str) -> str:

@@ -41,8 +41,8 @@ class Label(IntEnum):
 
     @classmethod
     def from_string(cls, s: str) -> "Label":
-        member = cls.__members__.get(s.upper()) if isinstance(s, str) else None
-        if member is None or member.to_string() != s:
+        member = cls.by_string.get(s) if isinstance(s, str) else None
+        if member is None:
             raise CorpusError(f"unknown {cls.noun} label {s!r}")
         return member
 
@@ -60,6 +60,11 @@ class SpeakerLabel(Label, noun="speaker"):
     PATIENT = 1
     CAREGIVER = 2
     OTHER = 3
+
+
+# each kind's file forms, so that from_string is one lookup
+SoapSection.by_string = {m.to_string(): m for m in SoapSection}
+SpeakerLabel.by_string = {m.to_string(): m for m in SpeakerLabel}
 
 
 class TranscriptKind(Enum):

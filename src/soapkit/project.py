@@ -6,14 +6,12 @@ segment it aligned to, weighted by how cleanly it aligned; word vectors
 are averaged per utterance and normalized into the final soft targets.
 
 The alignment arrives as the op string of `align_transcripts`. Labels,
-the ASR-to-reference map and the word masses are per-transcript arrays,
-and the word masses of a transcript come from one vectorised pass over
-cumulative counts.
+the word spans, the ASR-to-reference map and the word masses are
+per-transcript arrays, and the word masses of a transcript come from one
+vectorised pass over cumulative counts.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 
@@ -39,8 +37,6 @@ SENTENCE_END = ".?!"
 
 # Abbreviations whose trailing period never ends a sentence.
 ABBREVIATIONS = frozenset({"dr.", "mr.", "mrs.", "ms.", "mg.", "e.g.", "i.e."})
-
-_WORD = re.compile(r"\S+")
 
 
 def _trailing_token(text: str, lo: int, end: int) -> str:
@@ -77,11 +73,35 @@ def reconstruct_utterances(asr_text: str, turns) -> list:
     return out
 
 
-def word_spans(text: str, lo: int, hi: int) -> list:
-    """Maximal non-space runs of text[lo:hi], as absolute spans. The
-    pattern's non-space class holds exactly the chars for which
-    str.isspace is false."""
-    return [m.span() for m in _WORD.finditer(text, lo, hi)]
+def _space_mask(text: str) -> np.ndarray:
+    """Per char of text: whether str.isspace holds for it."""
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    return np.isin(codes, [ord(c) for c in set(text) if c.isspace()])
+
+
+def word_spans(text: str, utt_spans) -> tuple:
+    """The words of each utterance: maximal runs of non-space chars inside
+    its span. The spans must be sorted and disjoint, as
+    `reconstruct_utterances` returns them. Returns (spans, counts): an
+    (n_words, 2) intp array of absolute half-open spans in text order, and
+    each utterance's word count."""
+    bounds = np.asarray(utt_spans, dtype=np.intp).reshape(-1, 2)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    depth = np.zeros(len(text) + 1, dtype=np.int8)
+    depth[lo] += 1
+    depth[hi] -= 1
+    # word[p + 1]: char p is a non-space char inside an utterance
+    word = np.zeros(len(text) + 2, dtype=bool)
+    word[1:-1] = np.cumsum(depth[:-1], dtype=np.int8) > 0
+    word[1:-1] &= ~_space_mask(text)
+    starts = word[1:] & ~word[:-1]
+    ends = word[:-1] & ~word[1:]
+    # two utterances that touch split a run at their shared edge
+    starts[lo] |= word[lo + 1]
+    ends[hi] |= word[hi]
+    spans = np.stack([np.flatnonzero(starts), np.flatnonzero(ends)], axis=1)
+    counts = np.searchsorted(spans[:, 0], hi) - np.searchsorted(spans[:, 0], lo)
+    return spans, counts
 
 
 def char_label_table(transcript: Transcript) -> tuple:
@@ -99,8 +119,7 @@ def char_label_table(transcript: Transcript) -> tuple:
     for utt, (lo, hi) in zip(transcript.utterances, spans):
         section[lo:hi] = utt.section.value
         speaker[lo:hi] = utt.speaker.value
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    space = np.isin(codes, [ord(c) for c in set(text) if c.isspace()])
+    space = _space_mask(text)
     section[space] = -1
     speaker[space] = -1
     return text, (section, speaker)
@@ -240,9 +259,9 @@ def project_transcript(ref: Transcript, asr: AsrRaw) -> Transcript:
     ref_text, ref_labels = char_label_table(ref)
     char_map = asr_to_ref_map(align_transcripts(ref_text, asr.text))
     utt_spans = reconstruct_utterances(asr.text, asr.turns)
-    words = [word_spans(asr.text, lo, hi) for lo, hi in utt_spans]
-    soap, speaker = word_label_probs(char_map, ref_labels, [w for ws in words for w in ws])
-    dists = utterance_distributions(soap, speaker, [len(ws) for ws in words])
+    spans, counts = word_spans(asr.text, utt_spans)
+    soap, speaker = word_label_probs(char_map, ref_labels, spans)
+    dists = utterance_distributions(soap, speaker, counts)
     new_utts = tuple(Utterance(id=u, text=asr.text[lo:hi], dist=dist)
                      for u, ((lo, hi), dist) in enumerate(zip(utt_spans, dists)))
     return Transcript(encounter_id=ref.encounter_id, kind=TranscriptKind.ASR, utterances=new_utts)

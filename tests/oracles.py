@@ -23,6 +23,46 @@ def edit_distance_textbook(a: str, b: str) -> int:
     return d[n][m]
 
 
+def dp_align_table(a: str, b: str) -> str:
+    """The op string of the full (n+1) x (m+1) unit-cost DP table, filled
+    a row at a time with numpy and traced back from the corner with the
+    preference Match > Substitute > Delete > Insert: `dp_align`'s table
+    method, without its closed form for one-char sides."""
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return "I" * m + "D" * n
+    ca = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
+    cb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
+    D = np.empty((n + 1, m + 1), dtype=np.int32)
+    idx = np.arange(m + 1, dtype=np.int32)
+    D[0] = idx
+    tmp = np.empty(m + 1, dtype=np.int32)
+    for i in range(1, n + 1):
+        neq = (cb != ca[i - 1]).astype(np.int32)
+        tmp[0] = i
+        np.minimum(D[i - 1, :-1] + neq, D[i - 1, 1:] + 1, out=tmp[1:])
+        D[i] = idx + np.minimum.accumulate(tmp - idx)
+    ops = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        d = D[i, j]
+        if i > 0 and j > 0 and ca[i - 1] == cb[j - 1] and d == D[i - 1, j - 1]:
+            ops.append("M")
+            i -= 1
+            j -= 1
+        elif i > 0 and j > 0 and ca[i - 1] != cb[j - 1] and d == D[i - 1, j - 1] + 1:
+            ops.append("S")
+            i -= 1
+            j -= 1
+        elif i > 0 and d == D[i - 1, j] + 1:
+            ops.append("D")
+            i -= 1
+        else:
+            ops.append("I")
+            j -= 1
+    return "".join(reversed(ops))
+
+
 def lcs_brute(a: str, b: str) -> tuple:
     """(a_start, b_start, length) of the longest common substring by direct
     enumeration of every start pair; ties resolved by smallest a_start,

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     CharModel,
+    dp_align_table,
     edit_distance_textbook,
     expected_substring_count,
     lcs_brute,
@@ -130,18 +131,18 @@ class TestLongestCommonSubstring:
         assert max(L for _, _, L in results) >= 100
 
     def test_matches_per_start_oracle_on_planted_pairs(self, monkeypatch):
-        # every step of the scan searches one block a[k:k+h]; replaying its
-        # schedule (k the first multiple of h above the last block's k)
-        # tells which path each step took
+        # every step of the scan opens with one `_find` of a block a[k:k+h];
+        # replaying its schedule (k the first multiple of h above the last
+        # block's k) tells which path each step took
         searched = []
-        real_hits = soapkit.align._block_hits
+        real_find = soapkit.align._find
 
         def recording(b, block):
-            hits = real_hits(b, block)
-            searched.append((block, len(hits)))
-            return hits
+            p = real_find(b, block)
+            searched.append((block, 0 if p < 0 else len(soapkit.align._block_hits(b, block, p))))
+            return p
 
-        monkeypatch.setattr(soapkit.align, "_block_hits", recording)
+        monkeypatch.setattr(soapkit.align, "_find", recording)
         cap = soapkit.align.MAX_BLOCK_HITS
         # over_cap counts blocks of 3+ chars only: the 1-char blocks of a
         # scan's first steps nearly always occur at many places
@@ -170,11 +171,12 @@ class TestLongestCommonSubstring:
         assert min(paths.values()) >= 20, paths
 
     def test_block_hits_are_capped(self):
-        # leftmost first, overlapping, and one past the cap at most
-        assert soapkit.align._block_hits("xaxaxa", "a") == [1, 3, 5]
+        # from the leftmost start: leftmost first, overlapping, and one past
+        # the cap at most
+        assert soapkit.align._block_hits("xaxaxa", "a", 1) == [1, 3, 5]
         cap = soapkit.align.MAX_BLOCK_HITS
-        assert soapkit.align._block_hits("a" * 20, "aa") == list(range(cap + 1))
-        assert soapkit.align._block_hits("abc", "d") == []
+        assert soapkit.align._block_hits("a" * 20, "aa", 0) == list(range(cap + 1))
+        assert soapkit.align._block_hits("abcab", "ca", 2) == [2]
 
     def test_matches_rolling_dp_on_transcript_text(self, long_pair):
         ref, asr = (fold_case(t) for t in long_pair)
@@ -195,6 +197,25 @@ class TestDpAlign:
             a = random_string(gen, alphabet, 30)
             b = random_string(gen, alphabet, 30)
             assert edit_cost(dp_align(a, b)) == edit_distance_textbook(a, b)
+
+    def test_matches_full_table(self):
+        gen = np.random.Generator(np.random.PCG64(29))
+        for trial in range(400):
+            alphabet = "ab" if trial % 2 == 0 else "abcd"
+            a = random_string(gen, alphabet, 14)
+            b = random_string(gen, alphabet, 14)
+            assert dp_align(a, b) == dp_align_table(a, b), (a, b)
+
+    def test_one_char_side_matches_full_table(self):
+        # every pair with one side of one char (a, b, c, or d, which the
+        # other side never holds) and the other of 1-7 chars over a, b, c
+        others = [""]
+        for _ in range(7):
+            others = [o + c for o in others for c in "abc"]
+            for c in "abcd":
+                for o in others:
+                    assert dp_align(c, o) == dp_align_table(c, o), (c, o)
+                    assert dp_align(o, c) == dp_align_table(o, c), (o, c)
 
     def test_kitten_sitting(self):
         ops = dp_align("kitten", "sitting")

@@ -126,6 +126,16 @@ class TestErrorPaths:
         assert res.returncode == 4, res.stderr
         assert out.read_text() == "kept\n" and len(list(tmp_path.iterdir())) == 3
 
+    def test_unhashable_label_is_exit_3(self, tmp_path):
+        ref, asr = tmp_path / "ref.jsonl", tmp_path / "asr.jsonl"
+        ref.write_text(json.dumps({"encounter_id": "e0", "kind": "reference", "utterances": [
+            {"id": 0, "speaker": "doctor", "section": ["plan"], "text": "take two."}]}) + "\n")
+        asr.write_text(json.dumps({"encounter_id": "e0", "text": "take to.",
+                                   "turns": [[0, 8]]}) + "\n")
+        res = run_cli("align", "--ref", str(ref), "--asr", str(asr))
+        assert res.returncode == 3, res.stderr
+        assert "kind=parse-failure" in res.stderr and "unknown section label" in res.stderr
+
     def test_non_list_utterances_is_exit_3(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps({"encounter_id": "e0", "kind": "reference",

@@ -109,8 +109,10 @@ class TestTranscriptInvariants:
             assert SoapSection.from_string(sec.to_string()) is sec
         for spk in SpeakerLabel:
             assert SpeakerLabel.from_string(spk.to_string()) is spk
-        # only a member's exact lowercased name is a label
-        for bad in ("prognosis", "Plan", "plan ", "PLAN", 1, None, "ſubjective", "noun"):
+        # only a member's exact lowercased name is a label; unhashable
+        # values are refused, not looked up
+        for bad in ("prognosis", "Plan", "plan ", "PLAN", 1, None, "ſubjective", "noun",
+                    ["plan"], {"plan": 1}):
             with pytest.raises(CorpusError, match=r"^unknown section label "):
                 SoapSection.from_string(bad)
             with pytest.raises(CorpusError, match=r"^unknown speaker label "):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,10 +38,27 @@ def one_utt_ref(text, speaker=SpeakerLabel.DOCTOR, section=SoapSection.PLAN):
 
 class TestWordSpans:
     def test_basic(self):
-        assert word_spans("  ab  cd ", 0, 9) == [(2, 4), (6, 8)]
+        spans, counts = word_spans("  ab  cd ", [(0, 9)])
+        assert spans.tolist() == [[2, 4], [6, 8]] and counts.tolist() == [2]
+        assert spans.dtype == np.intp and counts.dtype == np.intp
 
     def test_window_restricts(self):
-        assert word_spans("ab cd ef", 3, 8) == [(3, 5), (6, 8)]
+        spans, counts = word_spans("ab cd ef", [(3, 8)])
+        assert spans.tolist() == [[3, 5], [6, 8]] and counts.tolist() == [2]
+
+    def test_matches_regex_per_utterance(self):
+        # sorted disjoint spans, some touching, over text with unicode spaces
+        gen = np.random.Generator(np.random.PCG64(53))
+        alphabet = list("ab.") + [" ", "\n", "\u00a0", "\u2003"]
+        for _ in range(300):
+            text = "".join(gen.choice(alphabet, size=int(gen.integers(0, 40))))
+            cuts = sorted(set(gen.integers(0, len(text) + 1, size=6).tolist()))
+            utts = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if gen.random() < 0.7]
+            want = [[(lo + m.start(), lo + m.end()) for m in re.finditer(r"\S+", text[lo:hi])]
+                    for lo, hi in utts]
+            spans, counts = word_spans(text, utts)
+            assert counts.tolist() == [len(ws) for ws in want], (text, utts)
+            assert [tuple(w) for w in spans.tolist()] == [w for ws in want for w in ws]
 
 
 class TestNormalizeSoap:
