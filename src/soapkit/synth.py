@@ -7,11 +7,21 @@ wording) with the true section copied from the local history, so context
 models have something real to gain. The corruption model mimics an ASR
 channel: character substitutions/deletions/insertions plus diarization
 turn merges and splits.
+
+Seeded outputs fix the draw order. Per utterance: speaker, context-rule
+test (after the first), section unless the rule fired, the three word
+counts, the three word samples, shuffle, punctuation. Per transcript: a
+merge test per turn boundary; a split test per turn holding a space, then
+its cut if it fires; per char the delete test, then (if kept) the
+substitute test and its index, then the insert test and its index. Tests
+are read from bulk draws, rewound before each index draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import (
     AsrRaw,
@@ -76,6 +86,9 @@ DEFAULT_SPEAKER_MARGINALS = (0.566, 0.383, 0.045, 0.006)
 
 CORRUPTION_ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 
+# Doubles per bulk draw of tests (speed only): a run between index draws
+TEST_BLOCK = 128
+
 
 class SynthError(ValueError):
     pass
@@ -110,10 +123,10 @@ class SynthConfig:
             raise SynthError("n_transcripts must be positive")
         if not 1 <= self.min_utterances <= self.max_utterances:
             raise SynthError("bad utterance count range")
-        if len(self.soap_marginals) != 5 or abs(sum(self.soap_marginals) - 1.0) > 1e-9:
-            raise SynthError("soap_marginals must be 5 probabilities summing to 1")
-        if len(self.speaker_marginals) != 4 or abs(sum(self.speaker_marginals) - 1.0) > 1e-9:
-            raise SynthError("speaker_marginals must be 4 probabilities summing to 1")
+        for name, k in (("soap_marginals", 5), ("speaker_marginals", 4)):
+            p = getattr(self, name)
+            if len(p) != k or not all(0.0 <= v <= 1.0 for v in p) or abs(sum(p) - 1.0) > 1e-9:
+                raise SynthError(f"{name} must be {k} probabilities summing to 1")
         if not 0.0 <= self.context_rule_strength <= 1.0:
             raise SynthError("context_rule_strength must be in [0, 1]")
 
@@ -126,13 +139,12 @@ def context_rule(history) -> SoapSection:
 
 
 def _make_utterance_text(gen, section, speaker, generic: bool) -> str:
-    content_pool = GENERIC_WORDS if generic else SECTION_WORDS[section]
-    n_func = int(gen.integers(2, 4))
-    n_content = int(gen.integers(3, 5))
-    n_spk = int(gen.integers(1, 3))
-    words = list(gen.choice(FUNCTION_WORDS, size=n_func, replace=False))
-    words += list(gen.choice(content_pool, size=n_content, replace=False))
-    words += list(gen.choice(SPEAKER_WORDS[speaker], size=n_spk, replace=False))
+    pools = (FUNCTION_WORDS, GENERIC_WORDS if generic else SECTION_WORDS[section],
+             SPEAKER_WORDS[speaker])
+    counts = [int(gen.integers(lo, hi)) for lo, hi in ((2, 4), (3, 5), (1, 3))]
+    # an index sample draws what a sample of the word tuple itself would
+    words = [pool[k] for pool, n in zip(pools, counts)
+             for k in gen.choice(len(pool), size=n, replace=False)]
     gen.shuffle(words)
     text = " ".join(words)
     text = text[0].upper() + text[1:]
@@ -140,18 +152,19 @@ def _make_utterance_text(gen, section, speaker, generic: bool) -> str:
     return text + punct
 
 
-def _generate_transcript(encounter_id: str, cfg: SynthConfig, rng: Rng) -> Transcript:
+def _generate_transcript(encounter_id: str, cfg: SynthConfig, rng: Rng,
+                         speaker_cdf, soap_cdf) -> Transcript:
     gen = rng.generator
     n = int(gen.integers(cfg.min_utterances, cfg.max_utterances + 1))
     utts = []
     history = []
     for i in range(n):
-        speaker = SpeakerLabel(int(gen.choice(4, p=cfg.speaker_marginals)))
+        speaker = SpeakerLabel(int(speaker_cdf.searchsorted(gen.random(), side="right")))
         fired = i > 0 and gen.random() < cfg.context_rule_strength
         if fired:
             section = context_rule(history)
         else:
-            section = SoapSection(int(gen.choice(5, p=cfg.soap_marginals)))
+            section = SoapSection(int(soap_cdf.searchsorted(gen.random(), side="right")))
         text = _make_utterance_text(gen, section, speaker, generic=fired)
         utts.append(Utterance(id=i, text=text, speaker=speaker, section=section))
         history.append(section)
@@ -163,8 +176,11 @@ def generate_corpus(cfg: SynthConfig) -> list:
     from its own split of the seed stream."""
     rng = Rng(cfg.seed)
     parts = rng.split(cfg.n_transcripts)
+    # the tables `gen.choice(len(p), p=p)` would search its one double in
+    cdfs = [c / c[-1] for c in (np.cumsum(p, dtype=float)
+                                for p in (cfg.speaker_marginals, cfg.soap_marginals))]
     return [
-        _generate_transcript(f"enc{i:05d}", cfg, parts[i])
+        _generate_transcript(f"enc{i:05d}", cfg, parts[i], *cdfs)
         for i in range(cfg.n_transcripts)
     ]
 
@@ -211,10 +227,10 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
         else:
             turns.append(range(lo, hi))
 
-    # turn merges: walk original boundaries left to right
-    merged = []
-    for turn in turns:
-        if merged and gen.random() < corruption.turn_merge_rate:
+    # turn merges: one test per original boundary, left to right
+    merged = [list(turn) for turn in turns[:1]]
+    for turn, u in zip(turns[1:], gen.random(len(turns[1:])).tolist()):
+        if u < corruption.turn_merge_rate:
             left = merged[-1]
             if left and text[left[-1]] in SENTENCE_END:
                 stats.dropped_punct_positions.append(left.pop())
@@ -224,38 +240,72 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
         else:
             merged.append(list(turn))
 
-    # turn splits: move one boundary into the middle of a turn
+    # Split and char-noise tests read `block[i]`. `block` starts `skipped`
+    # doubles past `state`, where the generator stood before it was drawn.
+    bits = gen.bit_generator
+    state, skipped, block, i = bits.state, 0, [], 0
+
+    def refill():
+        nonlocal skipped, block, i
+        skipped += i
+        block, i = block[i:] + gen.random(TEST_BLOCK).tolist(), 0
+
+    def index(n):
+        """gen.integers(n) drawn where a draw per test would draw it."""
+        nonlocal state, skipped, block, i
+        bits.state = state
+        gen.random(skipped + i)
+        k = int(gen.integers(n))
+        state, skipped, block, i = bits.state, 0, gen.random(TEST_BLOCK).tolist(), 0
+        return k
+
+    # turn splits. Offsets rise and skip only dropped punctuation, so a turn
+    # holds a space iff the reference slice it spans does.
     split = []
     for turn in merged:
-        space_at = [k for k, o in enumerate(turn) if text[o] == " "]
-        if space_at and gen.random() < corruption.turn_split_rate:
-            cut = int(gen.choice(space_at))
-            split += [turn[:cut], turn[cut + 1:]]
-            stats.n_splits += 1
-        else:
-            split.append(turn)
+        if turn and " " in text[turn[0]:turn[-1] + 1]:
+            if i == len(block):
+                refill()
+            i += 1
+            if block[i - 1] < corruption.turn_split_rate:
+                space_at = [k for k, o in enumerate(turn) if text[o] == " "]
+                cut = space_at[index(len(space_at))]
+                split += [turn[:cut], turn[cut + 1:]]
+                stats.n_splits += 1
+                continue
+        split.append(turn)
 
     # character noise
+    del_rate, sub_rate, ins_rate = (corruption.char_del_rate, corruption.char_sub_rate,
+                                    corruption.char_ins_rate)
     out_texts = []
     for turn in split:
         out = []
         for o in turn:
+            if i + 3 > len(block):
+                refill()
             c = text[o]
-            if gen.random() < corruption.char_del_rate:
+            if block[i] < del_rate:
+                i += 1
                 stats.n_del += 1
                 stats.del_positions.append(o)
             else:
-                if gen.random() < corruption.char_sub_rate:
+                i += 2
+                if block[i - 1] < sub_rate:
                     pool = CORRUPTION_ALPHABET.replace(c, "")
-                    c = pool[int(gen.integers(len(pool)))]
+                    c = pool[index(len(pool))]
                     stats.n_sub += 1
                     stats.sub_positions.append(o)
                 out.append(c)
-            if gen.random() < corruption.char_ins_rate:
-                out.append(CORRUPTION_ALPHABET[int(gen.integers(len(CORRUPTION_ALPHABET)))])
+            i += 1
+            if block[i - 1] < ins_rate:
+                out.append(CORRUPTION_ALPHABET[index(len(CORRUPTION_ALPHABET))])
                 stats.n_ins += 1
                 stats.ins_after_positions.append(o)
         out_texts.append("".join(out))
+    # leave the generator after the last test read
+    bits.state = state
+    gen.random(skipped + i)
 
     asr_text = " ".join(out_texts)
     spans = []
@@ -276,4 +326,5 @@ def corrupt_corpus(transcripts, corruption: CorruptionConfig, rng: Rng) -> tuple
 
 
 def write_sidecar(stats_list, path) -> None:
-    write_jsonl(map(asdict, stats_list), path)
+    # a dataclass instance's __dict__ holds its fields in declaration order
+    write_jsonl(map(vars, stats_list), path)

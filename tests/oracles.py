@@ -7,6 +7,15 @@ code or algorithmic shortcuts with the package under test does.
 
 import numpy as np
 
+from soapkit.corpus import SoapSection, SpeakerLabel, Transcript, TranscriptKind, Utterance
+from soapkit.synth import (
+    FUNCTION_WORDS,
+    GENERIC_WORDS,
+    SECTION_WORDS,
+    SPEAKER_WORDS,
+    context_rule,
+)
+
 
 def edit_distance_textbook(a: str, b: str) -> int:
     """Full (n+1) x (m+1) unit-cost edit distance table."""
@@ -833,3 +842,44 @@ def corrupt_turn_streams(utterances, cfg, gen, alphabet="abcdefghijklmnopqrstuvw
         spans.append((pos, end))
         pos = end
     return " ".join(out_texts), tuple(spans), stats
+
+
+# --- reference generation, one numpy sampling call per draw ---
+#
+# The generator soapkit.synth replaced with index samples of the word
+# tuples and one precomputed cdf per marginal: `Generator.choice` on the
+# tuple itself and on the marginals, in the same draw order.
+
+
+def make_utterance_text(gen, section, speaker, generic: bool) -> str:
+    content_pool = GENERIC_WORDS if generic else SECTION_WORDS[section]
+    n_func = int(gen.integers(2, 4))
+    n_content = int(gen.integers(3, 5))
+    n_spk = int(gen.integers(1, 3))
+    words = list(gen.choice(FUNCTION_WORDS, size=n_func, replace=False))
+    words += list(gen.choice(content_pool, size=n_content, replace=False))
+    words += list(gen.choice(SPEAKER_WORDS[speaker], size=n_spk, replace=False))
+    gen.shuffle(words)
+    text = " ".join(words)
+    text = text[0].upper() + text[1:]
+    punct = "." if gen.random() < 0.8 else "?"
+    return text + punct
+
+
+def generate_transcript(encounter_id: str, cfg, rng) -> Transcript:
+    """One reference transcript; `cfg` is a SynthConfig, `rng` an Rng."""
+    gen = rng.generator
+    n = int(gen.integers(cfg.min_utterances, cfg.max_utterances + 1))
+    utts = []
+    history = []
+    for i in range(n):
+        speaker = SpeakerLabel(int(gen.choice(4, p=cfg.speaker_marginals)))
+        fired = i > 0 and gen.random() < cfg.context_rule_strength
+        if fired:
+            section = context_rule(history)
+        else:
+            section = SoapSection(int(gen.choice(5, p=cfg.soap_marginals)))
+        text = make_utterance_text(gen, section, speaker, generic=fired)
+        utts.append(Utterance(id=i, text=text, speaker=speaker, section=section))
+        history.append(section)
+    return Transcript(encounter_id=encounter_id, kind=TranscriptKind.REFERENCE, utterances=tuple(utts))

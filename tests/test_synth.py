@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from oracles import corrupt_turn_streams
+from oracles import corrupt_turn_streams, generate_transcript
 
 from soapkit.corpus import (
     Rng,
@@ -31,12 +31,25 @@ from soapkit.synth import (
 )
 
 
+NAN = float("nan")
+
+
 class TestConfigValidation:
     def test_bad_marginals(self):
         with pytest.raises(SynthError, match="soap_marginals"):
             SynthConfig(n_transcripts=1, soap_marginals=(0.5, 0.5, 0.5, 0, 0))
         with pytest.raises(SynthError, match="speaker_marginals"):
             SynthConfig(n_transcripts=1, speaker_marginals=(1.0, 0.5, 0, 0))
+
+    @pytest.mark.parametrize("soap, speaker", [((1.2, -0.2, 0, 0, 0), (1.2, -0.2, 0, 0)),
+                                               ((NAN, 0, 0, 0, 1.0), (NAN, 0, 0, 1.0))])
+    def test_negative_or_nan_marginal(self, soap, speaker):
+        # each sums to 1 (a NaN sum passes the sum test too), so only the
+        # per-entry check rejects it
+        with pytest.raises(SynthError, match="soap_marginals"):
+            SynthConfig(n_transcripts=1, soap_marginals=soap)
+        with pytest.raises(SynthError, match="speaker_marginals"):
+            SynthConfig(n_transcripts=1, speaker_marginals=speaker)
 
     def test_bad_rates(self):
         with pytest.raises(SynthError, match="char_sub_rate"):
@@ -82,6 +95,20 @@ class TestGenerateCorpus:
         speakers /= speakers.sum()
         assert np.abs(sections - soap_m).max() < 0.02
         assert np.abs(speakers - spk_m).max() < 0.02
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_draw_oracle(self, seed):
+        marginals = ({}, {"soap_marginals": (0, 0, 0, 0, 1), "speaker_marginals": (1, 0, 0, 0)})
+        for lo, hi in ((1, 1), (8, 14), (300, 300)):
+            for strength in (0.0, 0.5, 1.0):
+                for extra in marginals:
+                    cfg = SynthConfig(n_transcripts=1 if lo == 300 else 3, min_utterances=lo,
+                                      max_utterances=hi, context_rule_strength=strength,
+                                      seed=seed, **extra)
+                    want = [transcript_to_record(generate_transcript(f"enc{i:05d}", cfg, part))
+                            for i, part in enumerate(Rng(seed).split(cfg.n_transcripts))]
+                    got = [transcript_to_record(t) for t in generate_corpus(cfg)]
+                    assert got == want, cfg
 
     def test_context_rule_copies_most_recent_section(self):
         assert context_rule([SoapSection.PLAN, SoapSection.NONE]) is SoapSection.NONE
@@ -164,19 +191,25 @@ class TestCorrupt:
         assert len(split.turns) == len(clean.turns) + stats.n_splits
         assert stats.n_splits > 0
 
+    README_NOISE = CorruptionConfig(char_sub_rate=0.03, char_del_rate=0.01, char_ins_rate=0.01,
+                                    turn_merge_rate=0.3)
+
     # rate settings: none, README noise, heavy char noise with frequent
     # merges and splits, every other boundary merged and turn split (the
     # setting that most often merges two turns of empty-text utterances),
-    # and every boundary merged and every turn split
+    # every boundary merged and every turn split, and each char test
+    # firing on every char
     ORACLE_RATES = (
         CorruptionConfig(),
-        CorruptionConfig(char_sub_rate=0.03, char_del_rate=0.01, char_ins_rate=0.01,
-                         turn_merge_rate=0.3),
+        README_NOISE,
         CorruptionConfig(char_sub_rate=0.2, char_del_rate=0.2, char_ins_rate=0.2,
                          turn_merge_rate=0.9, turn_split_rate=0.9),
         CorruptionConfig(char_sub_rate=0.1, char_del_rate=0.1, char_ins_rate=0.1,
                          turn_merge_rate=0.5, turn_split_rate=0.5),
         CorruptionConfig(char_sub_rate=0.05, turn_merge_rate=1.0, turn_split_rate=1.0),
+        CorruptionConfig(char_sub_rate=1.0),
+        CorruptionConfig(char_del_rate=1.0),
+        CorruptionConfig(char_ins_rate=1.0),
     )
 
     @staticmethod
@@ -209,15 +242,73 @@ class TestCorrupt:
                               utterances=chain)] * 40
         return corpus
 
+    @staticmethod
+    def _assert_matches_oracle(t, cfg, seed):
+        rng, gen = Rng(seed), Rng(seed).generator
+        rec, stats = corrupt(t, cfg, rng)
+        text, turns, want = corrupt_turn_streams(t.utterances, cfg, gen)
+        assert (rec.text, rec.turns) == (text, turns), (cfg, t)
+        got = asdict(stats)
+        assert got.pop("encounter_id") == t.encounter_id
+        assert got == want, (cfg, t)
+        # the bulk draws leave the generator where one draw per test does
+        assert rng.generator.bit_generator.state == gen.bit_generator.state, (cfg, t)
+
     def test_matches_turn_stream_oracle(self, oracle_corpus):
         for cfg in self.ORACLE_RATES:
             for seed, t in enumerate(oracle_corpus):
-                rec, stats = corrupt(t, cfg, Rng(seed))
-                text, turns, want = corrupt_turn_streams(t.utterances, cfg, Rng(seed).generator)
-                assert (rec.text, rec.turns) == (text, turns), (cfg, t)
-                got = asdict(stats)
-                assert got.pop("encounter_id") == t.encounter_id
-                assert got == want, (cfg, t)
+                self._assert_matches_oracle(t, cfg, seed)
+
+    def test_matches_turn_stream_oracle_on_long_encounters(self):
+        # about 13k chars each, so bulk-draw blocks end mid-turn many times
+        corpus = generate_corpus(SynthConfig(n_transcripts=2, min_utterances=300,
+                                             max_utterances=300, seed=12))
+        heavy = CorruptionConfig(char_sub_rate=0.2, char_del_rate=0.2, char_ins_rate=0.2)
+        for cfg in (self.README_NOISE, heavy):
+            for seed, t in enumerate(corpus):
+                self._assert_matches_oracle(t, cfg, seed)
+
+    def test_numpy_stream_properties_the_bulk_draw_relies_on(self):
+        # one bulk draw of n doubles is n scalar draws
+        bulk, scalar = Rng(4).generator, Rng(4).generator
+        assert bulk.random(1000).tolist() == [scalar.random() for _ in range(1000)]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+        # an integers draw below 2**32 uses half of a 64-bit word and keeps
+        # the other half for the next one; putting the state back after a
+        # look-ahead of doubles keeps that half pending
+        ahead, direct = Rng(5).generator, Rng(5).generator
+        for gen in (ahead, direct):
+            gen.integers(26)
+        saved = ahead.bit_generator.state
+        assert saved["has_uint32"] == 1
+        ahead.random(50)
+        ahead.bit_generator.state = saved
+        assert ahead.random(3).tolist() == direct.random(3).tolist()
+        assert ahead.integers(26, size=4).tolist() == direct.integers(26, size=4).tolist()
+        assert ahead.bit_generator.state == direct.bit_generator.state
+
+    def test_char_tests_are_drawn_in_bulk(self):
+        class CountingGenerator:
+            def __init__(self, gen):
+                self.gen, self.random_calls = gen, 0
+
+            def random(self, *args, **kwargs):
+                self.random_calls += 1
+                return self.gen.random(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        t = generate_corpus(SynthConfig(n_transcripts=1, min_utterances=300,
+                                        max_utterances=300, seed=3))[0]
+        rng = Rng(4)
+        rng.generator = counting = CountingGenerator(rng.generator)
+        rec, _ = corrupt(t, self.README_NOISE, rng)
+        n_chars = len(render_reference(t.utterances)[0])
+        assert n_chars > 10_000
+        # one call per test would be about three per char
+        assert counting.random_calls < 0.1 * n_chars
+        assert rec == corrupt(t, self.README_NOISE, Rng(4))[0]
 
     def test_sidecar_names_each_position_once(self, oracle_corpus):
         for cfg in self.ORACLE_RATES:
