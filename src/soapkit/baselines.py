@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import atomic_output, checked_array, inverse_frequency_weights
+from .corpus import CheckpointError, atomic_output, checked_array, inverse_frequency_weights, read_json
 from .neural.network import softmax
 
 
-class BaselineError(ValueError):
+class BaselineError(CheckpointError):
     pass
 
 
@@ -85,8 +85,8 @@ class BaselineModel:
     def load(cls, rec) -> "BaselineModel":
         """A model from its checkpoint record; a record that `save` could
         not have written raises BaselineError."""
-        if not isinstance(rec, dict):
-            raise BaselineError("checkpoint is not a JSON object")
+        if not isinstance(rec, dict) or rec.get("family") != "baseline":
+            raise BaselineError("not a baseline checkpoint")
         kind, task, n_classes, vocab, majority = (
             rec.get(k) for k in ("kind", "task", "n_classes", "vocab", "majority"))
         if kind not in ("mc", "mnb", "lr"):
@@ -203,8 +203,4 @@ def train_lr(token_lists, targets: np.ndarray, task: str,
 
 
 def load_baseline(path) -> BaselineModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        rec = json.load(fh)
-    if rec.get("family") != "baseline":
-        raise BaselineError(f"{path} is not a baseline checkpoint")
-    return BaselineModel.load(rec)
+    return read_json(path, BaselineModel.load, BaselineError)

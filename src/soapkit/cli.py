@@ -21,6 +21,7 @@ import numpy as np
 from .align import AlignmentError, alignment_record
 from .baselines import BaselineError, BaselineModel, train_lr, train_mc, train_mnb
 from .corpus import (
+    CheckpointError,
     CorpusError,
     Rng,
     gold_labels,
@@ -28,6 +29,7 @@ from .corpus import (
     pair_by_encounter,
     read_asr_raw,
     read_corpus,
+    read_json,
     render_reference,
     write_asr_raw,
     write_corpus,
@@ -35,7 +37,7 @@ from .corpus import (
 )
 from .irr import IrrError, format_report, irr_report, read_notes
 from .metrics import MetricError, MetricReport, evaluate, fit_platt, validation_split
-from .neural.model import MODEL_VARIANTS, ModelConfig, ModelError, SequenceClassifier
+from .neural.model import MODEL_VARIANTS, ModelConfig, SequenceClassifier
 from .neural.train import TrainConfig, TrainingError, collect_scores, train_model
 from .preprocess import EmptyUtteranceError, preprocess_corpus
 from .project import ProjectionError, project_corpus
@@ -60,7 +62,7 @@ EXIT_INVALID = 4
 EXIT_INTERNAL = 1
 
 _DATA_ERRORS = (CorpusError, AlignmentError, ProjectionError, SynthError,
-                BaselineError, MetricError, ModelError, TrainingError,
+                CheckpointError, MetricError, TrainingError,
                 IrrError, EmptyUtteranceError)
 
 
@@ -72,40 +74,20 @@ class CliError(Exception):
         self.detail = detail
 
 
-def _require_file(path) -> str:
-    if not os.path.isfile(path):
-        raise CliError(EXIT_MISSING, "missing-file", str(path))
-    return path
-
-
-def _read_input(reader, path):
-    """Read an input file, folding reader errors into the parse-failure
-    exit class (a file that fails its own invariants is still a bad input
-    file from the operator's side)."""
-    _require_file(path)
+def _read_input(reader, path, *args):
+    """reader(path, *args), whose errors (which name the path) exit as parse
+    failures: a file that fails its own invariants is still a bad input."""
     try:
-        return reader(path)
+        return reader(path, *args)
     except _DATA_ERRORS as e:
-        raise CliError(EXIT_PARSE, "parse-failure", f"{path}: {e}") from None
+        raise CliError(EXIT_PARSE, "parse-failure", str(e)) from None
 
 
-def _load_checkpoint(path):
-    _require_file(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rec = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise CliError(EXIT_PARSE, "parse-failure", f"{path}: {e.msg}") from None
-    family = rec.get("family") if isinstance(rec, dict) else None
-    try:
-        if family == "baseline":
-            return BaselineModel.load(rec)
-        if family == "neural":
-            return SequenceClassifier.from_record(rec)
-    except _DATA_ERRORS as e:
-        raise CliError(EXIT_PARSE, "parse-failure", f"{path}: {e}") from None
-    raise CliError(EXIT_PARSE, "parse-failure",
-                   f"{path}: unknown checkpoint family {family!r}")
+def _checkpoint(rec):
+    """A model of either family from its checkpoint record."""
+    if rec.get("family") == "baseline":
+        return BaselineModel.load(rec)
+    return SequenceClassifier.from_record(rec)
 
 
 # --- subcommands ---
@@ -240,7 +222,8 @@ def _format_eval_table(task: str, uncal: MetricReport, cal: MetricReport | None)
 
 
 def cmd_eval(args) -> int:
-    model = "oracle" if args.model == "oracle" else _load_checkpoint(args.model)
+    model = ("oracle" if args.model == "oracle"
+             else _read_input(read_json, args.model, _checkpoint, CheckpointError))
     test = preprocess_corpus(_read_input(read_corpus, args.test))
     if args.calibrate and not args.val_corpus:
         raise CliError(EXIT_MISSING, "usage",
@@ -287,7 +270,7 @@ def cmd_irr(args) -> int:
         raise IrrError(f"encounter {missing[0]!r} missing from {args.notes_b}")
     if len(notes_b) != len(pairs):
         _, extra = pair_by_encounter(notes_b, notes_a)
-        raise IrrError(f"encounters {sorted(set(extra))} missing from {args.notes_a}")
+        raise IrrError(f"encounters {sorted(extra)} missing from {args.notes_a}")
     print(format_report(irr_report(pairs, transcripts)))
     return 0
 
@@ -379,22 +362,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_config(args) -> None:
     if not getattr(args, "config", None):
         return
-    path = _require_file(args.config)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise CliError(EXIT_PARSE, "parse-failure", f"{path}: {e.msg}") from None
-    if not isinstance(overrides, dict):
-        raise CliError(EXIT_PARSE, "parse-failure",
-                       f"{path}: config must be a JSON object")
+    overrides = _read_input(read_json, args.config, dict)
     flags = {a.dest: a for a in args.parser._actions
              if a.option_strings and a.dest not in ("help", "config")}
     for key, value in overrides.items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
             raise CliError(EXIT_INVALID, "invalid-config-key",
-                           f"{path}: {key!r} is not a flag of this subcommand")
+                           f"{args.config}: {key!r} is not a flag of this subcommand")
         if action.type is float and type(value) is int:
             value = float(value)
         # a value must be what the flag would parse to: true/false for a
@@ -403,7 +378,7 @@ def _apply_config(args) -> None:
         if type(value) is not expected or (action.choices is not None
                                            and value not in action.choices):
             raise CliError(EXIT_INVALID, "invalid-config-value",
-                           f"{path}: {value!r} is not a valid value for "
+                           f"{args.config}: {value!r} is not a valid value for "
                            f"{action.option_strings[0]}")
         setattr(args, action.dest, value)
 

@@ -195,38 +195,26 @@ def _utterance_to_record(utt: Utterance, kind: TranscriptKind) -> dict:
     return rec
 
 
-def _utterance_from_record(rec: dict, kind: TranscriptKind, where: str, uid: int) -> Utterance:
+def _utterance_from_record(rec: dict, kind: TranscriptKind, uid: int) -> Utterance:
     """Utterance `uid` of a transcript: the record's integer id is checked,
     then replaced by the dense position, so ids are reindexed in file order."""
     if not isinstance(rec, dict):
-        raise CorpusError(f"{where}: utterance record must be an object")
-    try:
+        raise CorpusError("utterance record must be an object")
+    reference = kind is TranscriptKind.REFERENCE
+    try:  # the kind's two label fields are `a` and `b`
         int(rec["id"])
         text = rec["text"]
+        a, b = (rec["speaker"], rec["section"]) if reference else (rec["soap_dist"], rec["speaker_dist"])
     except KeyError as e:
-        raise CorpusError(f"{where}: utterance record missing field {e.args[0]!r}") from None
+        raise CorpusError(f"{kind.value} utterance missing field {e.args[0]!r}") from None
     except (TypeError, ValueError):
-        raise CorpusError(f"{where}: field 'id' must be an integer") from None
+        raise CorpusError("field 'id' must be an integer") from None
     if not isinstance(text, str):
-        raise CorpusError(f"{where}: field 'text' must be a string")
-    if kind is TranscriptKind.REFERENCE:
-        labels = {}
-        for name, label in (("speaker", SpeakerLabel), ("section", SoapSection)):
-            if name not in rec:
-                raise CorpusError(f"{where}: reference utterance missing field {name!r}")
-            try:
-                labels[name] = label.from_string(rec[name])
-            except CorpusError as e:
-                raise CorpusError(f"{where}: field {name!r}: {e}") from None
-        return Utterance(id=uid, text=text, **labels)
-    for name in ("soap_dist", "speaker_dist"):
-        if name not in rec:
-            raise CorpusError(f"{where}: asr utterance missing field {name!r}")
-    try:
-        dist = LabelDistribution(soap=rec["soap_dist"], speaker=rec["speaker_dist"])
-    except CorpusError as e:
-        raise CorpusError(f"{where}: {e}") from None
-    return Utterance(id=uid, text=text, dist=dist)
+        raise CorpusError("field 'text' must be a string")
+    if reference:
+        return Utterance(id=uid, text=text, speaker=SpeakerLabel.from_string(a),
+                         section=SoapSection.from_string(b))
+    return Utterance(id=uid, text=text, dist=LabelDistribution(soap=a, speaker=b))
 
 
 def transcript_to_record(t: Transcript) -> dict:
@@ -237,21 +225,24 @@ def transcript_to_record(t: Transcript) -> dict:
     }
 
 
-def transcript_from_record(rec: dict, where: str = "record") -> Transcript:
-    if not isinstance(rec, dict):
-        raise CorpusError(f"{where}: encounter record must be an object")
-    for name in ("encounter_id", "kind", "utterances"):
-        if name not in rec:
-            raise CorpusError(f"{where}: missing field {name!r}")
-    kind_str = rec["kind"]
+def fields(rec: dict, names: tuple, error=CorpusError) -> list:
+    """The values of `names` in a record; a missing one raises `error`."""
+    try:
+        return [rec[name] for name in names]
+    except KeyError as e:
+        raise error(f"missing field {e.args[0]!r}") from None
+
+
+def transcript_from_record(rec: dict) -> Transcript:
+    encounter_id, kind_str, utts = fields(rec, ("encounter_id", "kind", "utterances"))
     try:
         kind = TranscriptKind(kind_str)
     except ValueError:
-        raise CorpusError(f"{where}: field 'kind': unknown transcript kind {kind_str!r}") from None
-    if not isinstance(rec["utterances"], list):
-        raise CorpusError(f"{where}: field 'utterances' must be a list")
-    utts = [_utterance_from_record(u, kind, where, i) for i, u in enumerate(rec["utterances"])]
-    return Transcript(encounter_id=str(rec["encounter_id"]), kind=kind, utterances=utts)
+        raise CorpusError(f"field 'kind': unknown transcript kind {kind_str!r}") from None
+    if not isinstance(utts, list):
+        raise CorpusError("field 'utterances' must be a list")
+    return Transcript(encounter_id=str(encounter_id), kind=kind,
+                      utterances=[_utterance_from_record(u, kind, i) for i, u in enumerate(utts)])
 
 
 @contextlib.contextmanager
@@ -285,26 +276,55 @@ def write_corpus(transcripts, path) -> None:
     write_jsonl(map(transcript_to_record, transcripts), path)
 
 
-def read_jsonl(path, error=CorpusError):
-    """Yield (where, record) for every non-blank line of a JSON Lines file,
-    `where` being "path: line N". A line that is not a JSON object raises
-    `error`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise error(f"{where}: malformed JSON ({e.msg})") from None
-            if not isinstance(rec, dict):
-                raise error(f"{where}: record must be an object")
-            yield where, rec
+def json_object(text: str, error=CorpusError) -> dict:
+    """`text` parsed as JSON; malformed JSON, or a value that is not an
+    object, raises `error`."""
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"malformed JSON ({e.msg})") from None
+    if not isinstance(rec, dict):
+        raise error("not a JSON object")
+    return rec
+
+
+def _read_text(path, error) -> str:
+    """The file's text; bytes that are not UTF-8 raise `error` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x} at offset {e.start})") from None
+
+
+def _parsed(text: str, parse, error, where: str):
+    """parse(json_object(text)); an `error` from either is raised again as
+    "where: ..."."""
+    try:
+        return parse(json_object(text, error))
+    except error as e:
+        raise error(f"{where}: {e}") from None
+
+
+def read_jsonl(path, parse, error=CorpusError) -> list:
+    """[parse(record), ...] over the non-blank lines of a JSON Lines file,
+    each line a JSON object; errors name "path: line N"."""
+    lines = _read_text(path, error).split("\n")
+    return [_parsed(line, parse, error, f"{path}: line {n}")
+            for n, line in enumerate(lines, start=1) if line.strip()]
+
+
+def read_json(path, parse, error=CorpusError):
+    """parse(record) for a file that holds one JSON object; errors name the path."""
+    return _parsed(_read_text(path, error), parse, error, path)
 
 
 def read_corpus(path) -> list:
-    return [transcript_from_record(rec, where) for where, rec in read_jsonl(path)]
+    return read_jsonl(path, transcript_from_record)
+
+
+class CheckpointError(ValueError):
+    """Base of BaselineError and ModelError: one checkpoint read locates either."""
 
 
 def checked_array(value, what: str, shape: tuple, error) -> np.ndarray:
@@ -362,7 +382,13 @@ class AsrRaw:
 def pair_by_encounter(records, others) -> tuple:
     """Match each of `records` to the one of `others` with its
     encounter_id. Returns (pairs, missing): the (record, other) pairs in
-    `records` order and the encounter ids with no match, in that order."""
+    `records` order and the encounter ids with no match, in that order.
+    An encounter_id that repeats on either side raises CorpusError."""
+    for side in (records, others):
+        ids = [item.encounter_id for item in side]
+        if len(set(ids)) < len(ids):
+            raise CorpusError(f"encounter {next(i for i in ids if ids.count(i) > 1)!r} "
+                              "appears more than once")
     by_id = {o.encounter_id: o for o in others}
     pairs, missing = [], []
     for rec in records:
@@ -379,18 +405,13 @@ def write_asr_raw(records, path) -> None:
                   "turns": [list(t) for t in rec.turns]} for rec in records), path)
 
 
+def _asr_raw_from_record(rec: dict) -> AsrRaw:
+    encounter_id, text, turns = fields(rec, ("encounter_id", "text", "turns"))
+    return AsrRaw(encounter_id=str(encounter_id), text=text, turns=turns)
+
+
 def read_asr_raw(path) -> list:
-    out = []
-    for where, rec in read_jsonl(path):
-        for name in ("encounter_id", "text", "turns"):
-            if name not in rec:
-                raise CorpusError(f"{where}: missing field {name!r}")
-        try:
-            out.append(AsrRaw(encounter_id=str(rec["encounter_id"]),
-                              text=rec["text"], turns=rec["turns"]))
-        except CorpusError as e:
-            raise CorpusError(f"{where}: {e}") from None
-    return out
+    return read_jsonl(path, _asr_raw_from_record)
 
 
 def one_hot_targets(transcript: Transcript) -> tuple:

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import N_SOAP, SoapSection, read_jsonl, write_jsonl
+from .corpus import N_SOAP, SoapSection, fields, read_jsonl, write_jsonl
 from .metrics import confusion_and_f1
 
 # Fixed subsection taxonomy; every observation must use one of these.
@@ -284,20 +284,16 @@ def _observation_from_record(o) -> Observation:
     return Observation(subsection, summary, frozenset(tags), frozenset(evidence))
 
 
+def _note_from_record(rec: dict) -> SoapNote:
+    encounter_id, observations = fields(rec, ("encounter_id", "observations"), IrrError)
+    if not isinstance(observations, list):
+        raise IrrError("field 'observations' must be a list")
+    return SoapNote(encounter_id=str(encounter_id),
+                    observations=tuple(map(_observation_from_record, observations)))
+
+
 def read_notes(path) -> list:
-    out = []
-    for where, rec in read_jsonl(path, IrrError):
-        for name in ("encounter_id", "observations"):
-            if name not in rec:
-                raise IrrError(f"{where}: missing field {name!r}")
-        if not isinstance(rec["observations"], list):
-            raise IrrError(f"{where}: field 'observations' must be a list")
-        try:
-            obs = tuple(_observation_from_record(o) for o in rec["observations"])
-        except IrrError as e:
-            raise IrrError(f"{where}: {e}") from None
-        out.append(SoapNote(encounter_id=str(rec["encounter_id"]), observations=obs))
-    return out
+    return read_jsonl(path, _note_from_record, IrrError)
 
 
 def format_report(report: IrrReport) -> str:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus import N_SOAP, N_SPEAKER, Rng, atomic_output, checked_array
+from ..corpus import N_SOAP, N_SPEAKER, CheckpointError, Rng, atomic_output, checked_array, read_json
 from .embeddings import HashEmbeddings
 from .network import (
     attention_backward,
@@ -41,7 +41,7 @@ MODEL_VARIANTS = ("dlb", "wa", "bil", "bild")
 EMBED_LAYERS = 3
 
 
-class ModelError(ValueError):
+class ModelError(CheckpointError):
     pass
 
 
@@ -299,8 +299,8 @@ class SequenceClassifier:
     def from_record(cls, rec) -> "SequenceClassifier":
         """A model from its checkpoint record; a record that `save` could
         not have written raises ModelError."""
-        if not isinstance(rec, dict):
-            raise ModelError("checkpoint is not a JSON object")
+        if not isinstance(rec, dict) or rec.get("family") != "neural":
+            raise ModelError("not a neural checkpoint")
         config, params = rec.get("config"), rec.get("params")
         if not isinstance(config, dict) or not isinstance(params, dict):
             raise ModelError("checkpoint needs 'config' and 'params' objects")
@@ -336,8 +336,4 @@ def _padded(rows: np.ndarray, real: np.ndarray) -> np.ndarray:
 
 
 def load_model(path) -> SequenceClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        rec = json.load(fh)
-    if rec.get("family") != "neural":
-        raise ModelError(f"{path} is not a neural checkpoint")
-    return SequenceClassifier.from_record(rec)
+    return read_json(path, SequenceClassifier.from_record, ModelError)

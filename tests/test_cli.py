@@ -81,6 +81,45 @@ class TestErrorPaths:
         res = run_cli("align", "--ref", str(bad), "--asr", str(bad))
         assert res.returncode == 3
         assert "kind=parse-failure" in res.stderr
+        assert res.stderr.count(str(bad)) == 1, res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("align", "--ref", "{bad}", "--asr", "{data}/asr.jsonl"),
+        ("align", "--ref", "{data}/reference.jsonl", "--asr", "{bad}"),
+        ("train", "--corpus", "{bad}", "--variant", "mc", "--out", "{tmp}/m.json"),
+        ("irr", "--notes-a", "{bad}", "--notes-b", "{bad}", "--transcripts",
+         "{data}/reference.jsonl"),
+        ("eval", "--model", "{bad}", "--test", "{data}/reference.jsonl"),
+        ("synth", "--out-dir", "{tmp}/x", "--n", "1", "--config", "{bad}"),
+    ], ids=["ref", "asr", "corpus", "notes-a", "model", "config"])
+    def test_non_utf8_input_is_exit_3(self, workspace, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff{"encounter_id": "e0"}\n')
+        argv = [a.format(bad=bad, tmp=tmp_path, data=workspace / "data") for a in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "kind=parse-failure" in err and "not UTF-8" in err, err
+        assert err.count(str(bad)) == 1, err
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, repeated", [
+        ("align", "reference.jsonl"), ("align", "asr.jsonl"),
+        ("project", "reference.jsonl"), ("project", "asr.jsonl")])
+    def test_repeated_encounter_id_is_exit_4(self, workspace, tmp_path, command, repeated):
+        data = workspace / "data"
+        inputs = {name: str(data / name) for name in ("reference.jsonl", "asr.jsonl")}
+        lines = (data / repeated).read_text().splitlines()
+        eid = json.loads(lines[0])["encounter_id"]
+        # the repeat carries another encounter's text under the first one's id
+        dup = dict(json.loads(lines[1]), encounter_id=eid)
+        inputs[repeated] = str(tmp_path / repeated)
+        (tmp_path / repeated).write_text("\n".join(lines + [json.dumps(dup)]) + "\n")
+        out = tmp_path / "out.jsonl"
+        res = run_cli(command, "--ref", inputs["reference.jsonl"], "--asr", inputs["asr.jsonl"],
+                      "--out", str(out))
+        assert res.returncode == 4, res.stderr
+        assert "kind=invalid-data" in res.stderr and repr(eid) in res.stderr, res.stderr
+        assert not out.exists()
 
     def test_nan_in_projected_corpus_is_exit_3(self, workspace, tmp_path):
         data = workspace / "data"
@@ -256,6 +295,20 @@ class TestErrorPaths:
                       "--transcripts", str(data / "reference.jsonl"))
         assert res.returncode == 3, res.stderr
         assert "kind=parse-failure" in res.stderr and "line 1" in res.stderr
+
+    @pytest.mark.parametrize("repeated", ["a", "b"])
+    def test_irr_repeated_note_is_exit_4(self, workspace, tmp_path, repeated):
+        data = workspace / "data"
+        eid = json.loads((data / "reference.jsonl").read_text().splitlines()[0])["encounter_id"]
+        note = json.dumps({"encounter_id": eid, "observations": [
+            {"subsection": "vitals", "summary": "bp", "tags": [], "evidence": [0]}]}) + "\n"
+        for side in ("a", "b"):
+            (tmp_path / f"{side}.jsonl").write_text(note * (2 if side == repeated else 1))
+        res = run_cli("irr", "--notes-a", str(tmp_path / "a.jsonl"),
+                      "--notes-b", str(tmp_path / "b.jsonl"),
+                      "--transcripts", str(data / "reference.jsonl"))
+        assert res.returncode == 4, res.stderr
+        assert "kind=invalid-data" in res.stderr and repr(eid) in res.stderr, res.stderr
 
     def test_calibrate_without_val_corpus_is_usage_error(self, workspace):
         data = workspace / "data"

@@ -124,7 +124,7 @@ def test_write_jsonl_writes_one_object_per_line(tmp_path):
     path = tmp_path / "r.jsonl"
     write_jsonl(iter(recs), path)
     assert path.read_text() == '{"a": 1, "b": [1.5, "x"]}\n{}\n{"c": null}\n'
-    assert [rec for _, rec in read_jsonl(path)] == recs
+    assert read_jsonl(path, dict) == recs
 
 
 def test_write_jsonl_is_all_or_nothing(tmp_path):
@@ -253,6 +253,13 @@ class TestSerialization:
                [("e2", "e2"), ("e0", "e0"), ("e1", "e1")]
         assert all(r is records[i] for (r, _), i in zip(pairs, (0, 1, 3)))
         assert missing == ["e9"]
+
+    def test_pair_by_encounter_refuses_a_repeated_id_on_either_side(self):
+        once = [AsrRaw(e, "", ()) for e in ("e0", "e1")]
+        twice = once + [AsrRaw("e1", "x", ((0, 1),))]
+        for records, others in ((twice, once), (once, twice)):
+            with pytest.raises(CorpusError, match="'e1' appears more than once"):
+                pair_by_encounter(records, others)
 
 
 class TestTargets:

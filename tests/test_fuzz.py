@@ -3,21 +3,23 @@ of model checkpoints.
 
 Each case takes a valid record (config, checkpoint) and makes one
 mutation: it deletes a field, or swaps one value for an int, a string, a
-list, null or an object. A reader must then either accept the line or
-raise its own error class; the CLI must exit 0, 2 (missing file), 3 or 4,
-never 1.
+list, null or an object. A reader or checkpoint loader must then either
+accept the record or raise its own error class; the CLI must exit 0, 2
+(missing file), 3 or 4, never 1.
 """
 
 import copy
 import json
 import random
+import re
 
 import pytest
 
 from soapkit.cli import main
 from soapkit.corpus import CorpusError, Rng, read_asr_raw, read_corpus, write_asr_raw, write_corpus
 from soapkit.irr import IrrError, read_notes
-from soapkit.neural.model import ModelConfig, SequenceClassifier
+from soapkit.baselines import BaselineError, load_baseline
+from soapkit.neural.model import ModelConfig, ModelError, SequenceClassifier, load_model
 from soapkit.project import project_corpus
 from soapkit.synth import CorruptionConfig, SynthConfig, corrupt_corpus, generate_corpus
 
@@ -177,17 +179,45 @@ def _eval_exit(root, tmp_path, rec, capsys) -> int:
     return rc
 
 
-@pytest.mark.parametrize("variants", [("wa", "bild"), ("mc", "mnb", "lr")],
-                         ids=["neural", "baseline"])
-def test_mutated_checkpoints_never_exit_1(corpora, tmp_path, capsys, variants):
+LOADERS = {"neural": (("wa", "bild"), load_model, ModelError),
+           "baseline": (("mc", "mnb", "lr"), load_baseline, BaselineError)}
+
+
+@pytest.mark.parametrize("family", sorted(LOADERS))
+def test_mutated_checkpoints_never_exit_1(corpora, tmp_path, capsys, family):
+    """The CLI exits 3 on exactly the checkpoints that the family's loader
+    rejects with its own error class."""
+    variants, load, error = LOADERS[family]
     records = [json.loads((corpora / f"{v}.json").read_text()) for v in variants]
     for rec in records:
         assert _eval_exit(corpora, tmp_path, rec, capsys) == 0
     rng = random.Random(13)
     codes = set()
     for _ in range(N_CASES):
-        codes.add(_eval_exit(corpora, tmp_path, mutate(rng.choice(records), rng), capsys))
+        rec = mutate(rng.choice(records), rng)
+        rc = _eval_exit(corpora, tmp_path, rec, capsys)
+        try:
+            load(tmp_path / "model.json")
+            rejected = False
+        except error:
+            rejected = True
+        assert rejected == (rc == 3), rec
+        codes.add(rc)
     assert {0, 3} <= codes
+
+
+@pytest.mark.parametrize("family", sorted(LOADERS))
+def test_loaders_reject_truncated_and_non_object_files(corpora, tmp_path, family):
+    variants, load, error = LOADERS[family]
+    text = (corpora / f"{variants[-1]}.json").read_text()
+    path = tmp_path / "model.json"
+    for bad in (text[:len(text) // 2], f"[{text}]", "7", "", "{}"):
+        path.write_text(bad)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+            load(path)
+    path.write_bytes(b"\xff" + text.encode())
+    with pytest.raises(error, match="not UTF-8"):
+        load(path)
 
 
 DROP = object()
