@@ -195,13 +195,17 @@ def irr_report(pairs, transcripts) -> IrrReport:
     """Aggregate agreement over (source_note, reference_note) pairs.
 
     `transcripts` supplies the utterance universe per encounter (matched
-    by encounter_id) for the utterance-level view, where the reference
-    annotator is treated as gold.
+    by encounter_id, which may appear once) for the utterance-level view,
+    where the reference annotator is treated as gold.
     """
     pairs = list(pairs)
     if not pairs:
         raise IrrError("no note pairs to compare")
-    by_id = {t.encounter_id: len(t.utterances) for t in transcripts}
+    by_id = {}
+    for t in transcripts:
+        if t.encounter_id in by_id:
+            raise IrrError(f"transcripts repeat encounter {t.encounter_id!r}")
+        by_id[t.encounter_id] = len(t.utterances)
     frac = {"identical": [], "substitution": [], "insertion": [], "deletion": []}
     ev_overlaps = []
     tag_overlaps = []

@@ -217,13 +217,14 @@ def _fit_platt_binary(z: np.ndarray, y: np.ndarray,
     line-search trial evaluates only the loss of its logits t = a z + b;
     the sigmoid and the gradient are taken at the accepted point."""
     sgn = np.where(y, -1.0, 1.0)  # per-sample loss is log(1 + exp(sgn * t))
+    n = z.size  # a mean is sum / n: ndarray.mean's arithmetic, without its call overhead
 
     def loss_at(t):
-        return float(np.logaddexp(0.0, sgn * t).mean())
+        return float(np.logaddexp(0.0, sgn * t).sum() / n)
 
     def grad_at(t):
         r = sigmoid(t) - y
-        return float((r * z).mean()), float(r.mean())
+        return float((r * z).sum() / n), float(r.sum() / n)
 
     a, b = 1.0, 0.0
     t = a * z + b

@@ -124,13 +124,8 @@ class SequenceClassifier:
         new = [t for t in dict.fromkeys(tokens) if t not in self._row]
         if not new:
             return
-        old = len(self._row)
-        table = np.empty((old + len(new),) + self._table.shape[1:])
-        table[:old] = self._table
-        for k, token in enumerate(new, start=old):
-            self._row[token] = k
-            table[k] = self.embeddings(token)
-        self._table = table
+        self._row.update((token, k) for k, token in enumerate(new, start=len(self._row)))
+        self._table = np.concatenate([self._table, self.embeddings.table(new)])
 
     # --- forward ---
 
@@ -151,18 +146,18 @@ class SequenceClassifier:
         return Encoded(rows, np.arange(rows.shape[1]) < lengths[:, None])
 
     def _dropout_masks(self, n_seq: int, dropout: float, gen) -> dict:
-        """Per LSTM group, stacked (input, recurrent) masks (S, B, dim).
-        Each sequence draws all of its masks before the next one does."""
-        if dropout <= 0.0:
+        """Per LSTM group, stacked (input, recurrent) masks (S, B, dim), cut
+        from one draw in the order of a draw per mask: by sequence, group
+        and member, a member's input mask before its recurrent one."""
+        if dropout <= 0.0 or not self._groups:
             return {}
-        drawn = {name: ([], []) for name, _, _ in self._groups}
-        for _ in range(n_seq):
-            for name, members, _ in self._groups:
-                for m in members:  # an input mask of width Din, a recurrent one of width H
-                    for rows, k in zip(drawn[name], "WU"):
-                        rows.append(dropout_mask(gen, self.params[f"{m}_{k}"].shape[1], dropout))
-        return {name: tuple(np.reshape(rows, (n_seq, len(members), -1)).swapaxes(0, 1)
-                            for rows in drawn[name]) for name, members, _ in self._groups}
+        widths = [self.params[f"{m}_{k}"].shape[1]
+                  for _, members, _ in self._groups for m in members for k in "WU"]
+        flat = dropout_mask(gen, n_seq * sum(widths), dropout).reshape(n_seq, -1)
+        masks = iter(np.split(flat, np.cumsum(widths)[:-1], axis=1))  # (B, width) each
+        # each member takes its (input, recurrent) pair; zip(*) stacks each kind over the members
+        return {name: tuple(map(np.stack, zip(*[(next(masks), next(masks)) for _ in members])))
+                for name, members, _ in self._groups}
 
     def _lstm(self, group, x, drop: dict, mask, keep_cache: bool) -> tuple:
         """Run one group's members in lockstep over x: ((T, S, B, H), cache)."""
@@ -176,7 +171,8 @@ class SequenceClassifier:
                  tbptt_len: int | None = None, keep_cache: bool = True) -> dict:
         """One time-major (T, B) pass over a batch of transcripts, each a
         list of per-utterance token lists or an `Encoded`. Without
-        keep_cache (no backward pass follows) the LSTMs keep no caches."""
+        keep_cache (no backward pass follows) the attention and the LSTMs
+        keep no caches."""
         cfg = self.config
         p = self.params
         if not batch:
@@ -185,11 +181,15 @@ class SequenceClassifier:
         lengths = [len(t.rows) for t in batch]
         n, n_seq = max(lengths), len(batch)
         X = np.zeros((n, n_seq, cfg.embed_dim))
+        att = []  # per transcript, its table rows and its attention cache without E
         for b, (rows, tok_mask) in enumerate(batch):
-            X[:lengths[b], b], _ = attention_forward(
+            X[:lengths[b], b], a = attention_forward(
                 self._table[rows], p["w_layer"], p["w_word"], tok_mask)
+            if keep_cache:
+                del a["E"]
+                att.append((rows, a))
         mask = (np.arange(n)[:, None] < np.array(lengths)).astype(float)
-        cache = {"att": batch, "lengths": lengths, "real": mask.T > 0,
+        cache = {"att": att, "lengths": lengths, "real": mask.T > 0,
                  "cuts": frozenset(range(tbptt_len, n, tbptt_len)) if tbptt_len else frozenset()}
         drop = self._dropout_masks(n_seq, dropout, gen)
 
@@ -268,11 +268,11 @@ class SequenceClassifier:
                 for k, v in g.items():
                     grads[f"{member}_{k}"] += v[s]
 
-        for b, (rows, tok_mask) in enumerate(cache["att"]):
-            # recomputed rather than kept: the (n_utt, tok, K, D) block is
-            # the largest array of the pass
-            _, att = attention_forward(self._table[rows], p["w_layer"], p["w_word"], tok_mask)
-            d_wl, d_ww = attention_backward(dx[:cache["lengths"][b], b], att)
+        for b, (rows, att) in enumerate(cache["att"]):
+            # the (n_utt, tok, K, D) embedding block, the largest array of
+            # the pass, is gathered again rather than kept
+            d_wl, d_ww = attention_backward(dx[:cache["lengths"][b], b],
+                                            dict(att, E=self._table[rows]))
             grads["w_layer"] += d_wl
             grads["w_word"] += d_ww
 

@@ -7,7 +7,8 @@ speaker and section losses over all utterances of the batch. Each batch
 runs through the model as one masked, time-major pass. Work that does
 not change between batches is done once per run: each transcript's
 tokens are encoded as embedding-table rows up front, and Adam keeps the
-trained parameters, and its moments, in flat vectors.
+trained parameters, and its moments, in flat vectors. A batch draws
+all of its dropout masks at once.
 """
 
 from __future__ import annotations

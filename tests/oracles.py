@@ -5,6 +5,8 @@ enumeration, plain-Python arithmetic. Speed does not matter; sharing no
 code or algorithmic shortcuts with the package under test does.
 """
 
+import hashlib
+
 import numpy as np
 
 from soapkit.corpus import SoapSection, SpeakerLabel, Transcript, TranscriptKind, Utterance
@@ -438,6 +440,32 @@ def _dropout_mask(gen, size, rate):
     return (gen.random(size) < keep).astype(float) / keep
 
 
+def hash_embedding(seed, n_layers, dim, token):
+    """One token's (n_layers, dim) vectors, one PCG64 seeded by its integer
+    per layer: numpy hashes each seed through its own SeedSequence."""
+    vecs = np.zeros((n_layers, dim))
+    for k in range(n_layers):
+        digest = hashlib.sha256(f"{seed}|{k}|{token}".encode("utf-8")).digest()
+        gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
+        vecs[k] = gen.standard_normal(dim)
+    return vecs
+
+
+def dropout_masks_per_mask(model, n_seq, rate, gen):
+    """The model's per-group (input, recurrent) dropout masks (S, B, dim),
+    one draw per mask: sequence by sequence, then group, then member, the
+    input mask before the recurrent one."""
+    drawn = {name: ([], []) for name, _, _ in model._groups}
+    for _ in range(n_seq):
+        for name, members, _ in model._groups:
+            for m in members:
+                for rows, k in zip(drawn[name], "WU"):
+                    rows.append(_dropout_mask(gen, model.params[f"{m}_{k}"].shape[1], rate))
+    return {name: tuple(np.stack(rows).reshape(n_seq, len(members), -1).swapaxes(0, 1)
+                        for rows in drawn[name])
+            for name, members, _ in model._groups}
+
+
 def _weighted_ce(probs, targets, class_weights):
     p = np.clip(probs, 1e-300, None)
     loss = -float((class_weights * targets * np.log(p)).sum())
@@ -553,8 +581,10 @@ def _transcript_forward(model, token_lists, dropout=0.0, gen=None, tbptt_len=Non
     n = len(token_lists)
     att_caches = []
     U = np.zeros((n, cfg.embed_dim))
+    emb = model.embeddings
     for i, tokens in enumerate(token_lists):
-        E = np.stack([model.embeddings(t) for t in tokens if t != ""])
+        E = np.stack([hash_embedding(emb.seed, emb.n_layers, emb.dim, t)
+                      for t in tokens if t != ""])
         U[i], cache = attention_forward_utterance(E, p["w_layer"], p["w_word"])
         att_caches.append(cache)
     cache = {"att": att_caches, "U": U, "n": n}

@@ -310,6 +310,22 @@ class TestErrorPaths:
         assert res.returncode == 4, res.stderr
         assert "kind=invalid-data" in res.stderr and repr(eid) in res.stderr, res.stderr
 
+    def test_irr_repeated_transcript_id_is_exit_4(self, workspace, tmp_path):
+        data = workspace / "data"
+        lines = (data / "reference.jsonl").read_text().splitlines()
+        eid = json.loads(lines[0])["encounter_id"]
+        second = json.loads(lines[1])
+        second["encounter_id"] = eid
+        transcripts = tmp_path / "transcripts.jsonl"
+        transcripts.write_text("\n".join([lines[0], json.dumps(second)] + lines[2:]) + "\n")
+        note = json.dumps({"encounter_id": eid, "observations": [
+            {"subsection": "vitals", "summary": "bp", "tags": [], "evidence": [0]}]}) + "\n"
+        (tmp_path / "a.jsonl").write_text(note)
+        res = run_cli("irr", "--notes-a", str(tmp_path / "a.jsonl"),
+                      "--notes-b", str(tmp_path / "a.jsonl"), "--transcripts", str(transcripts))
+        assert res.returncode == 4, res.stderr
+        assert "kind=invalid-data" in res.stderr and repr(eid) in res.stderr, res.stderr
+
     def test_calibrate_without_val_corpus_is_usage_error(self, workspace):
         data = workspace / "data"
         res = run_cli("eval", "--model", "oracle",

@@ -160,7 +160,9 @@ class TestPlatt:
         return sharp, golds
 
     def test_binary_fit_matches_reference(self):
-        # same arithmetic on the same path, so the coefficients are equal
+        # same arithmetic on the same path, so the coefficients are equal;
+        # the reference takes its means with ndarray.mean, the fit as sums
+        # over n
         gen = np.random.Generator(np.random.PCG64(31))
         for n in (20, 45, 70, 150, 300, 400):
             for _ in range(4):
@@ -169,6 +171,13 @@ class TestPlatt:
                 if y.min() == y.max():
                     continue
                 assert _fit_platt_binary(z, y) == platt_fit_reference(z, y)
+
+    def test_sum_over_n_is_ndarray_mean(self):
+        # ndarray.mean is add.reduce followed by a division by the count
+        gen = np.random.Generator(np.random.PCG64(32))
+        for n in (1, 2, 7, 20, 45, 127, 128, 129, 400, 5000):
+            x = gen.normal(size=n) * 10.0 ** gen.integers(-5, 6)
+            assert x.sum() / n == x.mean()
 
     def test_identity_coefficients_preserve_scores(self):
         gen = np.random.Generator(np.random.PCG64(23))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    dropout_masks_per_mask,
     gradient_check,
+    hash_embedding,
     lstm_backward_steps,
     lstm_forward_steps,
     sigmoid_two_branch,
@@ -14,7 +16,8 @@ from oracles import (
 )
 
 from soapkit.corpus import Rng, one_hot_targets
-from soapkit.neural.embeddings import HashEmbeddings
+from soapkit.neural import model as model_module
+from soapkit.neural.embeddings import HashEmbeddings, seed_state_words
 from soapkit.neural.model import ModelConfig, ModelError, SequenceClassifier, load_model
 from soapkit.neural.network import (
     attention_backward,
@@ -49,6 +52,25 @@ class TestHashEmbeddings:
         sample = np.concatenate([emb(f"tok{i}").ravel() for i in range(100)])
         assert abs(sample.mean()) < 0.05
         assert abs(sample.std() - 1.0) < 0.05
+
+    def test_state_words_match_seed_sequence(self):
+        gen = np.random.Generator(np.random.PCG64(17))
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += gen.integers(0, 2**64, size=1000, dtype=np.uint64).tolist()
+        seeds += gen.integers(0, 2**32, size=200, dtype=np.uint64).tolist()
+        want = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+        got = seed_state_words(seeds)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    def test_table_matches_per_token_generators(self):
+        emb = HashEmbeddings(dim=16, n_layers=3, seed=5)
+        tokens = [f"w{i}" for i in range(2000)] + ["", "é", "naïve", "日本語", "x🙂", "a b"]
+        want = np.stack([hash_embedding(5, 3, 16, t) for t in tokens])
+        assert emb.table(tokens).tobytes() == want.tobytes()
+        assert emb("naïve").tobytes() == want[2002].tobytes()
+
+    def test_empty_table(self):
+        assert HashEmbeddings(dim=8, n_layers=3).table([]).shape == (0, 3, 8)
 
 
 class TestSigmoid:
@@ -499,6 +521,35 @@ class TestBatchMatchesPerTranscriptOracle:
             want = np.concatenate([transcript_predict(m, tl)[task] for tl in tokens])
             assert got[task].shape == want.shape
             assert np.abs(got[task] - want).max() <= 1e-12
+
+
+class TestFixedWorkOncePerBatch:
+    @pytest.mark.parametrize("variant", ["bil", "bild"])
+    def test_dropout_masks_equal_one_draw_per_mask(self, variant):
+        m = SequenceClassifier(tiny_config(variant))
+        gen, oracle_gen = Rng(7).generator, Rng(7).generator
+        got = m._dropout_masks(3, 0.3, gen)
+        want = dropout_masks_per_mask(m, 3, 0.3, oracle_gen)
+        assert got.keys() == want.keys()
+        for name in want:
+            for g, w in zip(got[name], want[name]):
+                assert g.shape == w.shape and np.array_equal(g, w), name
+        assert gen.random(5).tolist() == oracle_gen.random(5).tolist()
+
+    @pytest.mark.parametrize("variant", ["wa", "bild"])
+    def test_attention_runs_once_per_transcript(self, small_tokenized, variant, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return attention_forward(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "attention_forward", counting)
+        tokens, spk, sect = ragged_batch(small_tokenized)
+        m = trained_looking(variant)
+        m.loss_and_grads(tokens, np.concatenate(spk), np.concatenate(sect), np.ones(4),
+                         np.ones(5), dropout=0.3, gen=Rng(1).generator, tbptt_len=2)
+        assert len(calls) == len(tokens)
 
 
 class TestTraining:
