@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import DataError
+
 ANCHOR_THRESHOLD = 0.001
 MAX_PARTITION_DEPTH = 64
 # DP leaves larger than this (200 MB of int32) are refused, not allocated
@@ -39,7 +41,7 @@ MAX_DP_CELLS = 50_000_000
 MAX_BLOCK_HITS = 4
 
 
-class AlignmentError(ValueError):
+class AlignmentError(DataError):
     pass
 
 

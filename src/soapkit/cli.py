@@ -18,11 +18,11 @@ import sys
 
 import numpy as np
 
-from .align import AlignmentError, alignment_record
+from .align import alignment_record
 from .baselines import BaselineError, BaselineModel, train_lr, train_mc, train_mnb
 from .corpus import (
     CheckpointError,
-    CorpusError,
+    DataError,
     Rng,
     gold_labels,
     one_hot_targets,
@@ -35,16 +35,15 @@ from .corpus import (
     write_corpus,
     write_jsonl,
 )
-from .irr import IrrError, format_report, irr_report, read_notes
+from .irr import format_report, irr_report, read_notes
 from .metrics import MetricError, MetricReport, evaluate, fit_platt, validation_split
 from .neural.model import MODEL_VARIANTS, ModelConfig, SequenceClassifier
-from .neural.train import TrainConfig, TrainingError, collect_scores, train_model
-from .preprocess import EmptyUtteranceError, preprocess_corpus
-from .project import ProjectionError, project_corpus
+from .neural.train import TrainConfig, collect_scores, train_model
+from .preprocess import preprocess_corpus
+from .project import project_corpus
 from .synth import (
     CorruptionConfig,
     SynthConfig,
-    SynthError,
     corrupt_corpus,
     generate_corpus,
     write_sidecar,
@@ -61,10 +60,6 @@ EXIT_PARSE = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 1
 
-_DATA_ERRORS = (CorpusError, AlignmentError, ProjectionError, SynthError,
-                CheckpointError, MetricError, TrainingError,
-                IrrError, EmptyUtteranceError)
-
 
 class CliError(Exception):
     def __init__(self, code: int, kind: str, detail: str):
@@ -79,7 +74,7 @@ def _read_input(reader, path, *args):
     failures: a file that fails its own invariants is still a bad input."""
     try:
         return reader(path, *args)
-    except _DATA_ERRORS as e:
+    except DataError as e:
         raise CliError(EXIT_PARSE, "parse-failure", str(e)) from None
 
 
@@ -123,11 +118,8 @@ def cmd_synth(args) -> int:
 def cmd_align(args) -> int:
     refs = _read_input(read_corpus, args.ref)
     asr_records = _read_input(read_asr_raw, args.asr)
-    pairs, missing = pair_by_encounter(refs, asr_records)
-    if missing:
-        raise CorpusError(f"no ASR record for encounter {missing[0]!r}")
     records = (alignment_record(ref.encounter_id, render_reference(ref.utterances)[0], asr.text)
-               for ref, asr in pairs)
+               for ref, asr in pair_by_encounter(refs, asr_records, "the ASR records"))
     if args.out:
         write_jsonl(records, args.out)
     else:
@@ -222,12 +214,12 @@ def _format_eval_table(task: str, uncal: MetricReport, cal: MetricReport | None)
 
 
 def cmd_eval(args) -> int:
-    model = ("oracle" if args.model == "oracle"
-             else _read_input(read_json, args.model, _checkpoint, CheckpointError))
-    test = preprocess_corpus(_read_input(read_corpus, args.test))
     if args.calibrate and not args.val_corpus:
         raise CliError(EXIT_MISSING, "usage",
                        "--calibrate requires --val-corpus")
+    model = ("oracle" if args.model == "oracle"
+             else _read_input(read_json, args.model, _checkpoint, CheckpointError))
+    test = preprocess_corpus(_read_input(read_corpus, args.test))
     task_scores = _score_tasks(model, test)
     calibrators = {}
     if args.calibrate:
@@ -265,13 +257,7 @@ def cmd_irr(args) -> int:
     notes_a = _read_input(read_notes, args.notes_a)
     notes_b = _read_input(read_notes, args.notes_b)
     transcripts = _read_input(read_corpus, args.transcripts)
-    pairs, missing = pair_by_encounter(notes_a, notes_b)
-    if missing:
-        raise IrrError(f"encounter {missing[0]!r} missing from {args.notes_b}")
-    if len(notes_b) != len(pairs):
-        _, extra = pair_by_encounter(notes_b, notes_a)
-        raise IrrError(f"encounters {sorted(extra)} missing from {args.notes_a}")
-    print(format_report(irr_report(pairs, transcripts)))
+    print(format_report(irr_report(notes_a, notes_b, transcripts)))
     return 0
 
 
@@ -370,8 +356,8 @@ def _apply_config(args) -> None:
         if action is None:
             raise CliError(EXIT_INVALID, "invalid-config-key",
                            f"{args.config}: {key!r} is not a flag of this subcommand")
-        if action.type is float and type(value) is int:
-            value = float(value)
+        if action.type is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)  # an int beyond every float stays an int, refused below
         # a value must be what the flag would parse to: true/false for a
         # switch, else a JSON value of the flag's type within its choices
         expected = bool if action.nargs == 0 else action.type or str
@@ -398,11 +384,11 @@ def main(argv=None) -> int:
         print(f"soapkit: error kind={e.kind} detail={detail}", file=sys.stderr)
         return e.code
     except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as e:
-        # a named path is missing, or is a file where a directory belongs or the reverse
+        # a named path does not exist, or is a file where a directory belongs or the reverse
         kind = "missing-file" if isinstance(e, FileNotFoundError) else "bad-path"
         print(f"soapkit: error kind={kind} detail={e.filename or e}", file=sys.stderr)
         return EXIT_MISSING
-    except _DATA_ERRORS as e:
+    except DataError as e:
         detail = " ".join(str(e).split())
         print(f"soapkit: error kind=invalid-data detail={detail}", file=sys.stderr)
         return EXIT_INVALID

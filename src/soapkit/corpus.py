@@ -24,8 +24,20 @@ N_SPEAKER = 4
 DIST_TOLERANCE = 1e-9
 
 
-class CorpusError(ValueError):
+class DataError(ValueError):
+    """Base of every soapkit error class: data that fails an invariant. The
+    CLI exits 3 when reading an input raises one, and 4 for one raised later."""
+
+
+class CorpusError(DataError):
     """Raised on malformed corpus files or invalid record fields."""
+
+
+def _json_typed(value, types):
+    """`value` if it is of `types` and not a bool (JSON's true is no number), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError
+    return value
 
 
 class Label(IntEnum):
@@ -87,9 +99,9 @@ class LabelDistribution:
 
     def __post_init__(self):
         try:
-            soap = tuple(float(x) for x in self.soap)
-            speaker = tuple(float(x) for x in self.speaker)
-        except (TypeError, ValueError):
+            soap = tuple(float(_json_typed(x, (int, float))) for x in self.soap)
+            speaker = tuple(float(_json_typed(x, (int, float))) for x in self.speaker)
+        except (TypeError, OverflowError):
             raise CorpusError("label distributions must be lists of numbers") from None
         object.__setattr__(self, "soap", soap)
         object.__setattr__(self, "speaker", speaker)
@@ -151,16 +163,12 @@ def render_reference(utterances) -> tuple:
     the projection side (label lookup) and the synthesizer (corruption
     input), so the zero-noise round trip is exact.
     """
-    parts = []
     spans = []
     pos = 0
-    for i, utt in enumerate(utterances):
-        if i > 0:
-            pos += 1
+    for utt in utterances:
         spans.append((pos, pos + len(utt.text)))
-        pos += len(utt.text)
-        parts.append(utt.text)
-    return " ".join(parts), spans
+        pos += len(utt.text) + 1
+    return " ".join(utt.text for utt in utterances), spans
 
 
 class Rng:
@@ -202,12 +210,12 @@ def _utterance_from_record(rec: dict, kind: TranscriptKind, uid: int) -> Utteran
         raise CorpusError("utterance record must be an object")
     reference = kind is TranscriptKind.REFERENCE
     try:  # the kind's two label fields are `a` and `b`
-        int(rec["id"])
+        _json_typed(rec["id"], int)
         text = rec["text"]
         a, b = (rec["speaker"], rec["section"]) if reference else (rec["soap_dist"], rec["speaker_dist"])
     except KeyError as e:
         raise CorpusError(f"{kind.value} utterance missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError):
+    except TypeError:
         raise CorpusError("field 'id' must be an integer") from None
     if not isinstance(text, str):
         raise CorpusError("field 'text' must be a string")
@@ -225,23 +233,25 @@ def transcript_to_record(t: Transcript) -> dict:
     }
 
 
-def fields(rec: dict, names: tuple, error=CorpusError) -> list:
-    """The values of `names` in a record; a missing one raises `error`."""
+def encounter_fields(rec: dict, names: tuple, error=CorpusError) -> list:
+    """A record's string encounter_id, then the values of `names`; else `error`."""
     try:
-        return [rec[name] for name in names]
+        return [_json_typed(rec["encounter_id"], str)] + [rec[name] for name in names]
     except KeyError as e:
         raise error(f"missing field {e.args[0]!r}") from None
+    except TypeError:
+        raise error("field 'encounter_id' must be a string") from None
 
 
 def transcript_from_record(rec: dict) -> Transcript:
-    encounter_id, kind_str, utts = fields(rec, ("encounter_id", "kind", "utterances"))
+    encounter_id, kind_str, utts = encounter_fields(rec, ("kind", "utterances"))
     try:
         kind = TranscriptKind(kind_str)
     except ValueError:
         raise CorpusError(f"field 'kind': unknown transcript kind {kind_str!r}") from None
     if not isinstance(utts, list):
         raise CorpusError("field 'utterances' must be a list")
-    return Transcript(encounter_id=str(encounter_id), kind=kind,
+    return Transcript(encounter_id=encounter_id, kind=kind,
                       utterances=[_utterance_from_record(u, kind, i) for i, u in enumerate(utts)])
 
 
@@ -323,7 +333,7 @@ def read_corpus(path) -> list:
     return read_jsonl(path, transcript_from_record)
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataError):
     """Base of BaselineError and ModelError: one checkpoint read locates either."""
 
 
@@ -332,7 +342,7 @@ def checked_array(value, what: str, shape: tuple, error) -> np.ndarray:
     `error` naming `what`."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise error(f"{what} is not an array of numbers") from None
     if arr.shape != shape:
         raise error(f"{what} has shape {arr.shape}, expected {shape}")
@@ -359,7 +369,7 @@ class AsrRaw:
         if not isinstance(self.text, str):
             raise CorpusError(f"encounter {self.encounter_id}: field 'text' must be a string")
         try:
-            turns = tuple((int(a), int(b)) for a, b in self.turns)
+            turns = tuple((_json_typed(a, int), _json_typed(b, int)) for a, b in self.turns)
         except (TypeError, ValueError):
             raise CorpusError(f"encounter {self.encounter_id}: turn spans must be "
                               "[start, end] pairs of integers") from None
@@ -379,25 +389,24 @@ class AsrRaw:
             )
 
 
-def pair_by_encounter(records, others) -> tuple:
-    """Match each of `records` to the one of `others` with its
-    encounter_id. Returns (pairs, missing): the (record, other) pairs in
-    `records` order and the encounter ids with no match, in that order.
-    An encounter_id that repeats on either side raises CorpusError."""
+def pair_by_encounter(records, others, others_name: str) -> list:
+    """The (record, other) pairs, in `records` order, that match each of
+    `records` to the one of `others` with its encounter_id; `others` with
+    no matching record are left out. An encounter_id that repeats on
+    either side, or a record with no match in `others` (named
+    `others_name` in the error), raises CorpusError."""
     for side in (records, others):
         ids = [item.encounter_id for item in side]
         if len(set(ids)) < len(ids):
             raise CorpusError(f"encounter {next(i for i in ids if ids.count(i) > 1)!r} "
                               "appears more than once")
     by_id = {o.encounter_id: o for o in others}
-    pairs, missing = [], []
+    pairs = []
     for rec in records:
-        other = by_id.get(rec.encounter_id)
-        if other is None:
-            missing.append(rec.encounter_id)
-        else:
-            pairs.append((rec, other))
-    return pairs, missing
+        if rec.encounter_id not in by_id:
+            raise CorpusError(f"encounter {rec.encounter_id!r} has no match in {others_name}")
+        pairs.append((rec, by_id[rec.encounter_id]))
+    return pairs
 
 
 def write_asr_raw(records, path) -> None:
@@ -406,8 +415,8 @@ def write_asr_raw(records, path) -> None:
 
 
 def _asr_raw_from_record(rec: dict) -> AsrRaw:
-    encounter_id, text, turns = fields(rec, ("encounter_id", "text", "turns"))
-    return AsrRaw(encounter_id=str(encounter_id), text=text, turns=turns)
+    encounter_id, text, turns = encounter_fields(rec, ("text", "turns"))
+    return AsrRaw(encounter_id=encounter_id, text=text, turns=turns)
 
 
 def read_asr_raw(path) -> list:

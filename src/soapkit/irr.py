@@ -14,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import N_SOAP, SoapSection, fields, read_jsonl, write_jsonl
+from .corpus import (N_SOAP, DataError, SoapSection, encounter_fields, pair_by_encounter,
+                     read_jsonl, write_jsonl)
 from .metrics import confusion_and_f1
 
 # Fixed subsection taxonomy; every observation must use one of these.
@@ -33,7 +34,7 @@ SUBSECTION_SECTIONS = {
 }
 
 
-class IrrError(ValueError):
+class IrrError(DataError):
     pass
 
 
@@ -191,33 +192,25 @@ def _utterance_sections(note: SoapNote, n_utterances: int) -> np.ndarray:
     return out
 
 
-def irr_report(pairs, transcripts) -> IrrReport:
-    """Aggregate agreement over (source_note, reference_note) pairs.
+def irr_report(notes_a, notes_b, transcripts) -> IrrReport:
+    """Aggregate agreement of source notes `notes_a` against reference
+    notes `notes_b`, which must cover the same encounters.
 
-    `transcripts` supplies the utterance universe per encounter (matched
-    by encounter_id, which may appear once) for the utterance-level view,
-    where the reference annotator is treated as gold.
+    `transcripts` supplies the utterance universe of each noted encounter
+    for the utterance-level view, where the reference annotator is treated
+    as gold; transcripts of other encounters are ignored.
     """
-    pairs = list(pairs)
+    pairs = pair_by_encounter(notes_a, notes_b, "notes_b")
+    pair_by_encounter(notes_b, notes_a, "notes_a")  # refuses a note only in notes_b
     if not pairs:
         raise IrrError("no note pairs to compare")
-    by_id = {}
-    for t in transcripts:
-        if t.encounter_id in by_id:
-            raise IrrError(f"transcripts repeat encounter {t.encounter_id!r}")
-        by_id[t.encounter_id] = len(t.utterances)
     frac = {"identical": [], "substitution": [], "insertion": [], "deletion": []}
     ev_overlaps = []
     tag_overlaps = []
     src_all = []
     ref_all = []
-    for source, reference in pairs:
-        if source.encounter_id != reference.encounter_id:
-            raise IrrError(
-                f"pair encounter ids disagree: {source.encounter_id!r} vs "
-                f"{reference.encounter_id!r}")
-        if source.encounter_id not in by_id:
-            raise IrrError(f"no transcript for encounter {source.encounter_id!r}")
+    for (source, reference), (_, transcript) in zip(
+            pairs, pair_by_encounter(notes_a, transcripts, "transcripts")):
         n_src = len(source.observations)
         n_ref = len(reference.observations)
         if n_src == 0 or n_ref == 0:
@@ -231,7 +224,7 @@ def irr_report(pairs, transcripts) -> IrrReport:
         if subs:
             ev_overlaps.append(float(np.mean([e[2] for e in subs])))
             tag_overlaps.append(float(np.mean([e[3] for e in subs])))
-        n_utt = by_id[source.encounter_id]
+        n_utt = len(transcript.utterances)
         src_all.append(_utterance_sections(source, n_utt))
         ref_all.append(_utterance_sections(reference, n_utt))
     y_src = np.concatenate(src_all)
@@ -289,10 +282,10 @@ def _observation_from_record(o) -> Observation:
 
 
 def _note_from_record(rec: dict) -> SoapNote:
-    encounter_id, observations = fields(rec, ("encounter_id", "observations"), IrrError)
+    encounter_id, observations = encounter_fields(rec, ("observations",), IrrError)
     if not isinstance(observations, list):
         raise IrrError("field 'observations' must be a list")
-    return SoapNote(encounter_id=str(encounter_id),
+    return SoapNote(encounter_id=encounter_id,
                     observations=tuple(map(_observation_from_record, observations)))
 
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import DataError
 from .neural.network import sigmoid
 
 
-class MetricError(ValueError):
+class MetricError(DataError):
     pass
 
 

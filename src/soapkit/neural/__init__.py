@@ -1,9 +1,1 @@
-from .embeddings import HashEmbeddings
-from .model import MODEL_VARIANTS, ModelConfig, SequenceClassifier, load_model
-from .train import TrainConfig, TrainingError, collect_scores, train_model
-
-__all__ = [
-    "HashEmbeddings",
-    "MODEL_VARIANTS", "ModelConfig", "SequenceClassifier", "load_model",
-    "TrainConfig", "TrainingError", "collect_scores", "train_model",
-]
+"""The neural classifier: hashed embeddings, network kernels, the model and its trainer."""

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import Rng, gold_labels, inverse_frequency_weights, one_hot_targets
+from ..corpus import DataError, Rng, gold_labels, inverse_frequency_weights, one_hot_targets
 from .network import clip_scale, global_norm
 
 
-class TrainingError(RuntimeError):
+class TrainingError(DataError):
     pass
 
 

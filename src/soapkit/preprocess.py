@@ -12,7 +12,7 @@ import re
 import warnings
 from dataclasses import replace
 
-from .corpus import Transcript
+from .corpus import DataError, Transcript
 
 MAX_TOKENS = 32
 
@@ -41,7 +41,7 @@ _TRAILING_DASHES = "-–—"
 _DETACH_PUNCT = ".,?!"
 
 
-class EmptyUtteranceError(ValueError):
+class EmptyUtteranceError(DataError):
     """The utterance has no linguistic content after cleaning."""
 
 
@@ -55,15 +55,8 @@ def standardize_annotations(text: str) -> str:
 
 
 def _detach(chunk: str) -> list:
-    i = len(chunk)
-    while i > 0 and chunk[i - 1] in _DETACH_PUNCT:
-        i -= 1
-    parts = []
-    if chunk[:i]:
-        parts.append(chunk[:i])
-    if chunk[i:]:
-        parts.append(chunk[i:])
-    return parts
+    word = chunk.rstrip(_DETACH_PUNCT)
+    return [part for part in (word, chunk[len(word):]) if part]
 
 
 def clean_and_tokenize(text: str) -> list:

@@ -20,6 +20,7 @@ from .corpus import (
     N_SOAP,
     N_SPEAKER,
     AsrRaw,
+    DataError,
     LabelDistribution,
     Transcript,
     TranscriptKind,
@@ -29,7 +30,7 @@ from .corpus import (
 )
 
 
-class ProjectionError(ValueError):
+class ProjectionError(DataError):
     pass
 
 
@@ -270,9 +271,7 @@ def project_transcript(ref: Transcript, asr: AsrRaw) -> Transcript:
 def project_corpus(refs, asr_records, threads: int = 1) -> list:
     """Project every encounter; ASR records are matched to references by
     encounter_id. Result order follows the reference corpus order."""
-    jobs, missing = pair_by_encounter(refs, asr_records)
-    if missing:
-        raise ProjectionError(f"no asr record for encounters: {', '.join(missing[:5])}")
+    jobs = pair_by_encounter(refs, asr_records, "the ASR records")
     if threads <= 1:
         return [project_transcript(t, rec) for t, rec in jobs]
     from concurrent.futures import ThreadPoolExecutor

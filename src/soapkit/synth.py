@@ -25,6 +25,7 @@ import numpy as np
 
 from .corpus import (
     AsrRaw,
+    DataError,
     Rng,
     SoapSection,
     SpeakerLabel,
@@ -90,7 +91,7 @@ CORRUPTION_ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 TEST_BLOCK = 128
 
 
-class SynthError(ValueError):
+class SynthError(DataError):
     pass
 
 

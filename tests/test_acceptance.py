@@ -371,7 +371,7 @@ def test_criterion_9_irr_statistics():
         src, ref = _note_pair_templates(eid, 0)
         ident_pairs.append((src, ref))
         ident_transcripts.append(_toy_transcript(eid))
-    ident = irr_report(ident_pairs, ident_transcripts)
+    ident = irr_report(*zip(*ident_pairs), ident_transcripts)  # source notes, reference notes
     plan = ident.sections[SoapSection.PLAN]
     ident_ok = (ident.identical == (1.0, 0.0)
                 and plan.p_pos_given_pos == 1.0 and plan.p_pos_given_neg == 0.0
@@ -384,7 +384,7 @@ def test_criterion_9_irr_statistics():
         eid = f"p{k:02d}"
         pairs.append(_note_pair_templates(eid, k // 5))
         transcripts.append(_toy_transcript(eid))
-    report = irr_report(pairs, transcripts)
+    report = irr_report(*zip(*pairs), transcripts)
 
     per_template = {  # identical, substitution, insertion, deletion per pair
         0: (1.0, 0.0, 0.0, 0.0),

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import soapkit
-from soapkit.cli import main
+from soapkit.cli import CliError, main
+from soapkit.corpus import DataError
 
 # the directory soapkit was imported from, so the CLI runs without an install
 _IMPORT_ROOT = str(Path(soapkit.__file__).resolve().parents[1])
@@ -235,6 +238,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv, config", [
         (("synth", "--out-dir", "{tmp}/x", "--n", "2"), {"n": "abc"}),
         (("synth", "--out-dir", "{tmp}/x", "--n", "2"), {"char_sub": "0.1"}),
+        (("synth", "--out-dir", "{tmp}/x", "--n", "2"), {"char_sub": 10 ** 400}),
         (("project", "--ref", "{data}/reference.jsonl", "--asr", "{data}/asr.jsonl",
           "--out", "{tmp}/p.jsonl"), {"threads": "2"}),
         (("train", "--corpus", "{data}/reference.jsonl", "--variant", "mnb",
@@ -326,12 +330,54 @@ class TestErrorPaths:
         assert res.returncode == 4, res.stderr
         assert "kind=invalid-data" in res.stderr and repr(eid) in res.stderr, res.stderr
 
-    def test_calibrate_without_val_corpus_is_usage_error(self, workspace):
+    @pytest.mark.parametrize("command", ["align", "project"])
+    def test_reference_encounter_without_asr_record_is_exit_4(self, workspace, tmp_path, command):
+        data = workspace / "data"
+        lines = (data / "asr.jsonl").read_text().splitlines()
+        eid = json.loads(lines[1])["encounter_id"]
+        (tmp_path / "asr.jsonl").write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        out = tmp_path / "out.jsonl"
+        res = run_cli(command, "--ref", str(data / "reference.jsonl"),
+                      "--asr", str(tmp_path / "asr.jsonl"), "--out", str(out))
+        assert res.returncode == 4, res.stderr
+        assert "kind=invalid-data" in res.stderr, res.stderr
+        assert f"encounter {eid!r} has no match in the ASR records" in res.stderr, res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("unmatched_in", ["notes_a", "notes_b", "transcripts"])
+    def test_irr_unmatched_encounter_is_exit_4(self, workspace, tmp_path, capsys, unmatched_in):
+        data = workspace / "data"
+        ids = [json.loads(l)["encounter_id"]
+               for l in (data / "reference.jsonl").read_text().splitlines()][:2]
+        # the second encounter is noted on one side only, or has no transcript
+        extra = "no-such-encounter" if unmatched_in == "transcripts" else ids[1]
+        sides = {"a": [ids[0], extra], "b": [ids[0], extra]}
+        if unmatched_in != "transcripts":
+            sides["b" if unmatched_in == "notes_a" else "a"].pop()
+        for side, eids in sides.items():
+            (tmp_path / f"{side}.jsonl").write_text("".join(json.dumps(
+                {"encounter_id": eid, "observations": [{"subsection": "vitals", "summary": "bp",
+                                                        "tags": [], "evidence": [0]}]}) + "\n"
+                for eid in eids))
+        assert main(["irr", "--notes-a", str(tmp_path / "a.jsonl"),
+                     "--notes-b", str(tmp_path / "b.jsonl"),
+                     "--transcripts", str(data / "reference.jsonl")]) == 4
+        err = capsys.readouterr().err
+        other = {"notes_a": "notes_b", "notes_b": "notes_a", "transcripts": "transcripts"}
+        assert "kind=invalid-data" in err, err
+        assert f"encounter {extra!r} has no match in {other[unmatched_in]}" in err, err
+
+    def test_calibrate_without_val_corpus_is_usage_error(self, workspace, tmp_path, capsys):
         data = workspace / "data"
         res = run_cli("eval", "--model", "oracle",
                       "--test", str(data / "reference.jsonl"), "--calibrate")
         assert res.returncode == 2
         assert "kind=usage" in res.stderr
+        # refused before any input is read: a bad checkpoint does not make it exit 3
+        (tmp_path / "model.json").write_text("{not json")
+        assert main(["eval", "--model", str(tmp_path / "model.json"),
+                     "--test", str(tmp_path / "absent.jsonl"), "--calibrate"]) == 2
+        assert "kind=usage" in capsys.readouterr().err
 
     def test_config_overrides_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -435,3 +481,18 @@ class TestPipeline:
         assert res.returncode == 0, res.stderr
         assert "substitution" in res.stdout
         assert "plan" in res.stdout
+
+
+def test_every_error_class_is_a_data_error():
+    """Each exception class a soapkit module defines, other than the CLI's
+    own, derives from DataError, so that the CLI maps it to exit 3 or 4
+    and none reaches exit 1."""
+    classes = set()
+    for info in pkgutil.walk_packages(soapkit.__path__, "soapkit."):
+        module = importlib.import_module(info.name)
+        classes |= {obj for obj in vars(module).values() if isinstance(obj, type)
+                    and issubclass(obj, BaseException) and obj.__module__ == info.name}
+    names = {cls.__name__ for cls in classes}
+    assert {"CorpusError", "CheckpointError", "ModelError", "TrainingError", "IrrError"} <= names
+    assert sorted(cls.__name__ for cls in classes
+                  if cls is not CliError and not issubclass(cls, DataError)) == []

@@ -52,6 +52,25 @@ WRONGLY_TYPED = [
     (read_notes, _note('{"subsection": "vitals", "summary": "s", "tags": 5, "evidence": [0]}'),
      IrrError),
     (read_notes, _note('{"subsection": ["vitals"], "summary": "s", "evidence": [0]}'), IrrError),
+    # JSON types that Python's int() and float() would coerce: a string
+    # iterates as its digits, a float truncates, true is 1
+    (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
+                  '[{"id": 0, "text": "hi", "soap_dist": "10000", "speaker_dist": [1, 0, 0, 0]}]}',
+     CorpusError),
+    (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
+                  '[{"id": 0, "text": "hi", "soap_dist": [1, 0, 0, 0, "0"], '
+                  '"speaker_dist": [1, 0, 0, 0]}]}', CorpusError),
+    (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
+                  '[{"id": 0, "text": "hi", "soap_dist": [1, 0, 0, 0, 0], '
+                  '"speaker_dist": [true, false, false, false]}]}', CorpusError),
+    *[(read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": '
+                    '[{"id": ' + uid + ', "text": "hi", "speaker": "doctor", "section": "plan"}]}',
+       CorpusError) for uid in ('"7"', "2.5", "true")],
+    (read_corpus, '{"encounter_id": 5, "kind": "reference", "utterances": []}', CorpusError),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "xy", "turns": [[0.2, 2.7]]}', CorpusError),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": [[false, true]]}', CorpusError),
+    (read_asr_raw, '{"encounter_id": 5, "text": "x", "turns": [[0, 1]]}', CorpusError),
+    (read_notes, '{"encounter_id": 5, "observations": []}', IrrError),
 ]
 
 
@@ -245,21 +264,41 @@ class TestSerialization:
             AsrRaw("e0", "abcdef", turns=())
         assert AsrRaw("e0", "", turns=()).turns == ()
 
-    def test_pair_by_encounter_keeps_record_order_and_reports_missing(self):
-        records = [AsrRaw(e, "", ()) for e in ("e2", "e0", "e9", "e1")]
-        others = [AsrRaw(e, "", ()) for e in ("e0", "e1", "e2")]
-        pairs, missing = pair_by_encounter(records, others)
+    def test_integer_too_large_for_a_float_is_a_corpus_error(self, tmp_path):
+        path = tmp_path / "asr.jsonl"
+        path.write_text('{"encounter_id": "e0", "kind": "asr", "utterances": [{"id": 0, "text": "hi", '
+                        '"soap_dist": [1' + "0" * 400 + ', 0, 0, 0, 0], "speaker_dist": [1, 0, 0, 0]}]}\n')
+        with pytest.raises(CorpusError, match="line 1: label distributions must be lists of numbers"):
+            read_corpus(path)
+
+    def test_integer_distribution_entries_are_numbers(self, tmp_path):
+        path = tmp_path / "asr.jsonl"
+        path.write_text('{"encounter_id": "e0", "kind": "asr", "utterances": [{"id": 0, '
+                        '"text": "hi", "soap_dist": [0, 1, 0, 0, 0], "speaker_dist": [0, 1, 0, 0.5]}]}\n')
+        dist = read_corpus(path)[0].utterances[0].dist
+        assert dist.soap == (0.0, 1.0, 0.0, 0.0, 0.0) and dist.speaker == (0.0, 1.0, 0.0, 0.5)
+
+    def test_pair_by_encounter_keeps_record_order_and_ignores_unmatched_others(self):
+        records = [AsrRaw(e, "", ()) for e in ("e2", "e0", "e1")]
+        others = [AsrRaw(e, "", ()) for e in ("e0", "e9", "e1", "e2")]
+        pairs = pair_by_encounter(records, others, "the others")
         assert [(r.encounter_id, o.encounter_id) for r, o in pairs] == \
                [("e2", "e2"), ("e0", "e0"), ("e1", "e1")]
-        assert all(r is records[i] for (r, _), i in zip(pairs, (0, 1, 3)))
-        assert missing == ["e9"]
+        assert all(r is records[i] and o is others[j]
+                   for (r, o), i, j in zip(pairs, (0, 1, 2), (3, 0, 2)))
+
+    def test_pair_by_encounter_refuses_a_record_with_no_match(self):
+        records = [AsrRaw(e, "", ()) for e in ("e2", "e9", "e1")]
+        others = [AsrRaw(e, "", ()) for e in ("e1", "e2")]
+        with pytest.raises(CorpusError, match="^encounter 'e9' has no match in the others$"):
+            pair_by_encounter(records, others, "the others")
 
     def test_pair_by_encounter_refuses_a_repeated_id_on_either_side(self):
         once = [AsrRaw(e, "", ()) for e in ("e0", "e1")]
         twice = once + [AsrRaw("e1", "x", ((0, 1),))]
         for records, others in ((twice, once), (once, twice)):
             with pytest.raises(CorpusError, match="'e1' appears more than once"):
-                pair_by_encounter(records, others)
+                pair_by_encounter(records, others, "the others")
 
 
 class TestTargets:

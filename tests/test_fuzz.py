@@ -5,7 +5,8 @@ Each case takes a valid record (config, checkpoint) and makes one
 mutation: it deletes a field, or swaps one value for an int, a string, a
 list, null or an object. A reader or checkpoint loader must then either
 accept the record or raise its own error class; the CLI must exit 0, 2
-(missing file), 3 or 4, never 1.
+(missing file), 3 or 4, never 1. Fixed cases put a string, a float or a
+bool where int() or float() would coerce it; those must exit 3.
 """
 
 import copy
@@ -112,6 +113,49 @@ def test_mutated_lines_are_read_or_rejected_with_the_reader_error(
         except Exception as e:  # noqa: BLE001 - any other class is the failure under test
             pytest.fail(f"{reader.__name__} raised {type(e).__name__}: {e} on {line}")
     assert 0 < rejected < N_CASES  # the mutations hit both kinds of line
+
+
+def _argv(root, name, path):
+    """The CLI call that reads `path` in place of the fixture file `name`."""
+    ref, notes_b = str(root / "reference.jsonl"), str(root / "notes_b.jsonl")
+    return {"reference.jsonl": ["project", "--ref", path, "--asr", str(root / "asr.jsonl"),
+                                "--out", str(root / "unused.jsonl")],
+            "asr.jsonl": ["project", "--ref", ref, "--asr", path, "--out", str(root / "unused.jsonl")],
+            "projected.jsonl": ["eval", "--model", "oracle", "--test", path],
+            "notes_a.jsonl": ["irr", "--notes-a", path, "--notes-b", notes_b, "--transcripts", ref],
+            }[name]
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("projected.jsonl", ("utterances", 0, "soap_dist"), "10000"),
+    ("projected.jsonl", ("utterances", 0, "soap_dist", 0), str),
+    ("projected.jsonl", ("utterances", 0, "speaker_dist", 0), bool),
+    ("reference.jsonl", ("utterances", 1, "id"), str),
+    ("reference.jsonl", ("utterances", 1, "id"), lambda uid: uid + 0.5),
+    ("reference.jsonl", ("utterances", 1, "id"), True),
+    ("asr.jsonl", ("turns", 0, 0), 0.2),
+    ("asr.jsonl", ("turns", -1, 1), lambda end: end + 0.7),
+    ("asr.jsonl", ("turns", 0, 1), lambda end: end + 0.0),
+    ("reference.jsonl", ("encounter_id",), 5),
+    ("asr.jsonl", ("encounter_id",), 5),
+    ("notes_a.jsonl", ("encounter_id",), 5),
+], ids=lambda x: getattr(x, "__name__", None) if callable(x) else
+       ".".join(map(str, x)) if isinstance(x, tuple) else None)
+def test_values_int_or_float_would_coerce_exit_3(corpora, tmp_path, capsys, name, path, value):
+    """A string, a float or a bool where the format has an int, or a
+    string or bool where it has a number, is a parse failure, not a value
+    that int() or float() turns into another one."""
+    lines = (corpora / name).read_text().splitlines()
+    rec = json.loads(lines[0])
+    node = rec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+    mutated = tmp_path / name
+    mutated.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    rc = main(_argv(corpora, name, str(mutated)))
+    err = capsys.readouterr().err
+    assert rc == 3 and "kind=parse-failure" in err and "line 1" in err, err
 
 
 def _flag_configs(root):
@@ -242,6 +286,7 @@ DROP = object()
     ("lr", ("weights",), DROP),
     ("lr", ("bias",), DROP),
     ("lr", ("weights",), "abc"),
+    ("lr", ("bias",), [10 ** 400, 0]),
     ("mc", ("majority",), None),
 ], ids=lambda x: "drop" if x is DROP else ".".join(x) if isinstance(x, tuple) else None)
 def test_malformed_checkpoint_exits_3(corpora, tmp_path, capsys, variant, path, value):

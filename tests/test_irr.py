@@ -5,7 +5,7 @@ import pytest
 
 from oracles import irr_map_oracle, population_mean_var
 
-from soapkit.corpus import SoapSection, SpeakerLabel, Transcript, TranscriptKind, Utterance
+from soapkit.corpus import CorpusError, SoapSection, SpeakerLabel, Transcript, TranscriptKind, Utterance
 from soapkit.irr import (
     IrrError,
     NoteCategory,
@@ -137,7 +137,7 @@ class TestReport:
             obs("medications", "refill", ("rx",), (0, 1)),
             obs("vitals", "bp fine", ("bp",), (2,)),
         ))
-        report = irr_report([(note, note)], [toy_transcript("e0", 4)])
+        report = irr_report([note], [note], [toy_transcript("e0", 4)])
         assert report.identical == (1.0, 0.0)
         assert report.substitution == (0.0, 0.0)
         assert report.insertion == (0.0, 0.0)
@@ -157,7 +157,7 @@ class TestReport:
             obs("vitals", "first", ("a",), (1,)),
             obs("medications", "second also cites 1", ("b",), (1, 2)),
         ))
-        report = irr_report([(source, source)], [toy_transcript("e0", 3)])
+        report = irr_report([source], [source], [toy_transcript("e0", 3)])
         # utterance 1 belongs to OBJECTIVE (vitals came first); utterance 2
         # to PLAN; utterance 0 uncited -> NONE; all agree -> prevalences
         assert report.sections[SoapSection.OBJECTIVE].prevalence == pytest.approx(1 / 3)
@@ -174,8 +174,8 @@ class TestReport:
         ref1 = SoapNote("e0", (obs("medications", "refill", ("rx",), (0,)),
                                obs("follow_up", "two weeks", ("fu",), (2,))))
         note2 = SoapNote("e1", (obs("impression", "stable", ("dx",), (0,)),))
-        report = irr_report([(src1, ref1), (note2, note2)],
-                            [toy_transcript("e0", 3), toy_transcript("e1", 2)])
+        report = irr_report([src1, note2], [note2, ref1],
+                            [toy_transcript("e1", 2), toy_transcript("e0", 3)])
         assert report.n_pairs == 2
         assert report.identical == pytest.approx(population_mean_var([0.5, 1.0]))
         assert report.insertion == pytest.approx(population_mean_var([0.5, 0.0]))
@@ -192,7 +192,7 @@ class TestReport:
             obs("medications", "refill statin now", ("rx",), (0, 2)),
             obs("medications", "identical line", ("rx", "dose"), (1,)),
         ))
-        report = irr_report([(src, ref)], [toy_transcript("e0", 3)])
+        report = irr_report([src], [ref], [toy_transcript("e0", 3)])
         assert report.substitution[0] == pytest.approx(0.5)
         assert report.evidence_overlap == pytest.approx((0.5, 0.0))
         assert report.tag_overlap == pytest.approx((1.0, 0.0))
@@ -200,21 +200,28 @@ class TestReport:
     def test_pair_validation(self):
         note = SoapNote("e0", (obs(),))
         other = SoapNote("e1", (obs(),))
-        with pytest.raises(IrrError, match="disagree"):
-            irr_report([(note, other)], [toy_transcript("e0", 2)])
-        with pytest.raises(IrrError, match="no transcript"):
-            irr_report([(other, other)], [toy_transcript("e0", 2)])
+        transcripts = [toy_transcript("e0", 2)]
+        with pytest.raises(CorpusError, match="^encounter 'e1' has no match in notes_b$"):
+            irr_report([note, other], [note], transcripts)
+        with pytest.raises(CorpusError, match="^encounter 'e1' has no match in notes_a$"):
+            irr_report([note], [other, note], transcripts)
+        with pytest.raises(CorpusError, match="^encounter 'e1' has no match in transcripts$"):
+            irr_report([other], [other], transcripts)
+        with pytest.raises(CorpusError, match="'e0' appears more than once"):
+            irr_report([note], [note], transcripts * 2)
         with pytest.raises(IrrError, match="no note pairs"):
-            irr_report([], [toy_transcript("e0", 2)])
+            irr_report([], [], transcripts)
+        # transcripts of encounters without notes are ignored
+        assert irr_report([other], [other], transcripts + [toy_transcript("e1", 1)]).n_pairs == 1
 
     def test_evidence_outside_transcript_rejected(self):
         note = SoapNote("e0", (obs(evidence=(7,)),))
         with pytest.raises(IrrError, match="outside"):
-            irr_report([(note, note)], [toy_transcript("e0", 3)])
+            irr_report([note], [note], [toy_transcript("e0", 3)])
 
     def test_format_report_renders_tables(self):
         note = SoapNote("e0", (obs(),))
-        report = irr_report([(note, note)], [toy_transcript("e0", 2)])
+        report = irr_report([note], [note], [toy_transcript("e0", 2)])
         text = format_report(report)
         assert "identical" in text and "deletion" in text
         assert "plan" in text and "accuracy" in text.lower()

@@ -8,6 +8,7 @@ from oracles import asr_to_ref_map_loop, utterance_distributions_loop, word_labe
 import soapkit.project
 from soapkit.corpus import (
     AsrRaw,
+    CorpusError,
     Rng,
     SoapSection,
     SpeakerLabel,
@@ -274,7 +275,8 @@ class TestProjectCorpus:
 
     def test_missing_encounter_raises(self, small_corpus):
         asr, _ = corrupt_corpus(small_corpus[:3], CorruptionConfig(), Rng(0))
-        with pytest.raises(ProjectionError, match="no asr record"):
+        eid = small_corpus[3].encounter_id
+        with pytest.raises(CorpusError, match=f"^encounter '{eid}' has no match in the ASR records$"):
             project_corpus(small_corpus[:4], asr)
 
     def test_one_asr_to_ref_map_per_transcript(self, small_corpus, monkeypatch):
