@@ -15,6 +15,9 @@ import numpy as np
 from .corpus import CheckpointError, atomic_output, checked_array, inverse_frequency_weights, read_json
 from .neural.network import softmax
 
+LR_MAX_ITERS = 1000
+LR_GRAD_TOL = 1e-6
+
 
 class BaselineError(CheckpointError):
     pass
@@ -137,12 +140,11 @@ def train_mnb(token_lists, targets: np.ndarray, task: str) -> BaselineModel:
                          vocab=vocab, log_prior=log_prior, log_likelihood=log_lik)
 
 
-def train_lr(token_lists, targets: np.ndarray, task: str,
-             class_weights: np.ndarray | None = None,
-             max_iters: int = 1000, grad_tol: float = 1e-6) -> BaselineModel:
+def train_lr(token_lists, targets: np.ndarray, task: str) -> BaselineModel:
     """Multinomial logistic regression, full-batch gradient descent with
-    backtracking line search on the weighted cross entropy. Stops when the
-    gradient norm falls below grad_tol or after max_iters steps.
+    backtracking line search on the inverse-frequency weighted cross
+    entropy. Stops when the gradient norm falls below LR_GRAD_TOL or after
+    LR_MAX_ITERS steps.
 
     Along a descent direction the logits are linear in the step, so each
     iteration makes one product for the direction's logits and one for the
@@ -156,11 +158,7 @@ def train_lr(token_lists, targets: np.ndarray, task: str,
     # twice as fast on it as on the transpose of a row-major (n, V) matrix
     XT = count_matrix(token_lists, vocab).T
     n, n_classes = targets.shape
-    if class_weights is None:
-        class_weights = inverse_frequency_weights(targets)
-    w_class = np.asarray(class_weights, dtype=float)
-    if w_class.shape != (n_classes,):
-        raise BaselineError("class_weights must have one entry per class")
+    w_class = inverse_frequency_weights(targets)
     TW = np.ascontiguousarray((targets * w_class).T)  # (C, n) weighted targets
     s = targets @ w_class  # per-sample total target weight
 
@@ -180,11 +178,11 @@ def train_lr(token_lists, targets: np.ndarray, task: str,
     loss, logP = loss_at(Z)
     dW, db = grad_at(logP)
     step = 1.0
-    for _ in range(max_iters):
+    for _ in range(LR_MAX_ITERS):
         gnorm2 = float((dW * dW).sum() + (db * db).sum())
         if not np.isfinite(loss):
             raise BaselineError("logistic regression diverged (non-finite loss)")
-        if np.sqrt(gnorm2) < grad_tol:
+        if np.sqrt(gnorm2) < LR_GRAD_TOL:
             break
         D = dW @ XT + db[:, None]  # logits of the descent direction
         # backtracking line search (Armijo), warm-started from the last step

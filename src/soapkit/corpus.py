@@ -10,6 +10,7 @@ stored as JSON Lines, one encounter per line.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -338,14 +339,20 @@ class CheckpointError(DataError):
 
 
 def checked_array(value, what: str, shape: tuple, error) -> np.ndarray:
-    """A checkpoint value as a finite float array of the given shape, else
-    `error` naming `what`."""
+    """A checkpoint value of JSON ints and floats as a finite float array
+    of the given shape, else `error` naming `what`."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{what} is not an array of numbers") from None
     if arr.shape != shape:
         raise error(f"{what} has shape {arr.shape}, expected {shape}")
+    # asarray reads "0.5" and true as numbers; one pass over the entries' types
+    entries = value
+    for _ in shape[1:]:
+        entries = itertools.chain.from_iterable(entries)
+    if not {int, float}.issuperset(map(type, entries)):
+        raise error(f"{what} is not an array of numbers")
     if not np.isfinite(arr).all():
         raise error(f"{what} has non-finite entries")
     return arr

@@ -9,7 +9,7 @@ definitions exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +26,11 @@ class MetricReport:
     n: int
     n_classes: int
     accuracy: float
-    per_class_f1: list
     macro_f1: float
-    counts: list  # gold count per class
-    auroc: float | None = None
-    per_class_auroc: dict = field(default_factory=dict)
-    auroc_skipped: list = field(default_factory=list)
-    auprc: float | None = None
-    per_class_auprc: dict = field(default_factory=dict)
-    log_loss: float | None = None
+    auroc: float
+    auroc_skipped: list
+    auprc: float
+    log_loss: float
 
 
 def confusion_matrix(preds, golds, n_classes: int) -> np.ndarray:
@@ -69,8 +65,6 @@ def confusion_and_f1(preds, golds, n_classes: int) -> dict:
         "accuracy": float(tp.sum() / n),
         "per_class_f1": f1.tolist(),
         "macro_f1": float(f1.mean()),
-        "counts": gold_tot.astype(int).tolist(),
-        "confusion": cm,
     }
 
 
@@ -142,11 +136,11 @@ def auprc(scores, golds, n_classes: int) -> dict:
     return _one_vs_rest(_binary_auprc, scores, golds, n_classes)
 
 
-def log_loss(scores, golds, eps: float = 1e-12) -> float:
-    """Mean negative log probability of the gold class."""
+def log_loss(scores, golds) -> float:
+    """Mean negative log probability of the gold class, floored at 1e-12."""
     scores = np.asarray(scores, dtype=float)
     golds = np.asarray(golds, dtype=int)
-    p = np.clip(scores[np.arange(golds.size), golds], eps, None)
+    p = np.clip(scores[np.arange(golds.size), golds], 1e-12, None)
     return float(-np.log(p).mean())
 
 
@@ -159,11 +153,8 @@ def evaluate(scores, golds, n_classes: int) -> MetricReport:
     roc = auroc(scores, golds, n_classes)
     prc = auprc(scores, golds, n_classes)
     return MetricReport(
-        n=base["n"], n_classes=n_classes,
-        accuracy=base["accuracy"], per_class_f1=base["per_class_f1"],
-        macro_f1=base["macro_f1"], counts=base["counts"],
-        auroc=roc["macro"], per_class_auroc=roc["per_class"], auroc_skipped=roc["skipped"],
-        auprc=prc["macro"], per_class_auprc=prc["per_class"],
+        n=base["n"], n_classes=n_classes, accuracy=base["accuracy"], macro_f1=base["macro_f1"],
+        auroc=roc["macro"], auroc_skipped=roc["skipped"], auprc=prc["macro"],
         log_loss=log_loss(scores, golds),
     )
 
@@ -171,6 +162,8 @@ def evaluate(scores, golds, n_classes: int) -> MetricReport:
 # --- Platt calibration ---
 
 _LOGIT_EPS = 1e-12
+PLATT_MAX_ITERS = 200
+PLATT_GRAD_TOL = 1e-9
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -211,11 +204,11 @@ class PlattCalibrator:
         return out / tot
 
 
-def _fit_platt_binary(z: np.ndarray, y: np.ndarray,
-                      max_iters: int = 200, grad_tol: float = 1e-9) -> tuple:
+def _fit_platt_binary(z: np.ndarray, y: np.ndarray) -> tuple:
     """Minimize mean logistic loss of sigma(a z + b) by gradient descent
-    with backtracking line search, starting at the identity (1, 0). A
-    line-search trial evaluates only the loss of its logits t = a z + b;
+    with backtracking line search from the identity (1, 0), until the
+    gradient norm falls below PLATT_GRAD_TOL or for PLATT_MAX_ITERS steps.
+    A line-search trial evaluates only the loss of its logits t = a z + b;
     the sigmoid and the gradient are taken at the accepted point."""
     sgn = np.where(y, -1.0, 1.0)  # per-sample loss is log(1 + exp(sgn * t))
     n = z.size  # a mean is sum / n: ndarray.mean's arithmetic, without its call overhead
@@ -232,9 +225,9 @@ def _fit_platt_binary(z: np.ndarray, y: np.ndarray,
     loss = loss_at(t)
     ga, gb = grad_at(t)
     step = 1.0
-    for _ in range(max_iters):
+    for _ in range(PLATT_MAX_ITERS):
         g2 = ga * ga + gb * gb
-        if np.sqrt(g2) < grad_tol:
+        if np.sqrt(g2) < PLATT_GRAD_TOL:
             break
         step = min(step * 2.0, 1e4)
         for _ in range(80):
@@ -275,12 +268,12 @@ def fit_platt(val_scores, val_golds, n_classes: int) -> PlattCalibrator:
     return PlattCalibrator(coef=coef, identity=identity)
 
 
-def validation_split(transcripts, fraction: float = 0.1) -> tuple:
-    """Split off the last `fraction` of transcripts (stable order) for
+def validation_split(transcripts) -> tuple:
+    """Split off the last tenth of transcripts (stable order) for
     calibration; returns (rest, validation). At least one transcript goes
     to validation when there are two or more."""
     n = len(transcripts)
     if n == 0:
         raise MetricError("empty corpus")
-    k = max(1, int(round(n * fraction))) if n > 1 else 0
+    k = max(1, int(round(n * 0.1))) if n > 1 else 0
     return list(transcripts[:n - k]), list(transcripts[n - k:])

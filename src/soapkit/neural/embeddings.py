@@ -85,8 +85,5 @@ class HashEmbeddings:
             np.random.Generator(np.random.PCG64(_StateWords(words))).standard_normal(out=row)
         return out.reshape(-1, self.n_layers, self.dim)
 
-    def __call__(self, token: str) -> np.ndarray:
-        return self.table([token])[0]
-
     def spec(self) -> dict:
         return {"type": "hash", "dim": self.dim, "n_layers": self.n_layers, "seed": self.seed}

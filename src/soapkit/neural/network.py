@@ -44,27 +44,24 @@ def init_lstm(gen, input_dim: int, hidden: int) -> dict:
 
 def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
                  reverse=False, mask=None, keep_cache: bool = True) -> tuple:
-    """Run LSTMs from zero state over one sequence X (N, Din) or a
-    time-major batch X (T, B, Din). With W (4H, Din), U (4H, H), b (4H,)
-    there is one LSTM and H is shaped like X with H features. With stacked
-    W (S, 4H, Din), U (S, 4H, H), b (S, 4H), S members read X in lockstep,
-    one (S, B, H) @ (S, H, 4H) product and one sigmoid per step, and H is
-    (T, S, B, H).
+    """Run LSTMs from zero state, in one of two shapes. One LSTM, W (4H,
+    Din), U (4H, H), b (4H,), over one sequence X (N, Din) gives H (N, H).
+    S stacked members, W (S, 4H, Din), U (S, 4H, H), b (S, 4H), over a
+    time-major batch X (T, B, Din) read X in lockstep, one (S, B, H) @
+    (S, H, 4H) product and one sigmoid per step, and give H (T, S, B, H).
 
-    in_mask / rec_mask are variational dropout masks on the step input and
-    the recurrent input, one row per sequence (and per member when
-    stacked). `mask` (T, B) is 1 on the real steps of sequences padded at
-    the end; padded steps leave zero state and output. A `reverse` member
+    In the stacked form, in_mask (S, B, Din) and rec_mask (S, B, H) are
+    variational dropout masks on the step input and the recurrent input,
+    and `mask` (T, B) is 1 on the real steps of sequences padded at the
+    end; padded steps leave zero state and output. A `reverse` member
     (one flag, or one per member) runs over X[::-1] and mask[::-1], so it
     starts from zero at each sequence's last real step; its H comes back in
     X's time order. keep_cache=False keeps no gates or cell states and
     returns no cache, for a pass no backward follows. Returns (H, cache).
     """
-    single, stacked = X.ndim == 2, W.ndim == 3
-    X = X[:, None] if single else X
-    if not stacked:
-        W, U, b = W[None], U[None], b[None]
-        in_mask, rec_mask = (None if a is None else a[None] for a in (in_mask, rec_mask))
+    single = W.ndim == 2
+    if single:
+        X, W, U, b = X[:, None], W[None], U[None], b[None]
     n, batch, _ = X.shape
     n_lstm, hidden = U.shape[0], U.shape[2]
     flip = np.broadcast_to(reverse, n_lstm).tolist()
@@ -98,8 +95,8 @@ def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
         h *= o[k]
     H = _flip(H, flip)
     cache = dict(X=X, GATES=GATES, C=C, W=W, U=U, in_mask=in_mask, rec_mask=rec_mask, m=m,
-                 ragged=ragged, flip=flip, shape=(single, stacked))
-    return (H if stacked else H[:, 0, 0] if single else H[:, 0]), cache if keep_cache else None
+                 ragged=ragged, flip=flip, single=single)
+    return (H[:, 0, 0] if single else H), cache if keep_cache else None
 
 
 def _flip(A: np.ndarray, flip, axis: int = 1) -> np.ndarray:
@@ -123,11 +120,9 @@ def lstm_backward(dH: np.ndarray, cache, cuts=frozenset()) -> tuple:
     them. Returns (dX shaped like H with Din features, grads {"W","U","b"})."""
     GATES, C, W, U = cache["GATES"], cache["C"], cache["W"], cache["U"]
     in_mask, rec_mask, flip = cache["in_mask"], cache["rec_mask"], cache["flip"]
-    (single, stacked), m, ragged = cache["shape"], cache["m"], cache["ragged"]
+    single, m, ragged = cache["single"], cache["m"], cache["ragged"]
     n, n_lstm, batch, hidden = C.shape
-    if not stacked:
-        dH = dH[:, None, None] if single else dH[:, None]
-    dH = _flip(dH, flip)
+    dH = _flip(dH[:, None, None] if single else dH, flip)
     # a reverse member meets boundary k after its run step n-k
     cut_at = [[s for s, rev in enumerate(flip) if (n - t if rev else t) in cuts] for t in range(n)]
     i, f, g, o = (GATES[..., k * hidden:(k + 1) * hidden] for k in range(4))
@@ -173,9 +168,9 @@ def lstm_backward(dH: np.ndarray, cache, cuts=frozenset()) -> tuple:
     dX = dZ.reshape(n_lstm, n, batch, 4 * hidden) @ W[:, None]
     if in_mask is not None:
         dX = dX * in_mask[:, None]
-    if stacked:
-        return dX.swapaxes(0, 1), grads
-    return (dX[0, :, 0] if single else dX[0]), {k: v[0] for k, v in grads.items()}
+    if single:
+        return dX[0, :, 0], {k: v[0] for k, v in grads.items()}
+    return dX.swapaxes(0, 1), grads
 
 
 def attention_forward(E: np.ndarray, w_layer: np.ndarray, w_word: np.ndarray,

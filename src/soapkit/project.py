@@ -13,6 +13,8 @@ vectorised pass over cumulative counts.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .align import align_transcripts
@@ -38,6 +40,7 @@ SENTENCE_END = ".?!"
 
 # Abbreviations whose trailing period never ends a sentence.
 ABBREVIATIONS = frozenset({"dr.", "mr.", "mrs.", "ms.", "mg.", "e.g.", "i.e."})
+_SENTENCE_BREAK = re.compile(rf"[{SENTENCE_END}](?=\s)")
 
 
 def _trailing_token(text: str, lo: int, end: int) -> str:
@@ -54,23 +57,20 @@ def reconstruct_utterances(asr_text: str, turns) -> list:
     of surrounding whitespace."""
     out = []
     for ts, te in turns:
-        start = ts
-        breaks = []
-        for k in range(ts, te):
-            c = asr_text[k]
-            if c in SENTENCE_END and k + 1 < te and asr_text[k + 1].isspace():
-                if c == "." and _trailing_token(asr_text, start, k) in ABBREVIATIONS:
-                    continue
-                breaks.append(k + 1)
-                start = k + 1
-        bounds = [ts] + breaks + [te]
+        bounds = [ts]
+        # re's \s is str.isspace; ending the scan at te keeps the lookahead in the turn
+        for hit in _SENTENCE_BREAK.finditer(asr_text, ts, te):
+            k = hit.start()
+            if asr_text[k] == "." and _trailing_token(asr_text, bounds[-1], k) in ABBREVIATIONS:
+                continue
+            bounds.append(k + 1)
+        bounds.append(te)
         for fs, fe in zip(bounds, bounds[1:]):
-            while fs < fe and asr_text[fs].isspace():
-                fs += 1
-            while fe > fs and asr_text[fe - 1].isspace():
-                fe -= 1
-            if fe > fs:
-                out.append((fs, fe))
+            frag = asr_text[fs:fe]
+            body = frag.strip()
+            if body:
+                fs += len(frag) - len(frag.lstrip())
+                out.append((fs, fs + len(body)))
     return out
 
 
@@ -201,28 +201,18 @@ def word_label_probs(char_map: tuple, ref_labels: tuple, spans) -> tuple:
 
 
 def normalize_soap(content) -> np.ndarray:
-    """Turn raw mass over the four content sections (one vector, or one
-    per row) into a 5-way distribution; none absorbs the residual."""
+    """Turn non-negative content-section mass (one 4-vector, or one per row,
+    at most 1 in sum) into a 5-way distribution; none absorbs the residual."""
     arr = np.asarray(content, dtype=float)
-    if arr.shape[-1:] != (N_SOAP - 1,):
-        raise ProjectionError(f"expected {N_SOAP - 1} content-section masses, got shape {arr.shape}")
-    if (arr < -1e-12).any():
-        raise ProjectionError("content-section masses must be non-negative")
     s = arr.sum(axis=-1)
-    if (s > 1.0 + 1e-9).any():
-        raise ProjectionError(f"content-section mass sums to {float(s.max())!r} > 1")
-    return np.concatenate([np.maximum(0.0, 1.0 - s)[..., None], np.clip(arr, 0.0, None)], axis=-1)
+    return np.concatenate([np.maximum(0.0, 1.0 - s)[..., None], arr], axis=-1)
 
 
 def normalize_speaker(raw) -> np.ndarray:
-    """Normalize raw speaker mass (one vector, or one per row) to unit L2
-    norm. An all-zero vector becomes uniform."""
+    """Normalize non-negative speaker mass (one vector, or one per row) to
+    unit L2 norm. An all-zero vector becomes uniform."""
     arr = np.asarray(raw, dtype=float)
-    if arr.shape[-1:] != (N_SPEAKER,):
-        raise ProjectionError(f"expected {N_SPEAKER} speaker masses, got shape {arr.shape}")
-    if (arr < -1e-12).any():
-        raise ProjectionError("speaker masses must be non-negative")
-    rows = np.clip(arr, 0.0, None).reshape(-1, N_SPEAKER)
+    rows = arr.reshape(-1, N_SPEAKER)
     # row by row: a batched norm sums the squares in another order
     norm = np.array([np.linalg.norm(r) for r in rows])
     out = rows / np.where(norm == 0.0, 1.0, norm)[:, None]

@@ -10,6 +10,7 @@ import hashlib
 import numpy as np
 
 from soapkit.corpus import SoapSection, SpeakerLabel, Transcript, TranscriptKind, Utterance
+from soapkit.project import ABBREVIATIONS, SENTENCE_END
 from soapkit.synth import (
     FUNCTION_WORDS,
     GENERIC_WORDS,
@@ -245,6 +246,36 @@ def word_label_probs_loop(ref_idx, matched, section, speaker, spans) -> tuple:
         soap_rows.append(soap)
         speaker_rows.append(spk)
     return np.array(soap_rows).reshape(-1, 5), np.array(speaker_rows).reshape(-1, 4)
+
+
+def reconstruct_utterances_loop(asr_text: str, turns) -> list:
+    """Char by char through each turn: a sentence ends after '.', '?' or
+    '!' when the next char of the turn is whitespace, unless it is a '.'
+    ending a listed abbreviation (the token back to the last whitespace or
+    break); fragments are trimmed of whitespace and dropped when empty."""
+    out = []
+    for ts, te in turns:
+        start = ts
+        breaks = []
+        for k in range(ts, te):
+            c = asr_text[k]
+            if c in SENTENCE_END and k + 1 < te and asr_text[k + 1].isspace():
+                lo = k
+                while lo > start and not asr_text[lo - 1].isspace():
+                    lo -= 1
+                if c == "." and asr_text[lo:k + 1].lower() in ABBREVIATIONS:
+                    continue
+                breaks.append(k + 1)
+                start = k + 1
+        bounds = [ts] + breaks + [te]
+        for fs, fe in zip(bounds, bounds[1:]):
+            while fs < fe and asr_text[fs].isspace():
+                fs += 1
+            while fe > fs and asr_text[fe - 1].isspace():
+                fe -= 1
+            if fe > fs:
+                out.append((fs, fe))
+    return out
 
 
 def utterance_distributions_loop(soap_rows, speaker_rows, counts) -> list:

@@ -301,6 +301,28 @@ def test_malformed_checkpoint_exits_3(corpora, tmp_path, capsys, variant, path, 
     assert _eval_exit(corpora, tmp_path, rec, capsys) == 3
 
 
+@pytest.mark.parametrize("variant, name, row", [
+    ("lr", "weights", lambda row: ["0.5"] + row[1:]),
+    ("bild", "w_layer", lambda row: [True] + row[1:]),
+    ("bild", "enc1_f_W", lambda row: [1.0, True] + row[2:]),
+], ids=["lr-string-weight", "bild-true-parameter", "bild-float-and-true-row"])
+def test_checkpoint_numbers_of_another_json_type_exit_3(corpora, tmp_path, capsys,
+                                                        variant, name, row):
+    """A float conversion would read "0.5" and true as numbers; a
+    checkpoint array holds JSON ints and floats only."""
+    rec = json.loads((corpora / f"{variant}.json").read_text())
+    arrays = rec["params"] if variant == "bild" else rec
+    if isinstance(arrays[name][0], list):
+        arrays[name][0] = row(arrays[name][0])
+    else:
+        arrays[name] = row(arrays[name])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(rec))
+    rc = main(["eval", "--model", str(path), "--test", str(corpora / "reference.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 3 and "kind=parse-failure" in err and "not an array of numbers" in err, err
+
+
 def test_checkpoint_that_is_a_json_list_exits_3(corpora, tmp_path, capsys):
     rec = json.loads((corpora / "bild.json").read_text())
     assert _eval_exit(corpora, tmp_path, [rec], capsys) == 3

@@ -144,10 +144,12 @@ class TestEvaluate:
         golds = gen.integers(0, 5, size=40)
         rep = evaluate(scores, golds, 5)
         assert rep.n == 40 and rep.n_classes == 5
-        assert sum(rep.counts) == 40
-        assert rep.macro_f1 == pytest.approx(float(np.mean(rep.per_class_f1)))
-        assert rep.auroc == pytest.approx(float(np.mean(list(rep.per_class_auroc.values()))))
-        assert rep.log_loss > 0
+        base = confusion_and_f1(np.argmax(scores, axis=1), golds, 5)
+        assert rep.accuracy == base["accuracy"] and rep.macro_f1 == base["macro_f1"]
+        roc = auroc(scores, golds, 5)
+        assert rep.auroc == roc["macro"] and rep.auroc_skipped == roc["skipped"]
+        assert rep.auprc == auprc(scores, golds, 5)["macro"]
+        assert rep.log_loss == log_loss(scores, golds) > 0
 
 
 class TestPlatt:
@@ -225,18 +227,18 @@ class TestPlatt:
 class TestValidationSplit:
     def test_sizes(self):
         items = list(range(25))
-        rest, val = validation_split(items, 0.1)
+        rest, val = validation_split(items)
         assert len(rest) == 23 and len(val) == 2
         assert rest + val == items
 
     def test_single_item_keeps_training_side(self):
-        rest, val = validation_split(["only"], 0.1)
+        rest, val = validation_split(["only"])
         assert rest == ["only"] and val == []
 
     def test_two_items_still_yield_validation(self):
-        rest, val = validation_split(["a", "b"], 0.1)
+        rest, val = validation_split(["a", "b"])
         assert len(val) == 1
 
     def test_empty_is_an_error(self):
         with pytest.raises(MetricError):
-            validation_split([], 0.1)
+            validation_split([])

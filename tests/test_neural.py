@@ -37,19 +37,19 @@ from soapkit.neural.train import Adam, TrainConfig, TrainingError, train_model
 
 class TestHashEmbeddings:
     def test_deterministic_across_instances(self):
-        a = HashEmbeddings(dim=8, seed=4)("pain")
-        b = HashEmbeddings(dim=8, seed=4)("pain")
+        a = HashEmbeddings(dim=8, seed=4).table(["pain"])[0]
+        b = HashEmbeddings(dim=8, seed=4).table(["pain"])[0]
         assert np.array_equal(a, b)
 
     def test_layers_and_seeds_distinguish(self):
-        vecs = HashEmbeddings(dim=8, seed=0)("pain")
+        vecs = HashEmbeddings(dim=8, seed=0).table(["pain"])[0]
         assert not np.array_equal(vecs[0], vecs[1])
-        other = HashEmbeddings(dim=8, seed=1)("pain")
+        other = HashEmbeddings(dim=8, seed=1).table(["pain"])[0]
         assert not np.array_equal(vecs[0], other[0])
 
     def test_entries_are_standard_normal_scale(self):
         emb = HashEmbeddings(dim=32, seed=0)
-        sample = np.concatenate([emb(f"tok{i}").ravel() for i in range(100)])
+        sample = emb.table([f"tok{i}" for i in range(100)]).ravel()
         assert abs(sample.mean()) < 0.05
         assert abs(sample.std() - 1.0) < 0.05
 
@@ -67,7 +67,7 @@ class TestHashEmbeddings:
         tokens = [f"w{i}" for i in range(2000)] + ["", "é", "naïve", "日本語", "x🙂", "a b"]
         want = np.stack([hash_embedding(5, 3, 16, t) for t in tokens])
         assert emb.table(tokens).tobytes() == want.tobytes()
-        assert emb("naïve").tobytes() == want[2002].tobytes()
+        assert emb.table(["naïve"])[0].tobytes() == want[2002].tobytes()
 
     def test_empty_table(self):
         assert HashEmbeddings(dim=8, n_layers=3).table([]).shape == (0, 3, 8)
@@ -248,11 +248,11 @@ class TestStackedLstm:
                                 np.stack(im), np.stack(rm), mask=mask, reverse=(False, True))
         dX, grads = lstm_backward(dH, cache, frozenset({2, 4}))
         for s, p in enumerate(members):
-            h, c = lstm_forward(X, p["W"], p["U"], p["b"], im[s], rm[s], mask=mask,
-                                reverse=s == 1)
-            dx, g = lstm_backward(dH[:, s], c, frozenset({2, 4}))
-            assert np.array_equal(H[:, s], h) and np.array_equal(dX[:, s], dx)
-            assert all(np.array_equal(grads[k][s], g[k]) for k in "WUb")
+            h, c = lstm_forward(X, *(p[k][None] for k in "WUb"), im[s][None], rm[s][None],
+                                mask=mask, reverse=(s == 1,))
+            dx, g = lstm_backward(dH[:, s:s + 1], c, frozenset({2, 4}))
+            assert np.array_equal(H[:, s], h[:, 0]) and np.array_equal(dX[:, s], dx[:, 0])
+            assert all(np.array_equal(grads[k][s], g[k][0]) for k in "WUb")
 
 
 class TestDropoutAndClip:
