@@ -447,11 +447,15 @@ def one_hot_targets(transcript: Transcript) -> tuple:
     return spk, np.array([u.dist.soap for u in utts]).reshape(-1, N_SOAP)
 
 
+ABSENT_MASS = 1e-300  # a class of at most this total mass is absent; 1/mass could be inf
+
+
 def inverse_frequency_weights(targets: np.ndarray) -> np.ndarray:
     """Per-class weights proportional to inverse expected class frequency,
-    normalized so present classes have mean weight 1; absent classes get 1."""
+    normalized so present classes have mean weight 1; absent classes (mass
+    at most ABSENT_MASS) get 1."""
     counts = np.asarray(targets, dtype=float).sum(axis=0)
-    present = counts > 0
+    present = counts > ABSENT_MASS
     w = np.ones_like(counts)
     if present.any():
         inv = np.zeros_like(counts)

@@ -162,8 +162,9 @@ def evaluate(scores, golds, n_classes: int) -> MetricReport:
 # --- Platt calibration ---
 
 _LOGIT_EPS = 1e-12
-PLATT_MAX_ITERS = 200
+PLATT_MAX_ITERS = 100  # Newton steps
 PLATT_GRAD_TOL = 1e-9
+PLATT_REL_TOL = 1e-12
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -205,42 +206,44 @@ class PlattCalibrator:
 
 
 def _fit_platt_binary(z: np.ndarray, y: np.ndarray) -> tuple:
-    """Minimize mean logistic loss of sigma(a z + b) by gradient descent
-    with backtracking line search from the identity (1, 0), until the
-    gradient norm falls below PLATT_GRAD_TOL or for PLATT_MAX_ITERS steps.
-    A line-search trial evaluates only the loss of its logits t = a z + b;
-    the sigmoid and the gradient are taken at the accepted point."""
+    """(a, b) minimizing the mean logistic loss of sigmoid(a z + b) against
+    the 0/1 targets y: the safeguarded Newton method of Lin, Lin & Weng
+    (2007) from the identity (1, 0). Each 2x2 Newton step is solved in
+    closed form in the coordinates (a, b + a c), c the Hessian-weighted
+    mean of z, where the system is diagonal (1e-12 keeps a constant z's
+    slope step finite), then halved until the Armijo condition holds. The
+    fit stops when |grad| <= PLATT_GRAD_TOL, or when a step lowers the loss
+    by at most PLATT_REL_TOL of itself, as on a class that validation
+    separates, whose loss only tends to 0; running out of PLATT_MAX_ITERS
+    steps raises MetricError."""
     sgn = np.where(y, -1.0, 1.0)  # per-sample loss is log(1 + exp(sgn * t))
-    n = z.size  # a mean is sum / n: ndarray.mean's arithmetic, without its call overhead
-
-    def loss_at(t):
-        return float(np.logaddexp(0.0, sgn * t).sum() / n)
-
-    def grad_at(t):
-        r = sigmoid(t) - y
-        return float((r * z).sum() / n), float(r.sum() / n)
-
-    a, b = 1.0, 0.0
-    t = a * z + b
-    loss = loss_at(t)
-    ga, gb = grad_at(t)
-    step = 1.0
+    n = z.size
+    a, b, t = 1.0, 0.0, z
+    loss = float(np.logaddexp(0.0, sgn * t).sum() / n)
     for _ in range(PLATT_MAX_ITERS):
-        g2 = ga * ga + gb * gb
-        if np.sqrt(g2) < PLATT_GRAD_TOL:
-            break
-        step = min(step * 2.0, 1e4)
-        for _ in range(80):
-            a2 = a - step * ga
-            b2 = b - step * gb
-            t2 = a2 * z + b2
-            loss2 = loss_at(t2)
-            if loss2 <= loss - 1e-4 * step * g2:
+        p = sigmoid(t)
+        r, h = p - y, p * (1.0 - p)
+        ga, gb = float((r * z).sum() / n), float(r.sum() / n)
+        if np.hypot(ga, gb) <= PLATT_GRAD_TOL:
+            return a, b
+        hs = float(h.sum())
+        c = float((h * z).sum()) / max(hs, 1e-300)
+        zc = z - c
+        da = -float((r * zc).sum() / n) / (float((h * zc * zc).sum() / n) + 1e-12)
+        db = -gb / (hs / n + 1e-12) - c * da
+        gd, step = ga * da + gb * db, 1.0
+        for _ in range(40):  # Armijo, allowing for the rounding of the loss near the optimum
+            t2 = (a + step * da) * z + (b + step * db)
+            loss2 = float(np.logaddexp(0.0, sgn * t2).sum() / n)
+            if loss2 - loss <= 1e-4 * step * gd + 1e-12 * loss:
                 break
             step *= 0.5
-        a, b, t, loss = a2, b2, t2, loss2
-        ga, gb = grad_at(t)
-    return a, b
+        else:
+            return a, b  # no step lowers the loss
+        a, b, t, loss, drop = a + step * da, b + step * db, t2, loss2, loss - loss2
+        if drop <= PLATT_REL_TOL * (loss + drop):
+            return a, b
+    raise MetricError(f"Platt fit did not converge in {PLATT_MAX_ITERS} Newton steps")
 
 
 def fit_platt(val_scores, val_golds, n_classes: int) -> PlattCalibrator:

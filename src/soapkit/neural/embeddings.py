@@ -15,12 +15,11 @@ provider does not cache; the model keeps one table of its corpus's vectors.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 INIT_A, MULT_A, INIT_B, MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
@@ -54,13 +53,20 @@ def seed_state_words(seeds) -> np.ndarray:
     return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-@dataclass
-class _StateWords(ISeedSequence):
-    """Hands a bit generator its precomputed seed words."""
-    words: np.ndarray
+@cache
+def _state_words_class() -> type:
+    """A seed sequence handing PCG64 precomputed words, defined on first use:
+    its base loads numpy.random, which processes that never draw skip."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def generate_state(self, n_words, dtype=np.uint64):
-        return self.words
+    @dataclass
+    class _StateWords(ISeedSequence):
+        words: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint64):
+            return self.words
+
+    return _StateWords
 
 
 class HashEmbeddings:
@@ -78,11 +84,13 @@ class HashEmbeddings:
 
     def table(self, tokens) -> np.ndarray:
         """(n, n_layers, dim): every layer's vector of each of n tokens."""
+        import hashlib  # on first use, as numpy.random in _state_words_class
+        state_words = _state_words_class()
         seeds = [int.from_bytes(hashlib.sha256(f"{self.seed}|{k}|{t}".encode()).digest()[:8],
                                 "little") for t in tokens for k in range(self.n_layers)]
         out = np.empty((len(seeds), self.dim))
         for row, words in zip(out, seed_state_words(seeds)):
-            np.random.Generator(np.random.PCG64(_StateWords(words))).standard_normal(out=row)
+            np.random.Generator(np.random.PCG64(state_words(words))).standard_normal(out=row)
         return out.reshape(-1, self.n_layers, self.dim)
 
     def spec(self) -> dict:

@@ -23,9 +23,10 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(z):
-    """Logistic function; exp only ever sees -|z|, so it cannot overflow."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """Logistic function; exp only sees -|z|, so it cannot overflow, and as
+    e <= 1, maximum(e, z >= 0) is where(z >= 0, 1, e) in a cheaper call."""
+    e = np.exp(np.copysign(z, -1.0))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def init_lstm(gen, input_dim: int, hidden: int) -> dict:
@@ -67,7 +68,7 @@ def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
     flip = np.broadcast_to(reverse, n_lstm).tolist()
     Xm = X[:, None] if in_mask is None else X[:, None] * in_mask
     WX = _flip(np.broadcast_to(Xm, (n, n_lstm) + X.shape[1:]), flip) @ W.transpose(0, 2, 1)
-    UT, bias = U.transpose(0, 2, 1), b[:, None, :]
+    UT, bias = U.transpose(0, 2, 1), np.broadcast_to(b[:, None, :], (n_lstm, batch, 4 * hidden))
     # the mask in run order; steps where every sequence is real skip the
     # multiplication by ones
     m = None if mask is None else _flip(
@@ -82,7 +83,9 @@ def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
     h = c = np.zeros((n_lstm, batch, hidden))
     for t in range(n):
         hm = h * rec_mask if rec_mask is not None else h
-        z = WX[t] + hm @ UT + bias
+        z = hm @ UT
+        z += WX[t]  # the same sums as WX[t] + hm @ UT: float addition commutes
+        z += bias
         k = g_at[t]
         GATES[k] = sigmoid(z)  # one call for every gate of every member; g is overwritten
         np.tanh(z[..., 2 * hidden:3 * hidden], out=g[k])

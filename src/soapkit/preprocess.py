@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import replace
 
-from .corpus import DataError, Transcript
+from .corpus import DataError, Transcript, Utterance
 
 MAX_TOKENS = 32
 
@@ -54,27 +53,35 @@ def standardize_annotations(text: str) -> str:
     return out
 
 
-def _detach(chunk: str) -> list:
+def _chunk_tokens(chunk: str, memo: dict) -> tuple:
+    """(tokens, count of non-placeholders) of one whitespace chunk: trailing
+    punctuation detached, all but placeholders lowercased; `memo` keeps one
+    string object per token, under the key (token,)."""
     word = chunk.rstrip(_DETACH_PUNCT)
-    return [part for part in (word, chunk[len(word):]) if part]
+    parts = [part for part in (word, chunk[len(word):]) if part]
+    tokens = (p if _PLACEHOLDER.match(p) else p.lower() for p in parts)
+    return tuple(memo.setdefault((t,), t) for t in tokens), sum(not _PLACEHOLDER.match(p) for p in parts)
 
 
-def clean_and_tokenize(text: str) -> list:
+def clean_and_tokenize(text: str, memo: dict | None = None) -> list:
     """The real tokens of one utterance, at most MAX_TOKENS of them.
 
     Pipeline: standardize annotations, strip trailing dashes, whitespace
     tokenization with trailing-punctuation detachment, lowercase everything
     except placeholders, then stopword-drop / truncate to the cap.
-    Raises EmptyUtteranceError when no linguistic token survives.
+    Raises EmptyUtteranceError when no linguistic token survives. `memo`
+    maps each chunk seen to its `_chunk_tokens`; a corpus shares one.
     """
+    memo = {} if memo is None else memo
     t = standardize_annotations(text).strip()
     while t and t[-1] in _TRAILING_DASHES:
         t = t[:-1].rstrip()
-    tokens = []
+    tokens, words = [], 0
     for chunk in t.split():
-        for part in _detach(chunk):
-            tokens.append(part if _PLACEHOLDER.match(part) else part.lower())
-    if not tokens or all(_PLACEHOLDER.match(tok) for tok in tokens):
+        chunk_tokens, chunk_words = memo.get(chunk) or memo.setdefault(chunk, _chunk_tokens(chunk, memo))
+        tokens += chunk_tokens
+        words += chunk_words
+    if not words:
         raise EmptyUtteranceError(f"no linguistic tokens in {text!r}")
     if len(tokens) > MAX_TOKENS:
         # stopword removal applies only above the cap; if it would wipe the
@@ -85,29 +92,21 @@ def clean_and_tokenize(text: str) -> list:
     return tokens[:MAX_TOKENS]
 
 
-def preprocess_transcript(transcript: Transcript, shared: dict | None = None) -> Transcript:
+def preprocess_transcript(transcript: Transcript, memo: dict | None = None) -> Transcript:
     """Attach token lists to every utterance; utterances with no linguistic
-    content are dropped and the ids are re-densified. `shared` maps each
-    token seen so far to the string object to reuse for it, so that a
-    corpus holds each distinct token once."""
-    shared = {} if shared is None else shared
+    content are dropped and the ids are re-densified. `memo` is
+    `clean_and_tokenize`'s, shared across a corpus, which repeats a few
+    hundred words thousands of times."""
     kept = []
     for utt in transcript.utterances:
         try:
-            tokens = clean_and_tokenize(utt.text)
+            tokens = tuple(clean_and_tokenize(utt.text, memo))
         except EmptyUtteranceError:
             continue
-        kept.append(replace(utt, id=len(kept),
-                            tokens=tuple(shared.setdefault(tok, tok) for tok in tokens)))
+        kept.append(Utterance(len(kept), utt.text, utt.speaker, utt.section, utt.dist, tokens))
     return Transcript(encounter_id=transcript.encounter_id, kind=transcript.kind, utterances=tuple(kept))
 
 
 def preprocess_corpus(transcripts) -> list:
-    # a corpus repeats a few hundred words thousands of times
-    shared = {}
-    out = []
-    for t in transcripts:
-        p = preprocess_transcript(t, shared)
-        if p.utterances:
-            out.append(p)
-    return out
+    memo = {}
+    return [p for p in (preprocess_transcript(t, memo) for t in transcripts) if p.utterances]

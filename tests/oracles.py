@@ -736,85 +736,116 @@ def transcript_loss_and_grads(model, token_lists, spk_targets, sect_targets,
     return total, grads
 
 
-# --- reference fits of the lr baseline and of Platt calibration ---
+# --- reference solves of the lr baseline and of Platt calibration ---
 #
-# Full-batch gradient descent that evaluates loss and gradient from the
-# parameters at every line-search trial, on (n, C) sample-major arrays:
-# the implementation the class-major trials in soapkit replaced.
+# Plain Newton steps on the dense Hessian, on (n, C) sample-major arrays:
+# an independent check on the matrix-free Newton-CG in soapkit.baselines
+# and the closed-form 2x2 steps in soapkit.metrics.
 
 
-def lr_loss_grad(W, b, X, T, w_class):
-    """Weighted cross entropy of softmax(X W^T + b) and its gradients."""
-    Z = X @ W.T + b
+def lr_objective(theta, X, T, w_class, lam, mean=None):
+    """The lr baseline's objective at theta (C, V+1), whose last column is
+    the bias, on count matrix X (n, V): the summed w_class-weighted cross
+    entropy plus lam/2 times the squared weights; plus, when a class is
+    absent (mass at most 1e-300), lam/2 times the squared logits of the
+    row `mean` (zeros by default), else (sum of the biases)^2 / 2. Returns
+    (f, gradient (C, V+1), dense Hessian (C (V+1), C (V+1)))."""
+    n, C = T.shape
+    X1 = np.column_stack([X, np.ones(n)])
+    D = X1.shape[1]
+    present = (T.sum(axis=0) > 1e-300).all()
+    v = np.append(np.zeros(D - 1) if mean is None else mean, 1.0)  # the mean row, and 1
+    Q = lam * np.diag(np.append(np.ones(D - 1), 0.0))  # each class's penalty form
+    if not present:
+        Q += lam * np.outer(v, v)
+    Z = X1 @ theta.T
     Z = Z - Z.max(axis=1, keepdims=True)
-    logZ = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
-    n = X.shape[0]
-    loss = -float((w_class * T * logZ).sum()) / n
-    P = np.exp(logZ)
-    s = T @ w_class  # per-sample total target weight
-    G = (P * s[:, None] - T * w_class) / n
-    dW = G.T @ X
-    db = G.sum(axis=0)
-    return loss, dW, db
+    logP = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+    P = np.exp(logP)
+    TW = T * w_class
+    s = TW.sum(axis=1)
+    f = -float((TW * logP).sum()) + 0.5 * float(np.einsum("cj,jk,ck->", theta, Q, theta))
+    G = (P * s[:, None] - TW).T @ X1 + theta @ Q
+    H = np.zeros((C, D, C, D))
+    for c in range(C):
+        for d in range(C):
+            a = s * P[:, c] * ((c == d) - P[:, d])  # per-sample softmax Hessian entry
+            H[c, :, d, :] = X1.T @ (a[:, None] * X1)
+        H[c, :, c, :] += Q
+    H = H.reshape(C * D, C * D)
+    if present:  # the gauge term (sum of the biases)^2 / 2
+        f += 0.5 * theta[:, -1].sum() ** 2
+        G[:, -1] += theta[:, -1].sum()
+        H[D - 1::D, D - 1::D] += 1.0
+    return f, G, H
 
 
-def lr_fit_reference(X, targets, w_class, max_iters=1000, grad_tol=1e-6):
-    """(W, b) of the lr baseline on count matrix X: zero start, Armijo
-    backtracking warm-started from twice the last step (capped at 1e6),
-    at most 60 halvings. A non-finite loss raises ValueError."""
-    targets = np.asarray(targets, dtype=float)
-    w_class = np.asarray(w_class, dtype=float)
-    W = np.zeros((targets.shape[1], X.shape[1]))
-    b = np.zeros(targets.shape[1])
-    loss, dW, db = lr_loss_grad(W, b, X, targets, w_class)
-    step = 1.0
-    for _ in range(max_iters):
-        gnorm2 = float((dW * dW).sum() + (db * db).sum())
-        if not np.isfinite(loss):
-            raise ValueError("logistic regression diverged (non-finite loss)")
-        if np.sqrt(gnorm2) < grad_tol:
-            break
-        step = min(step * 2.0, 1e6)
-        for _ in range(60):
-            W2 = W - step * dW
-            b2 = b - step * db
-            loss2, dW2, db2 = lr_loss_grad(W2, b2, X, targets, w_class)
-            if loss2 <= loss - 1e-4 * step * gnorm2:
-                break
+def lr_fit_dense(X, T, w_class, lam, mean=None, tol=1e-9):
+    """theta (C, V+1) minimizing `lr_objective` from zero: Newton steps
+    solved on the dense Hessian, halved while the objective does not fall,
+    until the gradient norm is at most tol."""
+    T = np.asarray(T, dtype=float)
+    theta = np.zeros((T.shape[1], X.shape[1] + 1))
+    for _ in range(200):
+        f, G, H = lr_objective(theta, X, T, w_class, lam, mean)
+        if np.linalg.norm(G) <= tol:
+            return theta
+        d = -np.linalg.solve(H, G.ravel()).reshape(theta.shape)
+        step = 1.0
+        while step > 1e-6 and lr_objective(theta + step * d, X, T, w_class, lam, mean)[0] > f:
             step *= 0.5
-        W, b, loss, dW, db = W2, b2, loss2, dW2, db2
-    return W, b
+        theta = theta + step * d
+    raise ValueError("dense Newton did not converge")
 
 
-def platt_fit_reference(z, y, max_iters=200, grad_tol=1e-9):
+def lr_train_reference(X, T, w_class, lambdas):
+    """(lam, theta) of the lr baseline: each lam is fit on the rows before
+    the held-out tail (the last max(1, round(n / 10)) rows; none for a
+    single row), the lam whose fit gives the tail's targets the lowest
+    cross entropy wins (the earlier lam on ties) and is refit on all rows.
+    An absent class's penalty is on the logits of the mean of all rows."""
+    n = T.shape[0]
+    m = n - (max(1, int(round(n * 0.1))) if n > 1 else 0)
+    mean = X.mean(axis=0)
+    best = None
+    for lam in lambdas:
+        theta = lr_fit_dense(X[:m], T[:m], w_class, lam, mean)
+        Z = np.column_stack([X[m:], np.ones(n - m)]) @ theta.T
+        Z = Z - Z.max(axis=1, keepdims=True)
+        ce = -float((T[m:] * (Z - np.log(np.exp(Z).sum(axis=1, keepdims=True)))).sum())
+        if best is None or ce < best[0]:
+            best = (ce, lam)
+    return best[1], lr_fit_dense(X, T, w_class, best[1], mean)
+
+
+def platt_gradient(a, b, z, y):
+    """Gradient of the mean logistic loss of sigmoid(a z + b) against y."""
+    r = sigmoid_two_branch(a * z + b) - y
+    return np.array([(r * z).mean(), r.mean()])
+
+
+def platt_fit_newton(z, y, tol=1e-11):
     """(a, b) minimizing the mean logistic loss of sigmoid(a z + b) from
-    the identity (1, 0): Armijo backtracking warm-started from twice the
-    last step (capped at 1e4), at most 80 halvings."""
-    a, b = 1.0, 0.0
-
-    def loss_grad(a, b):
+    the identity (1, 0): Newton steps solved with np.linalg.solve, halved
+    while the loss does not fall, until the gradient norm is at most tol."""
+    def loss(a, b):
         t = a * z + b
-        p = sigmoid_two_branch(t)
-        ll = np.where(y, np.logaddexp(0.0, -t), np.logaddexp(0.0, t)).mean()
-        r = p - y
-        return float(ll), float((r * z).mean()), float(r.mean())
+        return np.where(y, np.logaddexp(0.0, -t), np.logaddexp(0.0, t)).mean()
 
-    loss, ga, gb = loss_grad(a, b)
-    step = 1.0
-    for _ in range(max_iters):
-        g2 = ga * ga + gb * gb
-        if np.sqrt(g2) < grad_tol:
-            break
-        step = min(step * 2.0, 1e4)
-        for _ in range(80):
-            a2 = a - step * ga
-            b2 = b - step * gb
-            loss2, ga2, gb2 = loss_grad(a2, b2)
-            if loss2 <= loss - 1e-4 * step * g2:
-                break
+    a, b = 1.0, 0.0
+    for _ in range(200):
+        g = platt_gradient(a, b, z, y)
+        if np.linalg.norm(g) <= tol:
+            return a, b
+        p = sigmoid_two_branch(a * z + b)
+        h = p * (1.0 - p)
+        H = np.array([[(h * z * z).mean(), (h * z).mean()], [(h * z).mean(), h.mean()]])
+        da, db = -np.linalg.solve(H, g)
+        step = 1.0
+        while step > 1e-6 and loss(a + step * da, b + step * db) > loss(a, b):
             step *= 0.5
-        a, b, loss, ga, gb = a2, b2, loss2, ga2, gb2
-    return a, b
+        a, b = a + step * da, b + step * db
+    raise ValueError("Newton did not converge")
 
 
 # --- the ASR channel over (char, origin) turn streams ---

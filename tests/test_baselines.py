@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from oracles import lr_fit_reference
+from oracles import lr_fit_dense, lr_objective, lr_train_reference
 
+import soapkit.baselines
 from soapkit.baselines import (
+    LR_GRAD_TOL,
+    LR_LAMBDAS,
     BaselineError,
     BaselineModel,
     count_matrix,
@@ -40,6 +43,11 @@ class TestInverseFrequencyWeights:
         targets[10:, 1] = 1.0
         w = inverse_frequency_weights(targets)
         assert np.allclose(w, [2.0 / 3.0, 4.0 / 3.0, 1.0], atol=1e-12)
+
+    def test_mass_at_or_below_the_floor_counts_as_absent(self):
+        # the inverse of a mass of 1e-320 would overflow to inf
+        targets = np.array([[1.0, 0.0], [0.0, 1e-320], [1.0, 0.0]])
+        assert inverse_frequency_weights(targets).tolist() == [1.0, 1.0]
 
     def test_present_classes_mean_one(self):
         gen = np.random.Generator(np.random.PCG64(0))
@@ -120,25 +128,51 @@ def lr_problem(gen, trial):
 
 
 class TestLogisticRegressionOracle:
-    def test_matches_reference_fit(self):
+    def test_certified_optimum_matches_dense_newton(self):
+        # the held-out choice of lam and the solve at it, against dense
+        # Newton solves; the oracle recomputes the gradient in the solve's
+        # coordinates, counts centred on their mean
         gen = np.random.Generator(np.random.PCG64(29))
         for trial in range(50):
             docs, targets = lr_problem(gen, trial)
             model = train_lr(docs, targets, "soap")
             X = count_matrix(docs, model.vocab)
-            W, b = lr_fit_reference(X, targets, inverse_frequency_weights(targets))
-            assert np.abs(model.weights - W).max() <= 1e-9, trial
-            assert np.abs(model.bias - b).max() <= 1e-9, trial
+            w_class = inverse_frequency_weights(targets)
+            lam, theta = lr_train_reference(X, targets, w_class, LR_LAMBDAS)
+            mean = X.mean(axis=0)
+            centred = np.column_stack([model.weights, model.bias + model.weights @ mean])
+            _, G, _ = lr_objective(centred, X - mean, targets, w_class, lam)
+            assert np.linalg.norm(G) <= LR_GRAD_TOL, trial
+            assert np.abs(np.column_stack([model.weights, model.bias]) - theta).max() <= 1e-6, trial
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_class_weight_diverges(self):
-        # a class with total mass 1e-320: its inverse frequency overflows
-        # to inf, so the normalized weights are not finite
-        docs = [["a", "b"], ["b"], ["a"], ["c"]]
-        targets = np.array([[1.0, 0.0], [0.0, 1e-320], [1.0, 0.0], [1.0, 0.0]])
-        assert not np.isfinite(inverse_frequency_weights(targets)).all()
-        with pytest.raises(BaselineError, match="diverged"):
-            train_lr(docs, targets, "soap")
+    def test_solver_reports_its_certificate(self):
+        gen = np.random.Generator(np.random.PCG64(30))
+        for trial in range(10):
+            docs, targets = lr_problem(gen, trial)
+            X = count_matrix(docs, fit_vocab(docs))
+            XA = np.vstack([X.T, np.ones(len(docs))])
+            w_class = inverse_frequency_weights(targets)
+            for lam in LR_LAMBDAS:
+                theta, gnorm = soapkit.baselines._lr_solve(
+                    XA, targets, w_class, lam, np.zeros((targets.shape[1], XA.shape[0])))
+                assert gnorm <= LR_GRAD_TOL
+                assert np.abs(theta - lr_fit_dense(X, targets, w_class, lam)).max() <= 1e-6
+
+    def test_absent_class_converges_with_a_penalised_bias(self):
+        docs = [["aaa", "ccc"], ["bbb"], ["aaa"], ["bbb", "ccc"], ["aaa", "bbb"]] * 3
+        targets = np.eye(4)[[0, 1, 0, 3, 1] * 3]  # class 2 never appears
+        model = train_lr(docs, targets, "soap")
+        X = count_matrix(docs, model.vocab)
+        lam, theta = lr_train_reference(X, targets, inverse_frequency_weights(targets), LR_LAMBDAS)
+        got = np.column_stack([model.weights, model.bias])
+        assert np.isfinite(got).all() and model.bias[2] < model.bias[[0, 1, 3]].min()
+        assert np.abs(got - theta).max() <= 1e-6
+
+    def test_exhausted_newton_steps_raise(self, monkeypatch):
+        monkeypatch.setattr(soapkit.baselines, "LR_MAX_ITERS", 1)
+        docs = ([["aaa", "ccc"]] * 6) + ([["bbb", "ccc"]] * 6)
+        with pytest.raises(BaselineError, match="did not converge"):
+            train_lr(docs, np.eye(2)[[0] * 6 + [1] * 6], "soap")
 
 
 class TestPersistence:

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import soapkit
+from soapkit.baselines import load_baseline
 from soapkit.cli import CliError, main
 from soapkit.corpus import DataError
+from soapkit.neural.model import load_model
 
 # the directory soapkit was imported from, so the CLI runs without an install
 _IMPORT_ROOT = str(Path(soapkit.__file__).resolve().parents[1])
@@ -464,6 +466,27 @@ class TestPipeline:
         assert "calibrated" in res.stdout
         assert "*" in res.stdout
 
+    @pytest.mark.parametrize("variant", ["lr", "bil"])
+    def test_class_mass_below_the_floor_trains(self, workspace, tmp_path, variant):
+        # a valid distribution whose class mass, 1e-320, would overflow an
+        # inverse-frequency weight to inf
+        data = workspace / "data"
+        proj = tmp_path / "projected.jsonl"
+        assert main(["project", "--ref", str(data / "reference.jsonl"),
+                     "--asr", str(data / "asr.jsonl"), "--out", str(proj)]) == 0
+        recs = [json.loads(line) for line in proj.read_text().splitlines()]
+        for rec in recs:
+            for utt in rec["utterances"]:
+                utt["soap_dist"] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        recs[0]["utterances"][0]["soap_dist"] = [1.0, 1e-320, 0.0, 0.0, 0.0]
+        proj.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        ckpt = tmp_path / f"{variant}.json"
+        res = run_cli("train", "--corpus", str(proj), "--variant", variant, "--task", "soap",
+                      "--out", str(ckpt))
+        assert res.returncode == 0 and "Warning" not in res.stderr, res.stderr
+        # the loaders refuse a non-finite array
+        (load_baseline if variant == "lr" else load_model)(ckpt)
+
     def test_irr_report_runs(self, workspace, tmp_path):
         data = workspace / "data"
         notes_a = tmp_path / "a.jsonl"
@@ -481,6 +504,15 @@ class TestPipeline:
         assert res.returncode == 0, res.stderr
         assert "substitution" in res.stdout
         assert "plan" in res.stdout
+
+
+def test_importing_the_cli_loads_neither_numpy_random_nor_hashlib():
+    # align, project and irr never draw; only the embedding table needs them
+    path = os.pathsep.join(filter(None, [_IMPORT_ROOT, os.environ.get("PYTHONPATH")]))
+    code = "import sys, soapkit.cli; print([m for m in ('numpy.random', 'hashlib') if m in sys.modules])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 0 and res.stdout.strip() == "[]", res.stdout + res.stderr
 
 
 def test_every_error_class_is_a_data_error():

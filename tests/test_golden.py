@@ -10,7 +10,9 @@ separate oracle and baseline scoring paths were removed. The split and
 context-rule synth digests and the stdout form of align were recorded
 before the JSONL writers became one and `corrupt` became a walk over
 reference offsets. The irr digests were recorded before `map_notes`
-scored each observation pair once. A digest that moves means a seeded
+scored each observation pair once. The lr checkpoint, its evals and the
+calibrated evals were recorded when the lr and Platt fits became Newton
+solves that end at a certified optimum. A digest that moves means a seeded
 output moved.
 """
 
@@ -57,7 +59,7 @@ TRAIN = {
 GOLDEN_TRAIN = {
     "mc": "9dd87ab9854f66b513633724bd1a9cc900a0eac18bdf70e38d29b9234eb0b53e",
     "mnb": "2cf5d5467ba0598818a029b034d2192e9555f2a8d4096954d8a8fb5709609bdf",
-    "lr": "f5d72caa25deee36b32f37751766e420623d27e1399f87259cac2eac5868b753",
+    "lr": "5aabb8175adf13b286a8ca08b3e680f0d3f61600715ab57ff4dbf986224e6247",
     "wa": "fcf0e798657fe075cf9ef2ce7f2dc70723c4726da44ea0a7fb3853dc0415bbc6",
     "bild": "ea4fcd230c28a335672fe70322a233892fca1df85ed672a9d25561f1e8d471d2",
 }
@@ -70,13 +72,13 @@ GOLDEN_EVAL = {
     "mc --json": "cbbbe0d3c7431e18cb8f2945d90f953bbc00087a494e561f7c1e77fd15ea986a",
     "mc --calibrate": "1145feb30ffaecde156eb10673699bd421e621b2681d288648be8da1935c6cb7",
     "mnb --json": "4e3d1940414bb7967d3ce1f545705d13bb28543b6ae9ee290f475b28745c9dbe",
-    "mnb --calibrate": "1a4c29a0fc3b6f1991fd0d04aa8bfb8f5a92dec5cf760ea12d4181a2e9ccf95e",
-    "lr --json": "d1b1432bb7a8edf8e7b5f564db54bb6a4fb80b8e83986f9f6ffd0928b3595a37",
-    "lr --calibrate": "8744b734f7de0d1d2440f9b29abc499b0347e5b4f9e3fe3763e28c5af7483046",
+    "mnb --calibrate": "1a3db8a0d0dd238e9415be7acc23a6eecb5fd158310182dde2b92332787db758",
+    "lr --json": "58d7b161c9e317400e2505f59c37597757e0e9a7ae5b326d3ab3347f65b644c2",
+    "lr --calibrate": "0a2c2c40c8ac003541ff2500ba2f40afe25cc8be2207471140772040e59e4a56",
     "wa --json": "e93302de0fe81db883ce83e076aecb89a7387485790b7fb1d39784132d9fa5f9",
-    "wa --calibrate": "da0c84e4a44a4ea8f6c5fd7ac1f9d6ce285214933e55daf0df2e542e24512220",
+    "wa --calibrate": "4fc8e0570e5a74bef324b28734a398dcc073a8078132dc7530303fdb9b863b51",
     "bild --json": "10eda888a9b542469f78538484995f4be802bb0662b39a544355a9ba40886e29",
-    "bild --calibrate": "5e40d5555f8e8240fedeaf11cc6b53fcda0ea24c09ca61fc346f26f60ebaf86e",
+    "bild --calibrate": "9ff8f6f708d63a8c16bb07b9d125dda2a3746d2b4d886f847b3ac1d52b83d4cc",
 }
 
 # sha256 of irr's standard output on two seeded note files built from the

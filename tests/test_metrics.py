@@ -6,10 +6,13 @@ from oracles import (
     auroc_pairwise,
     f1_by_hand,
     log_loss_naive,
-    platt_fit_reference,
+    platt_fit_newton,
+    platt_gradient,
 )
 
+import soapkit.metrics
 from soapkit.metrics import (
+    PLATT_GRAD_TOL,
     MetricError,
     PlattCalibrator,
     _binary_auprc,
@@ -161,18 +164,40 @@ class TestPlatt:
         sharp /= sharp.sum(axis=1, keepdims=True)
         return sharp, golds
 
-    def test_binary_fit_matches_reference(self):
-        # same arithmetic on the same path, so the coefficients are equal;
-        # the reference takes its means with ndarray.mean, the fit as sums
-        # over n
+    def test_binary_fit_is_certified_and_matches_newton(self):
         gen = np.random.Generator(np.random.PCG64(31))
+        fits = 0
         for n in (20, 45, 70, 150, 300, 400):
             for _ in range(4):
                 z = gen.normal(size=n) * gen.uniform(0.5, 4.0)
                 y = (gen.random(n) < 1.0 / (1.0 + np.exp(-0.4 * z - gen.normal()))).astype(float)
                 if y.min() == y.max():
                     continue
-                assert _fit_platt_binary(z, y) == platt_fit_reference(z, y)
+                a, b = _fit_platt_binary(z, y)
+                assert np.linalg.norm(platt_gradient(a, b, z, y)) <= PLATT_GRAD_TOL
+                assert np.abs(np.subtract((a, b), platt_fit_newton(z, y))).max() <= 1e-6
+                fits += 1
+        assert fits == 24
+
+    def test_constant_scores_fit_the_prevalence(self):
+        # a majority-class model's scores: z is one value, so only a z + b
+        # is determined, and it is the logit of the positive rate
+        z, y = np.full(30, 27.6), (np.arange(30) % 3 == 0).astype(float)
+        a, b = _fit_platt_binary(z, y)
+        assert np.linalg.norm(platt_gradient(a, b, z, y)) <= PLATT_GRAD_TOL
+        assert a * 27.6 + b == pytest.approx(np.log(0.5), abs=1e-9)
+
+    def test_separable_class_stops_with_a_steep_finite_slope(self):
+        z = np.r_[np.linspace(-3.0, -0.5, 20), np.linspace(0.5, 3.0, 20)]
+        a, b = _fit_platt_binary(z, (z > 0).astype(float))
+        assert np.isfinite([a, b]).all() and a > 10.0
+
+    def test_exhausted_newton_steps_raise(self, monkeypatch):
+        monkeypatch.setattr(soapkit.metrics, "PLATT_MAX_ITERS", 1)
+        gen = np.random.Generator(np.random.PCG64(33))
+        z = gen.normal(size=50)
+        with pytest.raises(MetricError, match="did not converge"):
+            _fit_platt_binary(z, (z + gen.normal(size=50) > 0).astype(float))
 
     def test_sum_over_n_is_ndarray_mean(self):
         # ndarray.mean is add.reduce followed by a division by the count

@@ -97,6 +97,30 @@ class TestPreprocessTranscript:
         a, b = (t.utterances[0].tokens for t in preprocess_corpus(ts))
         assert a[0] is b[0] and a[1] is b[1]
 
+    def test_corpus_memo_tokenises_as_each_utterance_alone(self):
+        # chunks that recur across utterances and transcripts: with and
+        # without trailing punctuation, as placeholders, placeholder-only,
+        # and above the cap, where stopwords drop
+        long = "the pain is in the chest and the arm. " * 4
+        texts = [["Pain, pain. PAIN?", "[patient name] said pain.", "[cough] [cough]"],
+                 ["pain? The [patient name]!", long + "Pain.", "I said: PAIN_SCORE 7."],
+                 ["chest, Chest. chest--", long, "PAIN_SCORE pain?!"]]
+        ts = [Transcript(f"e{k}", TranscriptKind.REFERENCE, tuple(
+            Utterance(id=i, text=text, speaker=SpeakerLabel.DOCTOR, section=SoapSection.PLAN)
+            for i, text in enumerate(group))) for k, group in enumerate(texts)]
+        got = [[u.tokens for u in t.utterances] for t in preprocess_corpus(ts)]
+        want = []
+        for group in texts:
+            kept = []
+            for text in group:
+                try:
+                    kept.append(tuple(clean_and_tokenize(text)))
+                except EmptyUtteranceError:
+                    pass
+            want.append(kept)
+        assert got == want
+        assert "the" not in got[1][1] and "the" not in got[2][1]  # over the cap
+
     def test_corpus_drops_fully_empty_transcripts(self):
         t = Transcript("e0", TranscriptKind.REFERENCE, (
             Utterance(id=0, text="[silence]", speaker=SpeakerLabel.OTHER, section=SoapSection.NONE),
