@@ -131,7 +131,7 @@ def cmd_align(args) -> int:
 def cmd_project(args) -> int:
     refs = _read_input(read_corpus, args.ref)
     asr_records = _read_input(read_asr_raw, args.asr)
-    projected = project_corpus(refs, asr_records, threads=args.threads)
+    projected = project_corpus(refs, asr_records)
     write_corpus(projected, args.out)
     log.info("projected %d transcripts to %s", len(projected), args.out)
     return 0
@@ -195,8 +195,7 @@ def _format_eval_table(task: str, uncal: MetricReport, cal: MetricReport | None)
     lines = [f"task {task} (n={uncal.n}, classes={uncal.n_classes})"]
     if cal is None:
         lines.append(f"{'metric':10s} {'value':>12s}")
-        for name, _ in _EVAL_ROWS:
-            lines.append(f"{name:10s} {getattr(uncal, name):12.4f}")
+        lines += [f"{name:10s} {getattr(uncal, name):12.4f}" for name, _ in _EVAL_ROWS]
     else:
         # two columns, asterisk on the better cell (ties unmarked)
         lines.append(f"{'metric':10s} {'uncalibrated':>14s} {'calibrated':>14s}")
@@ -230,26 +229,22 @@ def cmd_eval(args) -> int:
                               "validation transcripts, got one")
         calibrators = {task: fit_platt(scores, golds, scores.shape[1])
                        for task, (scores, golds) in _score_tasks(model, val_tail).items()}
-    blocks = []
     results = {}
     for task, (scores, golds) in task_scores.items():
         uncal = evaluate(scores, golds, scores.shape[1])
         cal = (evaluate(calibrators[task].probabilities(scores), golds, scores.shape[1])
                if task in calibrators else None)
-        blocks.append(_format_eval_table(task, uncal, cal))
         results[task] = (uncal, cal)
         if uncal.auroc_skipped:
             log.warning("task %s: classes %s lack both positives and negatives; "
                         "skipped in ranking metrics", task, uncal.auroc_skipped)
     if args.json:
-        out = {}
-        for task, (uncal, cal) in results.items():
-            out[task] = {"uncalibrated": {n: getattr(uncal, n) for n, _ in _EVAL_ROWS}}
-            if cal is not None:
-                out[task]["calibrated"] = {n: getattr(cal, n) for n, _ in _EVAL_ROWS}
-        print(json.dumps(out, sort_keys=True))
+        print(json.dumps({task: {label: {n: getattr(report, n) for n, _ in _EVAL_ROWS}
+                                 for label, report in zip(("uncalibrated", "calibrated"), pair)
+                                 if report is not None}
+                          for task, pair in results.items()}, sort_keys=True))
     else:
-        print("\n\n".join(blocks))
+        print("\n\n".join(_format_eval_table(task, *pair) for task, pair in results.items()))
     return 0
 
 
@@ -269,8 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="JSON file whose keys override flags")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for project's per-transcript fan-out "
-                             "(other subcommands ignore it)")
+                        help="accepted and ignored")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0, help="random seed")
 

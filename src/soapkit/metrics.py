@@ -175,23 +175,19 @@ def _logit(p: np.ndarray) -> np.ndarray:
 @dataclass
 class PlattCalibrator:
     """Per-class sigmoid recalibration sigma(a * logit(s) + b) of
-    probability scores. (a, b) = (1, 0) is the identity map, so a
-    degenerate class (single label value in validation) keeps its scores."""
+    probability scores. A class whose entry is None was left uncalibrated
+    and keeps its scores."""
 
-    coef: list  # [(a, b)] per class
-    identity: list  # per-class flag: left uncalibrated
+    coef: list  # per class, (a, b) with a > 0, or None
 
     def class_scores(self, scores) -> np.ndarray:
-        """Calibrated per-class scores, before renormalization. For a
-        positive fitted slope this is a strictly monotone map of each
-        class's scores, so per-class rankings (hence AUROC) are unchanged."""
-        scores = np.asarray(scores, dtype=float)
-        out = np.empty_like(scores)
-        for c, (a, b) in enumerate(self.coef):
-            if self.identity[c]:
-                out[:, c] = scores[:, c]
-            else:
-                out[:, c] = sigmoid(a * _logit(scores[:, c]) + b)
+        """Calibrated per-class scores, before renormalization. Every fitted
+        slope is positive, so this is a strictly monotone map of each
+        class's scores and per-class rankings (hence AUROC) are unchanged."""
+        out = np.array(scores, dtype=float)
+        for c, ab in enumerate(self.coef):
+            if ab is not None:
+                out[:, c] = sigmoid(ab[0] * _logit(out[:, c]) + ab[1])
         return out
 
     def probabilities(self, scores) -> np.ndarray:
@@ -248,8 +244,8 @@ def _fit_platt_binary(z: np.ndarray, y: np.ndarray) -> tuple:
 
 def fit_platt(val_scores, val_golds, n_classes: int) -> PlattCalibrator:
     """Fit one sigmoid per class on validation scores. A class whose
-    validation labels are all-positive or all-negative cannot be fit and
-    falls back to the identity (with a warning)."""
+    validation labels take one value cannot be fit, and a fitted slope <= 0
+    would reverse its ranking; either leaves it uncalibrated (with a warning)."""
     scores = np.asarray(val_scores, dtype=float)
     golds = np.asarray(val_golds, dtype=int)
     if scores.shape != (golds.size, n_classes):
@@ -257,18 +253,19 @@ def fit_platt(val_scores, val_golds, n_classes: int) -> PlattCalibrator:
     if golds.size == 0:
         raise MetricError("empty validation set")
     coef = []
-    identity = []
     for c in range(n_classes):
         y = (golds == c).astype(float)
         if y.min() == y.max():
-            warnings.warn(f"class {c} is degenerate in validation; leaving it uncalibrated")
-            coef.append((1.0, 0.0))
-            identity.append(True)
-            continue
-        a, b = _fit_platt_binary(_logit(scores[:, c]), y)
-        coef.append((float(a), float(b)))
-        identity.append(False)
-    return PlattCalibrator(coef=coef, identity=identity)
+            why = "is degenerate in validation"
+        else:
+            a, b = _fit_platt_binary(_logit(scores[:, c]), y)
+            if a > 0:
+                coef.append((a, b))
+                continue
+            why = f"fits Platt slope {a:.4g} <= 0"
+        warnings.warn(f"class {c} {why}; leaving it uncalibrated")
+        coef.append(None)
+    return PlattCalibrator(coef=coef)
 
 
 def validation_split(transcripts) -> tuple:

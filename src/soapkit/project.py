@@ -258,13 +258,8 @@ def project_transcript(ref: Transcript, asr: AsrRaw) -> Transcript:
     return Transcript(encounter_id=ref.encounter_id, kind=TranscriptKind.ASR, utterances=new_utts)
 
 
-def project_corpus(refs, asr_records, threads: int = 1) -> list:
+def project_corpus(refs, asr_records) -> list:
     """Project every encounter; ASR records are matched to references by
     encounter_id. Result order follows the reference corpus order."""
-    jobs = pair_by_encounter(refs, asr_records, "the ASR records")
-    if threads <= 1:
-        return [project_transcript(t, rec) for t, rec in jobs]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(project_transcript, t, rec) for t, rec in jobs]
-        return [f.result() for f in futures]
+    return [project_transcript(t, rec)
+            for t, rec in pair_by_encounter(refs, asr_records, "the ASR records")]

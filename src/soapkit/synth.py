@@ -288,25 +288,24 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
             c = text[o]
             if block[i] < del_rate:
                 i += 1
-                stats.n_del += 1
                 stats.del_positions.append(o)
             else:
                 i += 2
                 if block[i - 1] < sub_rate:
                     pool = CORRUPTION_ALPHABET.replace(c, "")
                     c = pool[index(len(pool))]
-                    stats.n_sub += 1
                     stats.sub_positions.append(o)
                 out.append(c)
             i += 1
             if block[i - 1] < ins_rate:
                 out.append(CORRUPTION_ALPHABET[index(len(CORRUPTION_ALPHABET))])
-                stats.n_ins += 1
                 stats.ins_after_positions.append(o)
         out_texts.append("".join(out))
     # leave the generator after the last test read
     bits.state = state
     gen.random(skipped + i)
+    stats.n_sub, stats.n_del, stats.n_ins = (
+        len(stats.sub_positions), len(stats.del_positions), len(stats.ins_after_positions))
 
     asr_text = " ".join(out_texts)
     spans = []

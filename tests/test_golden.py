@@ -12,8 +12,10 @@ before the JSONL writers became one and `corrupt` became a walk over
 reference offsets. The irr digests were recorded before `map_notes`
 scored each observation pair once. The lr checkpoint, its evals and the
 calibrated evals were recorded when the lr and Platt fits became Newton
-solves that end at a certified optimum. A digest that moves means a seeded
-output moved.
+solves that end at a certified optimum. The wa calibrated eval was
+recorded when a class whose Platt slope fits <= 0 became uncalibrated
+(two of wa's classes fit negative slopes here). A digest that moves means
+a seeded output moved.
 """
 
 import hashlib
@@ -76,7 +78,7 @@ GOLDEN_EVAL = {
     "lr --json": "58d7b161c9e317400e2505f59c37597757e0e9a7ae5b326d3ab3347f65b644c2",
     "lr --calibrate": "0a2c2c40c8ac003541ff2500ba2f40afe25cc8be2207471140772040e59e4a56",
     "wa --json": "e93302de0fe81db883ce83e076aecb89a7387485790b7fb1d39784132d9fa5f9",
-    "wa --calibrate": "4fc8e0570e5a74bef324b28734a398dcc073a8078132dc7530303fdb9b863b51",
+    "wa --calibrate": "44fbe4e1065fb3e863e56023639ee2ca20adca2d34a880131a7e5e5c58009613",
     "bild --json": "10eda888a9b542469f78538484995f4be802bb0662b39a544355a9ba40886e29",
     "bild --calibrate": "9ff8f6f708d63a8c16bb07b9d125dda2a3746d2b4d886f847b3ac1d52b83d4cc",
 }

@@ -209,7 +209,7 @@ class TestPlatt:
     def test_identity_coefficients_preserve_scores(self):
         gen = np.random.Generator(np.random.PCG64(23))
         scores = random_scores(gen, 20, 3)
-        cal = PlattCalibrator(coef=[(1.0, 0.0)] * 3, identity=[False] * 3)
+        cal = PlattCalibrator(coef=[(1.0, 0.0)] * 3)
         assert np.allclose(cal.class_scores(scores), scores, atol=1e-9)
 
     def test_overconfident_scores_improve_held_out_log_loss(self):
@@ -238,8 +238,27 @@ class TestPlatt:
         golds = np.array([0, 0, 0])  # class 1 never appears
         with pytest.warns(UserWarning, match="degenerate"):
             cal = fit_platt(scores, golds, 2)
-        assert cal.identity == [True, True]
+        assert cal.coef == [None, None]
         assert np.array_equal(cal.class_scores(scores), scores)
+
+    def test_non_positive_slope_left_uncalibrated_with_warning(self):
+        # classes 0 and 1 score lower where they are gold, so their slopes
+        # fit negative; fitting them would reverse their rankings
+        gen = np.random.Generator(np.random.PCG64(29))
+        shift = 2.0 * np.array([-1.0, -1.0, 1.0])
+
+        def draw(n):
+            golds = gen.integers(0, 3, size=n)
+            z = gen.normal(size=(n, 3)) + shift * (golds[:, None] == np.arange(3))
+            return np.exp(z) / np.exp(z).sum(axis=1, keepdims=True), golds
+
+        for n in (40, 150, 400):
+            (val_s, val_g), (test_s, test_g) = draw(n), draw(n)
+            with pytest.warns(UserWarning, match="slope"):
+                cal = fit_platt(val_s, val_g, 3)
+            assert cal.coef[:2] == [None, None] and cal.coef[2][0] > 0
+            after = auroc(cal.class_scores(test_s), test_g, 3)["per_class"]
+            assert after == auroc(test_s, test_g, 3)["per_class"]
 
     def test_probability_rows_sum_to_one(self):
         gen = np.random.Generator(np.random.PCG64(5))

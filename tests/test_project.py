@@ -12,6 +12,7 @@ from oracles import (
 )
 
 import soapkit.project
+from soapkit.cli import main
 from soapkit.corpus import (
     AsrRaw,
     CorpusError,
@@ -21,6 +22,8 @@ from soapkit.corpus import (
     Transcript,
     TranscriptKind,
     Utterance,
+    write_asr_raw,
+    write_corpus,
 )
 from soapkit.project import (
     ProjectionError,
@@ -315,12 +318,16 @@ class TestProjectCorpus:
         assert sum(len(t.utterances) for t in projected) > len(small_corpus)
         assert len(calls) == len(small_corpus)
 
-    def test_threads_do_not_change_results(self, small_corpus):
+    def test_threads_flag_does_not_change_the_corpus(self, small_corpus, tmp_path):
         asr, _ = corrupt_corpus(small_corpus, CorruptionConfig(char_sub_rate=0.05), Rng(1))
-        seq = project_corpus(small_corpus, asr, threads=1)
-        par = project_corpus(small_corpus, asr, threads=3)
-        assert [t.encounter_id for t in seq] == [t.encounter_id for t in par]
-        for a, b in zip(seq, par):
-            for ua, ub in zip(a.utterances, b.utterances):
-                assert ua.dist.soap == ub.dist.soap
-                assert ua.dist.speaker == ub.dist.speaker
+        ref_path, asr_path = str(tmp_path / "ref.jsonl"), str(tmp_path / "asr.jsonl")
+        write_corpus(small_corpus, ref_path)
+        write_asr_raw(asr, asr_path)
+        outs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"projected{threads}.jsonl"
+            assert main(["project", "--ref", ref_path, "--asr", asr_path,
+                         "--out", str(out), "--threads", threads]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == len(small_corpus)
