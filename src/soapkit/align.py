@@ -41,10 +41,6 @@ MAX_DP_CELLS = 50_000_000
 MAX_BLOCK_HITS = 4
 
 
-class AlignmentError(DataError):
-    pass
-
-
 def _codes(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
 
@@ -196,14 +192,14 @@ def _partition(ref, asr, ref_off, asr_off, freqs, depth) -> Partition:
 def dp_align(a: str, b: str) -> str:
     """Unit-cost edit alignment of two strings (full DP), as an op string:
     M (match), S (substitute), I (char only in b), D (char only in a).
-    Raises AlignmentError, before allocating, when len(a) * len(b) exceeds
+    Raises DataError, before allocating, when len(a) * len(b) exceeds
     MAX_DP_CELLS.
 
     Traceback tie preference: Match > Substitute > Delete > Insert.
     """
     n, m = len(a), len(b)
     if n * m > MAX_DP_CELLS:
-        raise AlignmentError(
+        raise DataError(
             f"a {n} x {m} alignment leaf exceeds the {MAX_DP_CELLS} cell budget; "
             "the two texts share too little to anchor")
     if n == 0:
@@ -278,7 +274,7 @@ def align_transcripts(ref_text: str, asr_text: str) -> str:
                   for node, sub in _tiles(partition_tree(ref_l, asr_l), ref_l, asr_l))
     n_ref, n_asr = len(ops) - ops.count("I"), len(ops) - ops.count("D")
     if n_ref != len(ref_text) or n_asr != len(asr_text):
-        raise AlignmentError(
+        raise DataError(
             f"op counts ({n_ref} ref, {n_asr} asr) do not cover "
             f"string lengths ({len(ref_text)}, {len(asr_text)})")
     return ops

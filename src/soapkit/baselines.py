@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (ABSENT_MASS, CheckpointError, atomic_output, checked_array,
+from .corpus import (ABSENT_MASS, DataError, atomic_output, checked_array,
                      inverse_frequency_weights, read_json)
 from .metrics import validation_split
 from .neural.network import softmax
@@ -26,15 +26,11 @@ LR_MAX_ITERS = 100  # Newton steps per fit
 LR_GRAD_TOL = 1e-8
 
 
-class BaselineError(CheckpointError):
-    pass
-
-
 def fit_vocab(token_lists) -> dict:
     """Deterministic vocabulary: all tokens in lexicographic order."""
     words = {tok for tokens in token_lists for tok in tokens}
     if not words:
-        raise BaselineError("empty vocabulary: no tokens in the corpus")
+        raise DataError("empty vocabulary: no tokens in the corpus")
     return {w: i for i, w in enumerate(sorted(words))}
 
 
@@ -78,7 +74,7 @@ class BaselineModel:
         elif self.kind == "lr":
             Z = [self.weights @ x + self.bias for x in X]
         else:
-            raise BaselineError(f"unknown baseline kind {self.kind!r}")
+            raise DataError(f"unknown baseline kind {self.kind!r}")
         return softmax(np.array(Z).reshape(-1, self.n_classes), axis=1)
 
     def save(self, path) -> None:
@@ -94,26 +90,26 @@ class BaselineModel:
     @classmethod
     def load(cls, rec) -> "BaselineModel":
         """A model from its checkpoint record; a record that `save` could
-        not have written raises BaselineError."""
+        not have written raises DataError."""
         if not isinstance(rec, dict) or rec.get("family") != "baseline":
-            raise BaselineError("not a baseline checkpoint")
+            raise DataError("not a baseline checkpoint")
         kind, task, n_classes, vocab, majority = (
             rec.get(k) for k in ("kind", "task", "n_classes", "vocab", "majority"))
         if kind not in ("mc", "mnb", "lr"):
-            raise BaselineError(f"unknown baseline kind {kind!r}")
+            raise DataError(f"unknown baseline kind {kind!r}")
         if task not in ("soap", "speaker"):
-            raise BaselineError(f"unknown task {task!r}")
+            raise DataError(f"unknown task {task!r}")
         if type(n_classes) is not int or n_classes < 1:
-            raise BaselineError("n_classes must be a positive integer")
+            raise DataError("n_classes must be a positive integer")
         if not isinstance(vocab, dict) or sorted(
                 v for v in vocab.values() if type(v) is int) != list(range(len(vocab))):
-            raise BaselineError("vocab must map its tokens to the indices 0..V-1")
+            raise DataError("vocab must map its tokens to the indices 0..V-1")
         if kind == "mc" and not (type(majority) is int and 0 <= majority < n_classes):
-            raise BaselineError("an mc checkpoint needs a majority class index")
+            raise DataError("an mc checkpoint needs a majority class index")
         shapes = {"mnb": {"log_prior": (n_classes,), "log_likelihood": (n_classes, len(vocab))},
                   "lr": {"weights": (n_classes, len(vocab)), "bias": (n_classes,)}}.get(kind, {})
-        arrays = {name: checked_array(rec.get(name), f"checkpoint array {name!r}", shape,
-                                      BaselineError) for name, shape in shapes.items()}
+        arrays = {name: checked_array(rec.get(name), f"checkpoint array {name!r}", shape)
+                  for name, shape in shapes.items()}
         return cls(kind=kind, task=task, n_classes=n_classes, vocab=vocab,
                    majority=majority, **arrays)
 
@@ -123,7 +119,7 @@ def train_mc(targets: np.ndarray, task: str) -> BaselineModel:
     to the lowest class index."""
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2 or targets.shape[0] == 0:
-        raise BaselineError("targets must be a non-empty (n, C) array")
+        raise DataError("targets must be a non-empty (n, C) array")
     counts = targets.sum(axis=0)
     return BaselineModel(kind="mc", task=task, n_classes=targets.shape[1],
                          majority=int(np.argmax(counts)))
@@ -135,7 +131,7 @@ def train_mnb(token_lists, targets: np.ndarray, task: str) -> BaselineModel:
     (possibly fractional) target mass of each utterance."""
     targets = np.asarray(targets, dtype=float)
     if len(token_lists) != targets.shape[0]:
-        raise BaselineError("token lists and targets disagree on n")
+        raise DataError("token lists and targets disagree on n")
     vocab = fit_vocab(token_lists)
     X = count_matrix(token_lists, vocab)
     M = targets.T @ X  # (C, V) expected counts
@@ -165,7 +161,7 @@ def _lr_solve(XA, targets, w_class, lam: float, theta) -> tuple:
     @ XA and one (C, n) @ XA.T; no Hessian is formed) to a relative
     residual of min(0.1, |g|), for quadratic convergence (Nocedal & Wright,
     Theorem 7.2), then backtracking from the full step, until |g| <=
-    LR_GRAD_TOL; running out of LR_MAX_ITERS steps raises BaselineError."""
+    LR_GRAD_TOL; running out of LR_MAX_ITERS steps raises DataError."""
     TW = np.ascontiguousarray((targets * w_class).T)  # (C, n) weighted targets
     s = targets @ w_class  # per-sample total target weight
     present = bool((targets.sum(axis=0) > ABSENT_MASS).all())
@@ -206,10 +202,10 @@ def _lr_solve(XA, targets, w_class, lam: float, theta) -> tuple:
                 break
             step *= 0.5
         else:
-            raise BaselineError(f"logistic regression line search failed (|g|={gnorm:.3g})")
+            raise DataError(f"logistic regression line search failed (|g|={gnorm:.3g})")
         theta, Z, f, P = theta + step * d, Z + step * DZ, f2, P2
-    raise BaselineError(f"logistic regression did not converge in {LR_MAX_ITERS} Newton "
-                        f"steps (lambda={lam}, |g|={gnorm:.3g})")
+    raise DataError(f"logistic regression did not converge in {LR_MAX_ITERS} Newton "
+                    f"steps (lambda={lam}, |g|={gnorm:.3g})")
 
 
 def train_lr(token_lists, targets: np.ndarray, task: str) -> BaselineModel:
@@ -224,7 +220,7 @@ def train_lr(token_lists, targets: np.ndarray, task: str) -> BaselineModel:
     mapped back, and an absent class's bias penalty is on the mean row's logits."""
     targets = np.asarray(targets, dtype=float)
     if len(token_lists) != targets.shape[0] or targets.shape[0] == 0:
-        raise BaselineError("token lists and targets disagree on n")
+        raise DataError("token lists and targets disagree on n")
     vocab = fit_vocab(token_lists)
     n, n_classes = targets.shape
     XT = count_matrix(token_lists, vocab).T
@@ -244,4 +240,4 @@ def train_lr(token_lists, targets: np.ndarray, task: str) -> BaselineModel:
 
 
 def load_baseline(path) -> BaselineModel:
-    return read_json(path, BaselineModel.load, BaselineError)
+    return read_json(path, BaselineModel.load)

@@ -19,9 +19,8 @@ import sys
 import numpy as np
 
 from .align import alignment_record
-from .baselines import BaselineError, BaselineModel, train_lr, train_mc, train_mnb
+from .baselines import BaselineModel, train_lr, train_mc, train_mnb
 from .corpus import (
-    CheckpointError,
     DataError,
     Rng,
     gold_labels,
@@ -36,7 +35,7 @@ from .corpus import (
     write_jsonl,
 )
 from .irr import format_report, irr_report, read_notes
-from .metrics import MetricError, MetricReport, evaluate, fit_platt, validation_split
+from .metrics import MetricReport, evaluate, fit_platt, validation_split
 from .neural.model import MODEL_VARIANTS, ModelConfig, SequenceClassifier
 from .neural.train import TrainConfig, collect_scores, train_model
 from .preprocess import preprocess_corpus
@@ -140,7 +139,7 @@ def cmd_project(args) -> int:
 def _baseline_data(transcripts, task: str):
     token_lists = [utt.tokens for t in transcripts for utt in t.utterances]
     if not token_lists:
-        raise BaselineError("no utterances to train on")
+        raise DataError("no utterances to train on")
     k = ("speaker", "soap").index(task)  # one_hot_targets' order
     return token_lists, np.concatenate([one_hot_targets(t)[k] for t in transcripts])
 
@@ -170,13 +169,11 @@ def cmd_train(args) -> int:
 
 def _score_tasks(model, transcripts) -> dict:
     """Per-task (scores, golds) arrays for whichever tasks the model
-    covers. `model` may be the literal string "oracle", which reads the
-    stored targets back as predictions."""
+    covers, over non-empty `preprocess_corpus` output. `model` may be the
+    literal string "oracle", which reads the stored targets back as
+    predictions."""
     if isinstance(model, SequenceClassifier):
         return collect_scores(model, transcripts)
-    transcripts = [t for t in transcripts if t.utterances]
-    if not transcripts:
-        raise MetricError("no utterances to score")
     if model == "oracle":
         spk, soap = zip(*map(one_hot_targets, transcripts))
         scores = {"speaker": np.concatenate(spk), "soap": np.concatenate(soap)}
@@ -217,16 +214,18 @@ def cmd_eval(args) -> int:
         raise CliError(EXIT_MISSING, "usage",
                        "--calibrate requires --val-corpus")
     model = ("oracle" if args.model == "oracle"
-             else _read_input(read_json, args.model, _checkpoint, CheckpointError))
+             else _read_input(read_json, args.model, _checkpoint))
     test = preprocess_corpus(_read_input(read_corpus, args.test))
+    if not test:
+        raise DataError(f"{args.test}: no utterances to score")
     task_scores = _score_tasks(model, test)
     calibrators = {}
     if args.calibrate:
         val = preprocess_corpus(_read_input(read_corpus, args.val_corpus))
+        if len(val) < 2:
+            raise DataError(f"{args.val_corpus}: calibration needs at least two "
+                            f"validation transcripts, got {len(val)}")
         _, val_tail = validation_split(val)
-        if not val_tail:
-            raise MetricError(f"{args.val_corpus}: calibration needs at least two "
-                              "validation transcripts, got one")
         calibrators = {task: fit_platt(scores, golds, scores.shape[1])
                        for task, (scores, golds) in _score_tasks(model, val_tail).items()}
     results = {}

@@ -26,12 +26,9 @@ DIST_TOLERANCE = 1e-9
 
 
 class DataError(ValueError):
-    """Base of every soapkit error class: data that fails an invariant. The
-    CLI exits 3 when reading an input raises one, and 4 for one raised later."""
-
-
-class CorpusError(DataError):
-    """Raised on malformed corpus files or invalid record fields."""
+    """soapkit's one error class (the CLI adds its own CliError): data that
+    fails an invariant. The CLI exits 3 when reading an input raises one,
+    and 4 for one raised later."""
 
 
 def _json_typed(value, types):
@@ -56,7 +53,7 @@ class Label(IntEnum):
     def from_string(cls, s: str) -> "Label":
         member = cls.by_string.get(s) if isinstance(s, str) else None
         if member is None:
-            raise CorpusError(f"unknown {cls.noun} label {s!r}")
+            raise DataError(f"unknown {cls.noun} label {s!r}")
         return member
 
 
@@ -103,19 +100,19 @@ class LabelDistribution:
             soap = tuple(float(_json_typed(x, (int, float))) for x in self.soap)
             speaker = tuple(float(_json_typed(x, (int, float))) for x in self.speaker)
         except (TypeError, OverflowError):
-            raise CorpusError("label distributions must be lists of numbers") from None
+            raise DataError("label distributions must be lists of numbers") from None
         object.__setattr__(self, "soap", soap)
         object.__setattr__(self, "speaker", speaker)
         if len(soap) != N_SOAP:
-            raise CorpusError(f"soap distribution must have {N_SOAP} entries, got {len(soap)}")
+            raise DataError(f"soap distribution must have {N_SOAP} entries, got {len(soap)}")
         if len(speaker) != N_SPEAKER:
-            raise CorpusError(f"speaker vector must have {N_SPEAKER} entries, got {len(speaker)}")
+            raise DataError(f"speaker vector must have {N_SPEAKER} entries, got {len(speaker)}")
         if not all(map(math.isfinite, soap + speaker)):
-            raise CorpusError("label distribution entries must be finite")
+            raise DataError("label distribution entries must be finite")
         if any(x < -DIST_TOLERANCE for x in soap) or any(x < -DIST_TOLERANCE for x in speaker):
-            raise CorpusError("label distribution entries must be non-negative")
+            raise DataError("label distribution entries must be non-negative")
         if abs(sum(soap) - 1.0) > DIST_TOLERANCE:
-            raise CorpusError(f"soap distribution must sum to 1, got {sum(soap)!r}")
+            raise DataError(f"soap distribution must sum to 1, got {sum(soap)!r}")
 
 
 @dataclass(frozen=True)
@@ -138,19 +135,19 @@ class Transcript:
         object.__setattr__(self, "utterances", tuple(self.utterances))
         for i, utt in enumerate(self.utterances):
             if utt.id != i:
-                raise CorpusError(
+                raise DataError(
                     f"encounter {self.encounter_id}: utterance ids must be dense "
                     f"ascending from 0, found id {utt.id} at position {i}"
                 )
             if self.kind is TranscriptKind.REFERENCE:
                 if utt.speaker is None or utt.section is None:
-                    raise CorpusError(
+                    raise DataError(
                         f"encounter {self.encounter_id}: reference utterance {i} "
                         "is missing a speaker or section label"
                     )
             else:
                 if utt.dist is None:
-                    raise CorpusError(
+                    raise DataError(
                         f"encounter {self.encounter_id}: asr utterance {i} "
                         "is missing its label distribution"
                     )
@@ -208,18 +205,18 @@ def _utterance_from_record(rec: dict, kind: TranscriptKind, uid: int) -> Utteran
     """Utterance `uid` of a transcript: the record's integer id is checked,
     then replaced by the dense position, so ids are reindexed in file order."""
     if not isinstance(rec, dict):
-        raise CorpusError("utterance record must be an object")
+        raise DataError("utterance record must be an object")
     reference = kind is TranscriptKind.REFERENCE
     try:  # the kind's two label fields are `a` and `b`
         _json_typed(rec["id"], int)
         text = rec["text"]
         a, b = (rec["speaker"], rec["section"]) if reference else (rec["soap_dist"], rec["speaker_dist"])
     except KeyError as e:
-        raise CorpusError(f"{kind.value} utterance missing field {e.args[0]!r}") from None
+        raise DataError(f"{kind.value} utterance missing field {e.args[0]!r}") from None
     except TypeError:
-        raise CorpusError("field 'id' must be an integer") from None
+        raise DataError("field 'id' must be an integer") from None
     if not isinstance(text, str):
-        raise CorpusError("field 'text' must be a string")
+        raise DataError("field 'text' must be a string")
     if reference:
         return Utterance(id=uid, text=text, speaker=SpeakerLabel.from_string(a),
                          section=SoapSection.from_string(b))
@@ -234,14 +231,14 @@ def transcript_to_record(t: Transcript) -> dict:
     }
 
 
-def encounter_fields(rec: dict, names: tuple, error=CorpusError) -> list:
-    """A record's string encounter_id, then the values of `names`; else `error`."""
+def encounter_fields(rec: dict, names: tuple) -> list:
+    """A record's string encounter_id, then the values of `names`; else DataError."""
     try:
         return [_json_typed(rec["encounter_id"], str)] + [rec[name] for name in names]
     except KeyError as e:
-        raise error(f"missing field {e.args[0]!r}") from None
+        raise DataError(f"missing field {e.args[0]!r}") from None
     except TypeError:
-        raise error("field 'encounter_id' must be a string") from None
+        raise DataError("field 'encounter_id' must be a string") from None
 
 
 def transcript_from_record(rec: dict) -> Transcript:
@@ -249,9 +246,9 @@ def transcript_from_record(rec: dict) -> Transcript:
     try:
         kind = TranscriptKind(kind_str)
     except ValueError:
-        raise CorpusError(f"field 'kind': unknown transcript kind {kind_str!r}") from None
+        raise DataError(f"field 'kind': unknown transcript kind {kind_str!r}") from None
     if not isinstance(utts, list):
-        raise CorpusError("field 'utterances' must be a list")
+        raise DataError("field 'utterances' must be a list")
     return Transcript(encounter_id=encounter_id, kind=kind,
                       utterances=[_utterance_from_record(u, kind, i) for i, u in enumerate(utts)])
 
@@ -287,74 +284,71 @@ def write_corpus(transcripts, path) -> None:
     write_jsonl(map(transcript_to_record, transcripts), path)
 
 
-def json_object(text: str, error=CorpusError) -> dict:
+def json_object(text: str) -> dict:
     """`text` parsed as JSON; malformed JSON, or a value that is not an
-    object, raises `error`."""
+    object, raises DataError."""
     try:
         rec = json.loads(text)
     except json.JSONDecodeError as e:
-        raise error(f"malformed JSON ({e.msg})") from None
+        raise DataError(f"malformed JSON ({e.msg})") from None
     if not isinstance(rec, dict):
-        raise error("not a JSON object")
+        raise DataError("not a JSON object")
     return rec
 
 
-def _read_text(path, error) -> str:
-    """The file's text; bytes that are not UTF-8 raise `error` naming the path."""
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 raise DataError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as e:
-        raise error(f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x} at offset {e.start})") from None
+        raise DataError(f"{path}: not UTF-8 text "
+                        f"(byte {e.object[e.start]:#04x} at offset {e.start})") from None
 
 
-def _parsed(text: str, parse, error, where: str):
-    """parse(json_object(text)); an `error` from either is raised again as
+def _parsed(text: str, parse, where: str):
+    """parse(json_object(text)); a DataError from either is raised again as
     "where: ..."."""
     try:
-        return parse(json_object(text, error))
-    except error as e:
-        raise error(f"{where}: {e}") from None
+        return parse(json_object(text))
+    except DataError as e:
+        raise DataError(f"{where}: {e}") from None
 
 
-def read_jsonl(path, parse, error=CorpusError) -> list:
+def read_jsonl(path, parse) -> list:
     """[parse(record), ...] over the non-blank lines of a JSON Lines file,
     each line a JSON object; errors name "path: line N"."""
-    lines = _read_text(path, error).split("\n")
-    return [_parsed(line, parse, error, f"{path}: line {n}")
+    lines = _read_text(path).split("\n")
+    return [_parsed(line, parse, f"{path}: line {n}")
             for n, line in enumerate(lines, start=1) if line.strip()]
 
 
-def read_json(path, parse, error=CorpusError):
+def read_json(path, parse):
     """parse(record) for a file that holds one JSON object; errors name the path."""
-    return _parsed(_read_text(path, error), parse, error, path)
+    return _parsed(_read_text(path), parse, path)
 
 
 def read_corpus(path) -> list:
     return read_jsonl(path, transcript_from_record)
 
 
-class CheckpointError(DataError):
-    """Base of BaselineError and ModelError: one checkpoint read locates either."""
-
-
-def checked_array(value, what: str, shape: tuple, error) -> np.ndarray:
+def checked_array(value, what: str, shape: tuple) -> np.ndarray:
     """A checkpoint value of JSON ints and floats as a finite float array
-    of the given shape, else `error` naming `what`."""
+    of the given shape, else DataError naming `what`."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} is not an array of numbers") from None
+        raise DataError(f"{what} is not an array of numbers") from None
     if arr.shape != shape:
-        raise error(f"{what} has shape {arr.shape}, expected {shape}")
+        raise DataError(f"{what} has shape {arr.shape}, expected {shape}")
     # asarray reads "0.5" and true as numbers; one pass over the entries' types
     entries = value
     for _ in shape[1:]:
         entries = itertools.chain.from_iterable(entries)
     if not {int, float}.issuperset(map(type, entries)):
-        raise error(f"{what} is not an array of numbers")
+        raise DataError(f"{what} is not an array of numbers")
     if not np.isfinite(arr).all():
-        raise error(f"{what} has non-finite entries")
+        raise DataError(f"{what} has non-finite entries")
     return arr
 
 
@@ -374,23 +368,23 @@ class AsrRaw:
 
     def __post_init__(self):
         if not isinstance(self.text, str):
-            raise CorpusError(f"encounter {self.encounter_id}: field 'text' must be a string")
+            raise DataError(f"encounter {self.encounter_id}: field 'text' must be a string")
         try:
             turns = tuple((_json_typed(a, int), _json_typed(b, int)) for a, b in self.turns)
         except (TypeError, ValueError):
-            raise CorpusError(f"encounter {self.encounter_id}: turn spans must be "
-                              "[start, end] pairs of integers") from None
+            raise DataError(f"encounter {self.encounter_id}: turn spans must be "
+                            "[start, end] pairs of integers") from None
         object.__setattr__(self, "turns", turns)
         pos = 0
         for a, b in turns:
             if a != pos or b < a:
-                raise CorpusError(
+                raise DataError(
                     f"encounter {self.encounter_id}: turn spans must tile the text, "
                     f"got span ({a}, {b}) at position {pos}"
                 )
             pos = b
         if pos != len(self.text):
-            raise CorpusError(
+            raise DataError(
                 f"encounter {self.encounter_id}: turn spans cover {pos} chars "
                 f"but text has {len(self.text)}"
             )
@@ -401,17 +395,17 @@ def pair_by_encounter(records, others, others_name: str) -> list:
     `records` to the one of `others` with its encounter_id; `others` with
     no matching record are left out. An encounter_id that repeats on
     either side, or a record with no match in `others` (named
-    `others_name` in the error), raises CorpusError."""
+    `others_name` in the error), raises DataError."""
     for side in (records, others):
         ids = [item.encounter_id for item in side]
         if len(set(ids)) < len(ids):
-            raise CorpusError(f"encounter {next(i for i in ids if ids.count(i) > 1)!r} "
-                              "appears more than once")
+            raise DataError(f"encounter {next(i for i in ids if ids.count(i) > 1)!r} "
+                            "appears more than once")
     by_id = {o.encounter_id: o for o in others}
     pairs = []
     for rec in records:
         if rec.encounter_id not in by_id:
-            raise CorpusError(f"encounter {rec.encounter_id!r} has no match in {others_name}")
+            raise DataError(f"encounter {rec.encounter_id!r} has no match in {others_name}")
         pairs.append((rec, by_id[rec.encounter_id]))
     return pairs
 

@@ -34,10 +34,6 @@ SUBSECTION_SECTIONS = {
 }
 
 
-class IrrError(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class Observation:
     """One note line: a summary sentence, its tags, and the utterance ids
@@ -52,9 +48,9 @@ class Observation:
         object.__setattr__(self, "tags", frozenset(self.tags))
         object.__setattr__(self, "evidence", frozenset(int(e) for e in self.evidence))
         if self.subsection not in SUBSECTION_SECTIONS:
-            raise IrrError(f"unknown subsection {self.subsection!r}")
+            raise DataError(f"unknown subsection {self.subsection!r}")
         if not self.evidence:
-            raise IrrError("observation must cite at least one evidence utterance")
+            raise DataError("observation must cite at least one evidence utterance")
 
     @property
     def section(self) -> SoapSection:
@@ -183,7 +179,7 @@ def _utterance_sections(note: SoapNote, n_utterances: int) -> np.ndarray:
     for obs in note.observations:
         for e in sorted(obs.evidence):
             if e >= n_utterances or e < 0:
-                raise IrrError(
+                raise DataError(
                     f"encounter {note.encounter_id}: evidence id {e} outside "
                     f"transcript with {n_utterances} utterances")
             if not seen[e]:
@@ -203,7 +199,7 @@ def irr_report(notes_a, notes_b, transcripts) -> IrrReport:
     pairs = pair_by_encounter(notes_a, notes_b, "notes_b")
     pair_by_encounter(notes_b, notes_a, "notes_a")  # refuses a note only in notes_b
     if not pairs:
-        raise IrrError("no note pairs to compare")
+        raise DataError("no note pairs to compare")
     frac = {"identical": [], "substitution": [], "insertion": [], "deletion": []}
     ev_overlaps = []
     tag_overlaps = []
@@ -214,7 +210,7 @@ def irr_report(notes_a, notes_b, transcripts) -> IrrReport:
         n_src = len(source.observations)
         n_ref = len(reference.observations)
         if n_src == 0 or n_ref == 0:
-            raise IrrError(f"encounter {source.encounter_id!r}: empty note")
+            raise DataError(f"encounter {source.encounter_id!r}: empty note")
         mapping = map_notes(source, reference)
         frac["identical"].append(mapping.count(NoteCategory.IDENTICAL) / n_src)
         frac["substitution"].append(mapping.count(NoteCategory.SUBSTITUTION) / n_src)
@@ -270,27 +266,27 @@ def write_notes(notes, path) -> None:
 
 def _observation_from_record(o) -> Observation:
     if not isinstance(o, dict):
-        raise IrrError("observation must be an object")
+        raise DataError("observation must be an object")
     subsection, summary = o.get("subsection"), o.get("summary")
     tags, evidence = o.get("tags", []), o.get("evidence")
     if not (isinstance(subsection, str) and isinstance(summary, str)
             and isinstance(tags, list) and all(isinstance(t, str) for t in tags)
             and isinstance(evidence, list) and all(type(e) is int for e in evidence)):
-        raise IrrError("an observation needs a string subsection and summary, "
-                       "a list of string tags and a list of integer evidence ids")
+        raise DataError("an observation needs a string subsection and summary, "
+                        "a list of string tags and a list of integer evidence ids")
     return Observation(subsection, summary, frozenset(tags), frozenset(evidence))
 
 
 def _note_from_record(rec: dict) -> SoapNote:
-    encounter_id, observations = encounter_fields(rec, ("observations",), IrrError)
+    encounter_id, observations = encounter_fields(rec, ("observations",))
     if not isinstance(observations, list):
-        raise IrrError("field 'observations' must be a list")
+        raise DataError("field 'observations' must be a list")
     return SoapNote(encounter_id=encounter_id,
                     observations=tuple(map(_observation_from_record, observations)))
 
 
 def read_notes(path) -> list:
-    return read_jsonl(path, _note_from_record, IrrError)
+    return read_jsonl(path, _note_from_record)
 
 
 def format_report(report: IrrReport) -> str:

@@ -17,10 +17,6 @@ from .corpus import DataError
 from .neural.network import sigmoid
 
 
-class MetricError(DataError):
-    pass
-
-
 @dataclass
 class MetricReport:
     n: int
@@ -37,11 +33,11 @@ def confusion_matrix(preds, golds, n_classes: int) -> np.ndarray:
     preds = np.asarray(preds, dtype=int)
     golds = np.asarray(golds, dtype=int)
     if preds.shape != golds.shape or preds.ndim != 1:
-        raise MetricError("preds and golds must be 1-d arrays of equal length")
+        raise DataError("preds and golds must be 1-d arrays of equal length")
     if preds.size == 0:
-        raise MetricError("cannot score an empty prediction set")
+        raise DataError("cannot score an empty prediction set")
     if (preds < 0).any() or (preds >= n_classes).any() or (golds < 0).any() or (golds >= n_classes).any():
-        raise MetricError("label outside [0, n_classes)")
+        raise DataError("label outside [0, n_classes)")
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(cm, (golds, preds), 1)
     return cm
@@ -97,7 +93,7 @@ def _one_vs_rest(binary, scores, golds, n_classes: int) -> dict:
     scores = np.asarray(scores, dtype=float)
     golds = np.asarray(golds, dtype=int)
     if scores.shape != (golds.size, n_classes):
-        raise MetricError(f"scores must have shape (n, {n_classes})")
+        raise DataError(f"scores must have shape (n, {n_classes})")
     per_class = {}
     skipped = []
     for c in range(n_classes):
@@ -107,7 +103,7 @@ def _one_vs_rest(binary, scores, golds, n_classes: int) -> dict:
             continue
         per_class[c] = binary(scores[:, c], pos)
     if not per_class:
-        raise MetricError("no class has both positive and negative examples")
+        raise DataError("no class has both positive and negative examples")
     macro = float(np.mean(list(per_class.values())))
     return {"macro": macro, "per_class": per_class, "skipped": skipped}
 
@@ -211,7 +207,7 @@ def _fit_platt_binary(z: np.ndarray, y: np.ndarray) -> tuple:
     fit stops when |grad| <= PLATT_GRAD_TOL, or when a step lowers the loss
     by at most PLATT_REL_TOL of itself, as on a class that validation
     separates, whose loss only tends to 0; running out of PLATT_MAX_ITERS
-    steps raises MetricError."""
+    steps raises DataError."""
     sgn = np.where(y, -1.0, 1.0)  # per-sample loss is log(1 + exp(sgn * t))
     n = z.size
     a, b, t = 1.0, 0.0, z
@@ -239,7 +235,7 @@ def _fit_platt_binary(z: np.ndarray, y: np.ndarray) -> tuple:
         a, b, t, loss, drop = a + step * da, b + step * db, t2, loss2, loss - loss2
         if drop <= PLATT_REL_TOL * (loss + drop):
             return a, b
-    raise MetricError(f"Platt fit did not converge in {PLATT_MAX_ITERS} Newton steps")
+    raise DataError(f"Platt fit did not converge in {PLATT_MAX_ITERS} Newton steps")
 
 
 def fit_platt(val_scores, val_golds, n_classes: int) -> PlattCalibrator:
@@ -249,9 +245,9 @@ def fit_platt(val_scores, val_golds, n_classes: int) -> PlattCalibrator:
     scores = np.asarray(val_scores, dtype=float)
     golds = np.asarray(val_golds, dtype=int)
     if scores.shape != (golds.size, n_classes):
-        raise MetricError(f"scores must have shape (n, {n_classes})")
+        raise DataError(f"scores must have shape (n, {n_classes})")
     if golds.size == 0:
-        raise MetricError("empty validation set")
+        raise DataError("empty validation set")
     coef = []
     for c in range(n_classes):
         y = (golds == c).astype(float)
@@ -274,6 +270,6 @@ def validation_split(transcripts) -> tuple:
     to validation when there are two or more."""
     n = len(transcripts)
     if n == 0:
-        raise MetricError("empty corpus")
+        raise DataError("empty corpus")
     k = max(1, int(round(n * 0.1))) if n > 1 else 0
     return list(transcripts[:n - k]), list(transcripts[n - k:])

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus import N_SOAP, N_SPEAKER, CheckpointError, Rng, atomic_output, checked_array, read_json
+from ..corpus import N_SOAP, N_SPEAKER, DataError, Rng, atomic_output, checked_array, read_json
 from .embeddings import HashEmbeddings
 from .network import (
     attention_backward,
@@ -39,10 +39,6 @@ from .network import (
 MODEL_VARIANTS = ("dlb", "wa", "bil", "bild")
 
 EMBED_LAYERS = 3
-
-
-class ModelError(CheckpointError):
-    pass
 
 
 class Encoded(NamedTuple):
@@ -62,11 +58,11 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
-            raise ModelError(f"unknown variant {self.variant!r}; expected one of {MODEL_VARIANTS}")
+            raise DataError(f"unknown variant {self.variant!r}; expected one of {MODEL_VARIANTS}")
         for name, low in (("embed_dim", 1), ("enc1_hidden", 1), ("enc2_hidden", 1),
                           ("decoder_hidden", 1), ("seed", 0)):
             if type(getattr(self, name)) is not int or getattr(self, name) < low:
-                raise ModelError(f"{name} must be an integer of at least {low}")
+                raise DataError(f"{name} must be an integer of at least {low}")
 
 
 class SequenceClassifier:
@@ -135,9 +131,9 @@ class SequenceClassifier:
         hold these in place of token lists, so a training run encodes each
         transcript once."""
         if not token_lists:
-            raise ModelError("empty utterance sequence")
+            raise DataError("empty utterance sequence")
         if not all(token_lists):
-            raise ModelError("utterance has no tokens")
+            raise DataError("utterance has no tokens")
         self.add_vocabulary(t for tokens in token_lists for t in tokens)
         lengths = np.array([len(tokens) for tokens in token_lists])
         rows = np.zeros((len(token_lists), lengths.max()), dtype=np.intp)
@@ -176,7 +172,7 @@ class SequenceClassifier:
         cfg = self.config
         p = self.params
         if not batch:
-            raise ModelError("empty utterance sequence")
+            raise DataError("empty utterance sequence")
         batch = [t if isinstance(t, Encoded) else self.encode(t) for t in batch]
         lengths = [len(t.rows) for t in batch]
         n, n_seq = max(lengths), len(batch)
@@ -221,8 +217,8 @@ class SequenceClassifier:
         ):
             targets = np.asarray(targets, dtype=float)
             if targets.shape != cache["probs"][task].shape:
-                raise ModelError(f"{task} targets have shape {targets.shape}, "
-                                 f"expected {cache['probs'][task].shape}")
+                raise DataError(f"{task} targets have shape {targets.shape}, "
+                                f"expected {cache['probs'][task].shape}")
             loss, dlogits[task] = weighted_ce_loss_and_dlogits(
                 cache["probs"][task], targets, np.asarray(weights, dtype=float))
             total += loss
@@ -298,28 +294,27 @@ class SequenceClassifier:
     @classmethod
     def from_record(cls, rec) -> "SequenceClassifier":
         """A model from its checkpoint record; a record that `save` could
-        not have written raises ModelError."""
+        not have written raises DataError."""
         if not isinstance(rec, dict) or rec.get("family") != "neural":
-            raise ModelError("not a neural checkpoint")
+            raise DataError("not a neural checkpoint")
         config, params = rec.get("config"), rec.get("params")
         if not isinstance(config, dict) or not isinstance(params, dict):
-            raise ModelError("checkpoint needs 'config' and 'params' objects")
+            raise DataError("checkpoint needs 'config' and 'params' objects")
         unknown = sorted(set(config) - set(ModelConfig.__dataclass_fields__))
         if unknown:
-            raise ModelError(f"unknown config keys {unknown}")
+            raise DataError(f"unknown config keys {unknown}")
         model = cls(ModelConfig(**config))
         # compared as JSON text, so that 16.0 or true does not pass for 16 or 1
         for key, want in (("variant", model.config.variant), ("embeddings", model.embeddings.spec())):
             if json.dumps(rec.get(key), sort_keys=True) != json.dumps(want, sort_keys=True):
-                raise ModelError(f"checkpoint {key} {rec.get(key)!r} does not match its config's {want!r}")
+                raise DataError(f"checkpoint {key} {rec.get(key)!r} does not match its config's {want!r}")
         missing = sorted(set(model.params) - set(params))
         if missing:
-            raise ModelError(f"checkpoint lacks parameters {missing}")
+            raise DataError(f"checkpoint lacks parameters {missing}")
         for name, val in params.items():
             if name not in model.params:
-                raise ModelError(f"unexpected parameter {name!r} in checkpoint")
-            model.params[name] = checked_array(val, f"parameter {name!r}",
-                                               model.params[name].shape, ModelError)
+                raise DataError(f"unexpected parameter {name!r} in checkpoint")
+            model.params[name] = checked_array(val, f"parameter {name!r}", model.params[name].shape)
         return model
 
 
@@ -336,4 +331,4 @@ def _padded(rows: np.ndarray, real: np.ndarray) -> np.ndarray:
 
 
 def load_model(path) -> SequenceClassifier:
-    return read_json(path, SequenceClassifier.from_record, ModelError)
+    return read_json(path, SequenceClassifier.from_record)

@@ -21,10 +21,6 @@ from ..corpus import DataError, Rng, gold_labels, inverse_frequency_weights, one
 from .network import clip_scale, global_norm
 
 
-class TrainingError(DataError):
-    pass
-
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -41,7 +37,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if any(not 0.0 <= r < 1.0 for r in self.dropout_schedule):
-            raise TrainingError("dropout rates must be in [0, 1)")
+            raise DataError("dropout rates must be in [0, 1)")
 
     @property
     def epochs(self) -> int:
@@ -85,8 +81,8 @@ def _encoded(model, transcripts) -> list:
     for t in transcripts:
         for utt in t.utterances:
             if utt.tokens is None:
-                raise TrainingError(f"encounter {t.encounter_id}: utterance {utt.id} has no "
-                                    "tokens; run preprocessing first")
+                raise DataError(f"encounter {t.encounter_id}: utterance {utt.id} has no "
+                                "tokens; run preprocessing first")
     model.add_vocabulary(tok for t in transcripts for utt in t.utterances for tok in utt.tokens)
     return [model.encode([utt.tokens for utt in t.utterances]) for t in transcripts]
 
@@ -100,7 +96,7 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
     """
     transcripts = [t for t in transcripts if t.utterances]
     if not transcripts:
-        raise TrainingError("no non-empty transcripts to train on")
+        raise DataError("no non-empty transcripts to train on")
     data = [(e,) + one_hot_targets(t) for e, t in zip(_encoded(model, transcripts), transcripts)]
     rng = Rng(cfg.seed)
     gen = rng.generator
@@ -119,7 +115,7 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
                 inverse_frequency_weights(spk_t), inverse_frequency_weights(sect_t),
                 dropout=dropout, gen=gen, tbptt_len=TBPTT_LEN)
             if not np.isfinite(loss):
-                raise TrainingError(
+                raise DataError(
                     f"training diverged at epoch {epoch}, batch {start // BATCH_TRANSCRIPTS} "
                     f"(loss={loss!r})")
             norm = global_norm(grads[k] for k in trainable)
@@ -139,7 +135,7 @@ def collect_scores(model, transcripts) -> dict:
     (reference labels, or argmax targets for ASR transcripts)."""
     transcripts = [t for t in transcripts if t.utterances]
     if not transcripts:
-        raise TrainingError("no utterances to score")
+        raise DataError("no utterances to score")
     encoded = _encoded(model, transcripts)
     scores = [model.predict(encoded[start:start + BATCH_TRANSCRIPTS])
               for start in range(0, len(encoded), BATCH_TRANSCRIPTS)]

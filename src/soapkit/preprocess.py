@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import warnings
 
-from .corpus import DataError, Transcript, Utterance
+from .corpus import Transcript, Utterance
 
 MAX_TOKENS = 32
 
@@ -40,10 +40,6 @@ _TRAILING_DASHES = "-–—"
 _DETACH_PUNCT = ".,?!"
 
 
-class EmptyUtteranceError(DataError):
-    """The utterance has no linguistic content after cleaning."""
-
-
 def standardize_annotations(text: str) -> str:
     """Replace every bracketed annotation with an UPPERCASE_UNDERSCORE
     placeholder word; unbalanced brackets are left verbatim with a warning."""
@@ -69,8 +65,8 @@ def clean_and_tokenize(text: str, memo: dict | None = None) -> list:
     Pipeline: standardize annotations, strip trailing dashes, whitespace
     tokenization with trailing-punctuation detachment, lowercase everything
     except placeholders, then stopword-drop / truncate to the cap.
-    Raises EmptyUtteranceError when no linguistic token survives. `memo`
-    maps each chunk seen to its `_chunk_tokens`; a corpus shares one.
+    Returns [] when no linguistic token survives. `memo` maps each chunk
+    seen to its `_chunk_tokens`; a corpus shares one.
     """
     memo = {} if memo is None else memo
     t = standardize_annotations(text).strip()
@@ -82,7 +78,7 @@ def clean_and_tokenize(text: str, memo: dict | None = None) -> list:
         tokens += chunk_tokens
         words += chunk_words
     if not words:
-        raise EmptyUtteranceError(f"no linguistic tokens in {text!r}")
+        return []
     if len(tokens) > MAX_TOKENS:
         # stopword removal applies only above the cap; if it would wipe the
         # utterance out entirely, fall back to plain truncation
@@ -99,11 +95,9 @@ def preprocess_transcript(transcript: Transcript, memo: dict | None = None) -> T
     hundred words thousands of times."""
     kept = []
     for utt in transcript.utterances:
-        try:
-            tokens = tuple(clean_and_tokenize(utt.text, memo))
-        except EmptyUtteranceError:
-            continue
-        kept.append(Utterance(len(kept), utt.text, utt.speaker, utt.section, utt.dist, tokens))
+        tokens = tuple(clean_and_tokenize(utt.text, memo))
+        if tokens:
+            kept.append(Utterance(len(kept), utt.text, utt.speaker, utt.section, utt.dist, tokens))
     return Transcript(encounter_id=transcript.encounter_id, kind=transcript.kind, utterances=tuple(kept))
 
 

@@ -32,10 +32,6 @@ from .corpus import (
 )
 
 
-class ProjectionError(DataError):
-    pass
-
-
 SENTENCE_END = ".?!"
 
 # Abbreviations whose trailing period never ends a sentence.
@@ -113,7 +109,7 @@ def char_label_table(transcript: Transcript) -> tuple:
     text, -1 on whitespace.
     """
     if transcript.kind is not TranscriptKind.REFERENCE:
-        raise ProjectionError("label projection needs a reference transcript")
+        raise DataError("label projection needs a reference transcript")
     text, spans = render_reference(transcript.utterances)
     section = np.full(len(text), -1, dtype=np.int8)
     speaker = np.full(len(text), -1, dtype=np.int8)
@@ -238,7 +234,7 @@ def utterance_distributions(soap_rows, speaker_rows, counts) -> list:
     are averaged, then normalized as one array per transcript."""
     counts = np.asarray(counts, dtype=np.intp)
     if (counts == 0).any():
-        raise ProjectionError("utterance has no words")
+        raise DataError("utterance has no words")
     soap = normalize_soap(_run_means(soap_rows, counts)[:, 1:])
     speaker = normalize_speaker(_run_means(speaker_rows, counts))
     return [LabelDistribution(soap=tuple(s), speaker=tuple(p)) for s, p in zip(soap, speaker)]

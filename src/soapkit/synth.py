@@ -91,10 +91,6 @@ CORRUPTION_ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 TEST_BLOCK = 128
 
 
-class SynthError(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class CorruptionConfig:
     char_sub_rate: float = 0.0
@@ -106,7 +102,7 @@ class CorruptionConfig:
     def __post_init__(self):
         for name, v in vars(self).items():
             if not 0.0 <= v <= 1.0:
-                raise SynthError(f"{name} must be in [0, 1], got {v!r}")
+                raise DataError(f"{name} must be in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -121,15 +117,15 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n_transcripts < 1:
-            raise SynthError("n_transcripts must be positive")
+            raise DataError("n_transcripts must be positive")
         if not 1 <= self.min_utterances <= self.max_utterances:
-            raise SynthError("bad utterance count range")
+            raise DataError("bad utterance count range")
         for name, k in (("soap_marginals", 5), ("speaker_marginals", 4)):
             p = getattr(self, name)
             if len(p) != k or not all(0.0 <= v <= 1.0 for v in p) or abs(sum(p) - 1.0) > 1e-9:
-                raise SynthError(f"{name} must be {k} probabilities summing to 1")
+                raise DataError(f"{name} must be {k} probabilities summing to 1")
         if not 0.0 <= self.context_rule_strength <= 1.0:
-            raise SynthError("context_rule_strength must be in [0, 1]")
+            raise DataError("context_rule_strength must be in [0, 1]")
 
 
 def context_rule(history) -> SoapSection:

@@ -17,7 +17,6 @@ from oracles import (
 
 import soapkit.align
 from soapkit.align import (
-    AlignmentError,
     align_transcripts,
     alignment_record,
     dp_align,
@@ -25,7 +24,7 @@ from soapkit.align import (
     longest_common_substring,
     partition_tree,
 )
-from soapkit.corpus import Rng, render_reference
+from soapkit.corpus import DataError, Rng, render_reference
 from soapkit.synth import CorruptionConfig, SynthConfig, corrupt_corpus, generate_corpus
 
 README_NOISE = CorruptionConfig(char_sub_rate=0.03, char_del_rate=0.01,
@@ -239,7 +238,7 @@ class TestDpAlign:
     def test_leaf_over_the_cell_budget_is_refused_before_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(AlignmentError, match="cell budget"):
+            with pytest.raises(DataError, match="cell budget"):
                 align_transcripts("a" * 8000, "b" * 8000)  # one 64M-cell leaf
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -249,17 +248,17 @@ class TestDpAlign:
     def test_cell_budget_boundary(self, monkeypatch):
         monkeypatch.setattr(soapkit.align, "MAX_DP_CELLS", 12)
         assert dp_align("abc", "abcd") == "MMMI"
-        with pytest.raises(AlignmentError, match="cell budget"):
+        with pytest.raises(DataError, match="cell budget"):
             dp_align("abcd", "abcd")
 
     def test_op_string_must_cover_both_strings(self, monkeypatch):
         # a leaf alignment one op short covers neither string fully
         real = soapkit.align.dp_align
         monkeypatch.setattr(soapkit.align, "dp_align", lambda a, b: real(a, b)[:-1])
-        with pytest.raises(AlignmentError, match="do not cover"):
+        with pytest.raises(DataError, match="do not cover"):
             align_transcripts("the patient reports pain", "the patient report pain")
         monkeypatch.setattr(soapkit.align, "dp_align", lambda a, b: "M")
-        with pytest.raises(AlignmentError, match="do not cover"):
+        with pytest.raises(DataError, match="do not cover"):
             align_transcripts("ab", "ba")
 
 

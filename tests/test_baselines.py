@@ -6,10 +6,10 @@ import pytest
 from oracles import lr_fit_dense, lr_objective, lr_train_reference
 
 import soapkit.baselines
+from soapkit.corpus import DataError
 from soapkit.baselines import (
     LR_GRAD_TOL,
     LR_LAMBDAS,
-    BaselineError,
     BaselineModel,
     count_matrix,
     fit_vocab,
@@ -27,7 +27,7 @@ class TestVocab:
         assert vocab == {"a": 0, "b": 1, "c": 2}
 
     def test_empty_vocabulary_is_an_error(self):
-        with pytest.raises(BaselineError, match="empty vocabulary"):
+        with pytest.raises(DataError, match="empty vocabulary"):
             fit_vocab([[], []])
 
     def test_count_matrix_ignores_oov_and_pads(self):
@@ -68,7 +68,7 @@ class TestMajorityClass:
         assert model.majority == 0
 
     def test_empty_targets_rejected(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(DataError, match=r"^targets must be a non-empty \(n, C\) array$"):
             train_mc(np.zeros((0, 3)), task="soap")
 
 
@@ -171,7 +171,7 @@ class TestLogisticRegressionOracle:
     def test_exhausted_newton_steps_raise(self, monkeypatch):
         monkeypatch.setattr(soapkit.baselines, "LR_MAX_ITERS", 1)
         docs = ([["aaa", "ccc"]] * 6) + ([["bbb", "ccc"]] * 6)
-        with pytest.raises(BaselineError, match="did not converge"):
+        with pytest.raises(DataError, match="did not converge"):
             train_lr(docs, np.eye(2)[[0] * 6 + [1] * 6], "soap")
 
 
@@ -197,10 +197,10 @@ class TestPersistence:
         model.save(path)
         rec = json.loads(path.read_text())
         rec["log_likelihood"][0][0] = float("inf")
-        with pytest.raises(BaselineError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             BaselineModel.load(rec)
 
     def test_unknown_kind_rejected_at_predict(self):
         model = BaselineModel(kind="nope", task="soap", n_classes=2, vocab={"a": 0})
-        with pytest.raises(BaselineError):
+        with pytest.raises(DataError, match="^unknown baseline kind 'nope'$"):
             model.predict_matrix([["a"]])

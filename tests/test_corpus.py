@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from soapkit.corpus import (
     AsrRaw,
-    CorpusError,
+    DataError,
     LabelDistribution,
     Rng,
     SoapSection,
@@ -24,7 +26,7 @@ from soapkit.corpus import (
     write_asr_raw,
     write_corpus,
 )
-from soapkit.irr import IrrError, read_notes
+from soapkit.irr import read_notes
 from soapkit.synth import CorruptionConfig, SynthConfig, corrupt_corpus, generate_corpus
 
 
@@ -34,43 +36,40 @@ def _note(obs):
 
 # one malformed line per case; the ids name the reader and the line
 WRONGLY_TYPED = [
-    (read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": 5}', CorpusError),
+    (read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": 5}'),
     (read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": '
-                  '[{"id": "x", "text": "hi", "speaker": "doctor", "section": "plan"}]}', CorpusError),
+                  '[{"id": "x", "text": "hi", "speaker": "doctor", "section": "plan"}]}'),
     (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
-                  '[{"id": 0, "text": "hi", "soap_dist": 5, "speaker_dist": [1, 0, 0, 0]}]}',
-     CorpusError),
-    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": [[0, "x"]]}', CorpusError),
-    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": 5}', CorpusError),
-    (read_asr_raw, '{"encounter_id": "e0", "text": 5, "turns": []}', CorpusError),
-    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": []}', CorpusError),
-    (read_asr_raw, '5', CorpusError),
-    (read_notes, '5', IrrError),
-    (read_notes, '{"encounter_id": "e0", "observations": 5}', IrrError),
-    (read_notes, _note("5"), IrrError),
-    (read_notes, _note('{"subsection": "vitals", "summary": "s", "evidence": ["a"]}'), IrrError),
-    (read_notes, _note('{"subsection": "vitals", "summary": "s", "tags": 5, "evidence": [0]}'),
-     IrrError),
-    (read_notes, _note('{"subsection": ["vitals"], "summary": "s", "evidence": [0]}'), IrrError),
+                  '[{"id": 0, "text": "hi", "soap_dist": 5, "speaker_dist": [1, 0, 0, 0]}]}'),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": [[0, "x"]]}'),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": 5}'),
+    (read_asr_raw, '{"encounter_id": "e0", "text": 5, "turns": []}'),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": []}'),
+    (read_asr_raw, '5'),
+    (read_notes, '5'),
+    (read_notes, '{"encounter_id": "e0", "observations": 5}'),
+    (read_notes, _note("5")),
+    (read_notes, _note('{"subsection": "vitals", "summary": "s", "evidence": ["a"]}')),
+    (read_notes, _note('{"subsection": "vitals", "summary": "s", "tags": 5, "evidence": [0]}')),
+    (read_notes, _note('{"subsection": ["vitals"], "summary": "s", "evidence": [0]}')),
     # JSON types that Python's int() and float() would coerce: a string
     # iterates as its digits, a float truncates, true is 1
     (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
-                  '[{"id": 0, "text": "hi", "soap_dist": "10000", "speaker_dist": [1, 0, 0, 0]}]}',
-     CorpusError),
+                  '[{"id": 0, "text": "hi", "soap_dist": "10000", "speaker_dist": [1, 0, 0, 0]}]}'),
     (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
                   '[{"id": 0, "text": "hi", "soap_dist": [1, 0, 0, 0, "0"], '
-                  '"speaker_dist": [1, 0, 0, 0]}]}', CorpusError),
+                  '"speaker_dist": [1, 0, 0, 0]}]}'),
     (read_corpus, '{"encounter_id": "e0", "kind": "asr", "utterances": '
                   '[{"id": 0, "text": "hi", "soap_dist": [1, 0, 0, 0, 0], '
-                  '"speaker_dist": [true, false, false, false]}]}', CorpusError),
+                  '"speaker_dist": [true, false, false, false]}]}'),
     *[(read_corpus, '{"encounter_id": "e0", "kind": "reference", "utterances": '
-                    '[{"id": ' + uid + ', "text": "hi", "speaker": "doctor", "section": "plan"}]}',
-       CorpusError) for uid in ('"7"', "2.5", "true")],
-    (read_corpus, '{"encounter_id": 5, "kind": "reference", "utterances": []}', CorpusError),
-    (read_asr_raw, '{"encounter_id": "e0", "text": "xy", "turns": [[0.2, 2.7]]}', CorpusError),
-    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": [[false, true]]}', CorpusError),
-    (read_asr_raw, '{"encounter_id": 5, "text": "x", "turns": [[0, 1]]}', CorpusError),
-    (read_notes, '{"encounter_id": 5, "observations": []}', IrrError),
+                    '[{"id": ' + uid + ', "text": "hi", "speaker": "doctor", "section": "plan"}]}')
+      for uid in ('"7"', "2.5", "true")],
+    (read_corpus, '{"encounter_id": 5, "kind": "reference", "utterances": []}'),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "xy", "turns": [[0.2, 2.7]]}'),
+    (read_asr_raw, '{"encounter_id": "e0", "text": "x", "turns": [[false, true]]}'),
+    (read_asr_raw, '{"encounter_id": 5, "text": "x", "turns": [[0, 1]]}'),
+    (read_notes, '{"encounter_id": 5, "observations": []}'),
 ]
 
 
@@ -80,11 +79,11 @@ def ref_utt(i, text="hello there.", speaker=SpeakerLabel.DOCTOR, section=SoapSec
 
 class TestLabelDistribution:
     def test_soap_must_sum_to_one(self):
-        with pytest.raises(CorpusError, match="sum to 1"):
+        with pytest.raises(DataError, match="sum to 1"):
             LabelDistribution(soap=(0.5, 0.1, 0.1, 0.1, 0.1), speaker=(1, 0, 0, 0))
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(CorpusError, match="non-negative"):
+        with pytest.raises(DataError, match="non-negative"):
             LabelDistribution(soap=(1.1, -0.1, 0, 0, 0), speaker=(1, 0, 0, 0))
 
     @pytest.mark.parametrize("soap, speaker", [
@@ -93,7 +92,7 @@ class TestLabelDistribution:
         ((1, 0, 0, 0, 0), (float("nan"), 0, 0, 0)),
     ])
     def test_non_finite_entries_rejected(self, soap, speaker):
-        with pytest.raises(CorpusError, match="finite"):
+        with pytest.raises(DataError, match="finite"):
             LabelDistribution(soap=soap, speaker=speaker)
 
     def test_speaker_sum_is_free(self):
@@ -103,24 +102,24 @@ class TestLabelDistribution:
         assert sum(d.speaker) != pytest.approx(1.0)
 
     def test_wrong_lengths_rejected(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(DataError, match="^soap distribution must have 5 entries, got 4$"):
             LabelDistribution(soap=(1, 0, 0, 0), speaker=(1, 0, 0, 0))
-        with pytest.raises(CorpusError):
+        with pytest.raises(DataError, match="^speaker vector must have 4 entries, got 3$"):
             LabelDistribution(soap=(1, 0, 0, 0, 0), speaker=(1, 0, 0))
 
 
 class TestTranscriptInvariants:
     def test_ids_must_be_dense(self):
-        with pytest.raises(CorpusError, match="dense"):
+        with pytest.raises(DataError, match="dense"):
             Transcript("e1", TranscriptKind.REFERENCE, (ref_utt(0), ref_utt(2)))
 
     def test_reference_needs_hard_labels(self):
-        with pytest.raises(CorpusError, match="speaker or section"):
+        with pytest.raises(DataError, match="speaker or section"):
             Transcript("e1", TranscriptKind.REFERENCE,
                        (Utterance(id=0, text="hi.", speaker=SpeakerLabel.DOCTOR),))
 
     def test_asr_needs_distribution(self):
-        with pytest.raises(CorpusError, match="label distribution"):
+        with pytest.raises(DataError, match="label distribution"):
             Transcript("e1", TranscriptKind.ASR, (Utterance(id=0, text="hi."),))
 
     def test_enum_string_round_trip(self):
@@ -132,9 +131,9 @@ class TestTranscriptInvariants:
         # values are refused, not looked up
         for bad in ("prognosis", "Plan", "plan ", "PLAN", 1, None, "ſubjective", "noun",
                     ["plan"], {"plan": 1}):
-            with pytest.raises(CorpusError, match=r"^unknown section label "):
+            with pytest.raises(DataError, match=r"^unknown section label "):
                 SoapSection.from_string(bad)
-            with pytest.raises(CorpusError, match=r"^unknown speaker label "):
+            with pytest.raises(DataError, match=r"^unknown speaker label "):
                 SpeakerLabel.from_string(bad)
 
 
@@ -149,14 +148,14 @@ def test_write_jsonl_writes_one_object_per_line(tmp_path):
 def test_write_jsonl_is_all_or_nothing(tmp_path):
     def failing():
         yield {"a": 1}
-        raise CorpusError("second record")
+        raise DataError("second record")
 
     path = tmp_path / "r.jsonl"
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError, match="^second record$"):
         write_jsonl(failing(), path)
     assert list(tmp_path.iterdir()) == []
     path.write_text("old\n")
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError, match="^second record$"):
         write_jsonl(failing(), path)
     assert list(tmp_path.iterdir()) == [path] and path.read_text() == "old\n"
 
@@ -238,29 +237,29 @@ class TestSerialization:
         path = tmp_path / "bad.jsonl"
         good = json.dumps(transcript_to_record(small_corpus[0]))
         path.write_text(good + "\n{not json\n")
-        with pytest.raises(CorpusError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             read_corpus(path)
 
     def test_missing_field_reported(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"encounter_id": "e0", "text": "hi"}\n')
-        with pytest.raises(CorpusError, match="turns"):
+        with pytest.raises(DataError, match="turns"):
             read_asr_raw(path)
 
-    @pytest.mark.parametrize("reader, line, error", WRONGLY_TYPED,
-                             ids=[f"{r.__name__}-{line}" for r, line, _ in WRONGLY_TYPED])
-    def test_wrongly_typed_fields_are_corpus_errors(self, tmp_path, reader, line, error):
+    @pytest.mark.parametrize("reader, line", WRONGLY_TYPED,
+                             ids=[f"{r.__name__}-{line}" for r, line in WRONGLY_TYPED])
+    def test_wrongly_typed_fields_are_corpus_errors(self, tmp_path, reader, line):
         path = tmp_path / "bad.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(error, match="line 1"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 1: "):
             reader(path)
 
     def test_turn_spans_must_tile(self):
-        with pytest.raises(CorpusError, match="tile"):
+        with pytest.raises(DataError, match="tile"):
             AsrRaw("e0", "abcdef", turns=((0, 3), (4, 6)))
-        with pytest.raises(CorpusError, match="cover"):
+        with pytest.raises(DataError, match="cover"):
             AsrRaw("e0", "abcdef", turns=((0, 3),))
-        with pytest.raises(CorpusError, match="cover 0 chars"):
+        with pytest.raises(DataError, match="cover 0 chars"):
             AsrRaw("e0", "abcdef", turns=())
         assert AsrRaw("e0", "", turns=()).turns == ()
 
@@ -268,7 +267,7 @@ class TestSerialization:
         path = tmp_path / "asr.jsonl"
         path.write_text('{"encounter_id": "e0", "kind": "asr", "utterances": [{"id": 0, "text": "hi", '
                         '"soap_dist": [1' + "0" * 400 + ', 0, 0, 0, 0], "speaker_dist": [1, 0, 0, 0]}]}\n')
-        with pytest.raises(CorpusError, match="line 1: label distributions must be lists of numbers"):
+        with pytest.raises(DataError, match="line 1: label distributions must be lists of numbers"):
             read_corpus(path)
 
     def test_integer_distribution_entries_are_numbers(self, tmp_path):
@@ -290,14 +289,14 @@ class TestSerialization:
     def test_pair_by_encounter_refuses_a_record_with_no_match(self):
         records = [AsrRaw(e, "", ()) for e in ("e2", "e9", "e1")]
         others = [AsrRaw(e, "", ()) for e in ("e1", "e2")]
-        with pytest.raises(CorpusError, match="^encounter 'e9' has no match in the others$"):
+        with pytest.raises(DataError, match="^encounter 'e9' has no match in the others$"):
             pair_by_encounter(records, others, "the others")
 
     def test_pair_by_encounter_refuses_a_repeated_id_on_either_side(self):
         once = [AsrRaw(e, "", ()) for e in ("e0", "e1")]
         twice = once + [AsrRaw("e1", "x", ((0, 1),))]
         for records, others in ((twice, once), (once, twice)):
-            with pytest.raises(CorpusError, match="'e1' appears more than once"):
+            with pytest.raises(DataError, match="'e1' appears more than once"):
                 pair_by_encounter(records, others, "the others")
 
 

@@ -4,9 +4,10 @@ of model checkpoints.
 Each case takes a valid record (config, checkpoint) and makes one
 mutation: it deletes a field, or swaps one value for an int, a string, a
 list, null or an object. A reader or checkpoint loader must then either
-accept the record or raise its own error class; the CLI must exit 0, 2
-(missing file), 3 or 4, never 1. Fixed cases put a string, a float or a
-bool where int() or float() would coerce it; those must exit 3.
+accept the record or raise a DataError that names the file (and, for a
+reader, the line); the CLI must exit 0, 2 (missing file), 3 or 4, never
+1. Fixed cases put a string, a float or a bool where int() or float()
+would coerce it; those must exit 3.
 """
 
 import copy
@@ -17,10 +18,10 @@ import re
 import pytest
 
 from soapkit.cli import main
-from soapkit.corpus import CorpusError, Rng, read_asr_raw, read_corpus, write_asr_raw, write_corpus
-from soapkit.irr import IrrError, read_notes
-from soapkit.baselines import BaselineError, load_baseline
-from soapkit.neural.model import ModelConfig, ModelError, SequenceClassifier, load_model
+from soapkit.corpus import DataError, Rng, read_asr_raw, read_corpus, write_asr_raw, write_corpus
+from soapkit.irr import read_notes
+from soapkit.baselines import load_baseline
+from soapkit.neural.model import ModelConfig, SequenceClassifier, load_model
 from soapkit.project import project_corpus
 from soapkit.synth import CorruptionConfig, SynthConfig, corrupt_corpus, generate_corpus
 
@@ -91,13 +92,13 @@ def corpora(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("reader, files, error", [
-    (read_corpus, ("reference.jsonl", "projected.jsonl"), CorpusError),
-    (read_asr_raw, ("asr.jsonl",), CorpusError),
-    (read_notes, ("notes_a.jsonl",), IrrError),
+@pytest.mark.parametrize("reader, files", [
+    (read_corpus, ("reference.jsonl", "projected.jsonl")),
+    (read_asr_raw, ("asr.jsonl",)),
+    (read_notes, ("notes_a.jsonl",)),
 ], ids=["read_corpus", "read_asr_raw", "read_notes"])
 def test_mutated_lines_are_read_or_rejected_with_the_reader_error(
-        corpora, tmp_path, reader, files, error):
+        corpora, tmp_path, reader, files):
     records = [json.loads(line) for f in files
                for line in (corpora / f).read_text().splitlines()]
     rng = random.Random(11)
@@ -108,7 +109,8 @@ def test_mutated_lines_are_read_or_rejected_with_the_reader_error(
         path.write_text(line + "\n")
         try:
             reader(path)
-        except error:
+        except DataError as e:
+            assert str(e).startswith(f"{path}: line 1: "), (str(e), line)
             rejected += 1
         except Exception as e:  # noqa: BLE001 - any other class is the failure under test
             pytest.fail(f"{reader.__name__} raised {type(e).__name__}: {e} on {line}")
@@ -223,15 +225,15 @@ def _eval_exit(root, tmp_path, rec, capsys) -> int:
     return rc
 
 
-LOADERS = {"neural": (("wa", "bild"), load_model, ModelError),
-           "baseline": (("mc", "mnb", "lr"), load_baseline, BaselineError)}
+LOADERS = {"neural": (("wa", "bild"), load_model),
+           "baseline": (("mc", "mnb", "lr"), load_baseline)}
 
 
 @pytest.mark.parametrize("family", sorted(LOADERS))
 def test_mutated_checkpoints_never_exit_1(corpora, tmp_path, capsys, family):
     """The CLI exits 3 on exactly the checkpoints that the family's loader
-    rejects with its own error class."""
-    variants, load, error = LOADERS[family]
+    rejects with a DataError."""
+    variants, load = LOADERS[family]
     records = [json.loads((corpora / f"{v}.json").read_text()) for v in variants]
     for rec in records:
         assert _eval_exit(corpora, tmp_path, rec, capsys) == 0
@@ -243,7 +245,8 @@ def test_mutated_checkpoints_never_exit_1(corpora, tmp_path, capsys, family):
         try:
             load(tmp_path / "model.json")
             rejected = False
-        except error:
+        except DataError as e:
+            assert str(e).startswith(f"{tmp_path / 'model.json'}: "), str(e)
             rejected = True
         assert rejected == (rc == 3), rec
         codes.add(rc)
@@ -252,15 +255,15 @@ def test_mutated_checkpoints_never_exit_1(corpora, tmp_path, capsys, family):
 
 @pytest.mark.parametrize("family", sorted(LOADERS))
 def test_loaders_reject_truncated_and_non_object_files(corpora, tmp_path, family):
-    variants, load, error = LOADERS[family]
+    variants, load = LOADERS[family]
     text = (corpora / f"{variants[-1]}.json").read_text()
     path = tmp_path / "model.json"
     for bad in (text[:len(text) // 2], f"[{text}]", "7", "", "{}"):
         path.write_text(bad)
-        with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             load(path)
     path.write_bytes(b"\xff" + text.encode())
-    with pytest.raises(error, match="not UTF-8"):
+    with pytest.raises(DataError, match="not UTF-8"):
         load(path)
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from oracles import irr_map_oracle, population_mean_var
 
-from soapkit.corpus import CorpusError, SoapSection, SpeakerLabel, Transcript, TranscriptKind, Utterance
+from soapkit.corpus import DataError, SoapSection, SpeakerLabel, Transcript, TranscriptKind, Utterance
 from soapkit.irr import (
-    IrrError,
     NoteCategory,
     Observation,
     SoapNote,
@@ -45,9 +44,9 @@ class TestPrimitives:
         assert overlap_score(a, b) == pytest.approx(0.5 + 0.5)
 
     def test_observation_validation(self):
-        with pytest.raises(IrrError, match="unknown subsection"):
+        with pytest.raises(DataError, match="unknown subsection"):
             obs(subsection="prognosis")
-        with pytest.raises(IrrError, match="evidence"):
+        with pytest.raises(DataError, match="evidence"):
             Observation("vitals", "bp high", frozenset(), frozenset())
 
     def test_section_property(self):
@@ -201,22 +200,22 @@ class TestReport:
         note = SoapNote("e0", (obs(),))
         other = SoapNote("e1", (obs(),))
         transcripts = [toy_transcript("e0", 2)]
-        with pytest.raises(CorpusError, match="^encounter 'e1' has no match in notes_b$"):
+        with pytest.raises(DataError, match="^encounter 'e1' has no match in notes_b$"):
             irr_report([note, other], [note], transcripts)
-        with pytest.raises(CorpusError, match="^encounter 'e1' has no match in notes_a$"):
+        with pytest.raises(DataError, match="^encounter 'e1' has no match in notes_a$"):
             irr_report([note], [other, note], transcripts)
-        with pytest.raises(CorpusError, match="^encounter 'e1' has no match in transcripts$"):
+        with pytest.raises(DataError, match="^encounter 'e1' has no match in transcripts$"):
             irr_report([other], [other], transcripts)
-        with pytest.raises(CorpusError, match="'e0' appears more than once"):
+        with pytest.raises(DataError, match="'e0' appears more than once"):
             irr_report([note], [note], transcripts * 2)
-        with pytest.raises(IrrError, match="no note pairs"):
+        with pytest.raises(DataError, match="no note pairs"):
             irr_report([], [], transcripts)
         # transcripts of encounters without notes are ignored
         assert irr_report([other], [other], transcripts + [toy_transcript("e1", 1)]).n_pairs == 1
 
     def test_evidence_outside_transcript_rejected(self):
         note = SoapNote("e0", (obs(evidence=(7,)),))
-        with pytest.raises(IrrError, match="outside"):
+        with pytest.raises(DataError, match="outside"):
             irr_report([note], [note], [toy_transcript("e0", 3)])
 
     def test_format_report_renders_tables(self):
@@ -241,12 +240,12 @@ class TestNotesIo:
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "notes.jsonl"
         path.write_text('{"encounter_id": "e0", "observations": []}\nnot json\n')
-        with pytest.raises(IrrError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             read_notes(path)
 
     def test_bad_subsection_reports_line(self, tmp_path):
         path = tmp_path / "notes.jsonl"
         path.write_text('{"encounter_id": "e0", "observations": '
                         '[{"subsection": "bogus", "summary": "s", "tags": [], "evidence": [0]}]}\n')
-        with pytest.raises(IrrError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             read_notes(path)

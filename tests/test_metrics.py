@@ -11,9 +11,9 @@ from oracles import (
 )
 
 import soapkit.metrics
+from soapkit.corpus import DataError
 from soapkit.metrics import (
     PLATT_GRAD_TOL,
-    MetricError,
     PlattCalibrator,
     _binary_auprc,
     _binary_auroc,
@@ -57,9 +57,9 @@ class TestConfusionAndF1:
     def test_counts_and_shape_checks(self):
         cm = confusion_matrix([0, 1, 1], [0, 0, 1], 2)
         assert cm.tolist() == [[1, 1], [0, 1]]
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="empty prediction set"):
             confusion_matrix([], [], 2)
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match=r"label outside \[0, n_classes\)"):
             confusion_matrix([0, 3], [0, 1], 2)
 
     def test_majority_predictor_matches_closed_form(self):
@@ -123,7 +123,7 @@ class TestRankingMetrics:
         roc = auroc(scores, golds, 3)
         assert roc["skipped"] == [2]
         assert set(roc["per_class"]) == {0, 1}
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="no class has both positive and negative examples"):
             auroc(scores[:2], np.array([0, 0]), 3)
 
 
@@ -196,7 +196,7 @@ class TestPlatt:
         monkeypatch.setattr(soapkit.metrics, "PLATT_MAX_ITERS", 1)
         gen = np.random.Generator(np.random.PCG64(33))
         z = gen.normal(size=50)
-        with pytest.raises(MetricError, match="did not converge"):
+        with pytest.raises(DataError, match="did not converge"):
             _fit_platt_binary(z, (z + gen.normal(size=50) > 0).astype(float))
 
     def test_sum_over_n_is_ndarray_mean(self):
@@ -284,5 +284,5 @@ class TestValidationSplit:
         assert len(val) == 1
 
     def test_empty_is_an_error(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="^empty corpus$"):
             validation_split([])

@@ -15,10 +15,10 @@ from oracles import (
     transcript_predict,
 )
 
-from soapkit.corpus import Rng, one_hot_targets
+from soapkit.corpus import DataError, Rng, one_hot_targets
 from soapkit.neural import model as model_module
 from soapkit.neural.embeddings import HashEmbeddings, seed_state_words
-from soapkit.neural.model import ModelConfig, ModelError, SequenceClassifier, load_model
+from soapkit.neural.model import ModelConfig, SequenceClassifier, load_model
 from soapkit.neural.network import (
     attention_backward,
     attention_forward,
@@ -32,7 +32,7 @@ from soapkit.neural.network import (
     softmax,
     weighted_ce_loss_and_dlogits,
 )
-from soapkit.neural.train import Adam, TrainConfig, TrainingError, train_model
+from soapkit.neural.train import Adam, TrainConfig, train_model
 
 
 class TestHashEmbeddings:
@@ -361,7 +361,7 @@ def tiny_batch(small_tokenized):
 
 class TestModel:
     def test_variant_validation(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(DataError, match="^unknown variant 'transformer'"):
             ModelConfig(variant="transformer")
 
     def test_predict_rows_are_distributions(self, small_tokenized):
@@ -375,7 +375,7 @@ class TestModel:
     def test_empty_utterance_rejected(self, small_tokenized):
         tokens, _, _ = tiny_batch(small_tokenized)
         m = SequenceClassifier(tiny_config("wa"))
-        with pytest.raises(ModelError, match="no tokens"):
+        with pytest.raises(DataError, match="no tokens"):
             m.predict([tokens[:2] + [()] + tokens[2:]])
 
     def test_dlb_freezes_word_attention(self, small_tokenized):
@@ -422,7 +422,7 @@ class TestModel:
     def test_checkpoint_with_non_finite_parameter_rejected(self):
         rec = SequenceClassifier(tiny_config("wa")).to_record()
         rec["params"]["w_layer"][0] = float("nan")
-        with pytest.raises(ModelError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             SequenceClassifier.from_record(rec)
 
     @pytest.mark.parametrize("variant", ["wa", "bild"])
@@ -580,7 +580,7 @@ class TestTraining:
     def test_nan_loss_aborts_with_location(self, small_tokenized):
         m = SequenceClassifier(ModelConfig(variant="wa", seed=0))
         m.params["head_spk_W"][0, 0] = np.nan
-        with pytest.raises(TrainingError, match="epoch 0, batch 0"):
+        with pytest.raises(DataError, match="epoch 0, batch 0"):
             train_model(m, small_tokenized[:4], TrainConfig(seed=0))
 
     def test_on_batch_reports_consistent_clip_scale(self, small_tokenized):
@@ -597,5 +597,5 @@ class TestTraining:
 
     def test_empty_corpus_rejected(self):
         m = SequenceClassifier(tiny_config("wa"))
-        with pytest.raises(TrainingError, match="no non-empty"):
+        with pytest.raises(DataError, match="no non-empty"):
             train_model(m, [], TrainConfig())

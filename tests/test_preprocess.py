@@ -3,7 +3,6 @@ import pytest
 from soapkit.corpus import SoapSection, SpeakerLabel, Transcript, TranscriptKind, Utterance
 from soapkit.preprocess import (
     MAX_TOKENS,
-    EmptyUtteranceError,
     clean_and_tokenize,
     preprocess_corpus,
     preprocess_transcript,
@@ -44,11 +43,9 @@ class TestCleanAndTokenize:
         tokens = clean_and_tokenize("I do")
         assert tokens == ["i", "do"]
 
-    def test_empty_and_annotation_only_raise(self):
-        with pytest.raises(EmptyUtteranceError):
-            clean_and_tokenize("   ")
-        with pytest.raises(EmptyUtteranceError):
-            clean_and_tokenize("[door slams]")
+    def test_empty_and_annotation_only_have_no_tokens(self):
+        assert clean_and_tokenize("   ") == []
+        assert clean_and_tokenize("[door slams]") == []
 
     def test_stopwords_kept_when_under_cap(self):
         tokens = clean_and_tokenize("the cat is on the mat")
@@ -111,13 +108,8 @@ class TestPreprocessTranscript:
         got = [[u.tokens for u in t.utterances] for t in preprocess_corpus(ts)]
         want = []
         for group in texts:
-            kept = []
-            for text in group:
-                try:
-                    kept.append(tuple(clean_and_tokenize(text)))
-                except EmptyUtteranceError:
-                    pass
-            want.append(kept)
+            kept = [tuple(clean_and_tokenize(text)) for text in group]
+            want.append([tokens for tokens in kept if tokens])
         assert got == want
         assert "the" not in got[1][1] and "the" not in got[2][1]  # over the cap
 

@@ -15,7 +15,7 @@ import soapkit.project
 from soapkit.cli import main
 from soapkit.corpus import (
     AsrRaw,
-    CorpusError,
+    DataError,
     Rng,
     SoapSection,
     SpeakerLabel,
@@ -26,7 +26,6 @@ from soapkit.corpus import (
     write_corpus,
 )
 from soapkit.project import (
-    ProjectionError,
     asr_to_ref_map,
     char_label_table,
     normalize_soap,
@@ -215,7 +214,7 @@ class TestUtteranceDistributions:
         assert uniform > 10
 
     def test_utterance_without_words_is_rejected(self):
-        with pytest.raises(ProjectionError, match="no words"):
+        with pytest.raises(DataError, match="no words"):
             utterance_distributions(np.zeros((2, 5)), np.zeros((2, 4)), [2, 0])
 
 
@@ -243,7 +242,7 @@ class TestCharLabelTable:
         from soapkit.corpus import LabelDistribution
         t = Transcript("e0", TranscriptKind.ASR, (Utterance(
             id=0, text="x.", dist=LabelDistribution((1, 0, 0, 0, 0), (1, 0, 0, 0))),))
-        with pytest.raises(ProjectionError):
+        with pytest.raises(DataError, match="needs a reference transcript"):
             char_label_table(t)
 
 
@@ -301,7 +300,7 @@ class TestProjectCorpus:
     def test_missing_encounter_raises(self, small_corpus):
         asr, _ = corrupt_corpus(small_corpus[:3], CorruptionConfig(), Rng(0))
         eid = small_corpus[3].encounter_id
-        with pytest.raises(CorpusError, match=f"^encounter '{eid}' has no match in the ASR records$"):
+        with pytest.raises(DataError, match=f"^encounter '{eid}' has no match in the ASR records$"):
             project_corpus(small_corpus[:4], asr)
 
     def test_one_asr_to_ref_map_per_transcript(self, small_corpus, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from oracles import corrupt_turn_streams, generate_transcript
 
 from soapkit.corpus import (
+    DataError,
     Rng,
     SoapSection,
     SpeakerLabel,
@@ -22,7 +23,6 @@ from soapkit.synth import (
     SPEAKER_WORDS,
     CorruptionConfig,
     SynthConfig,
-    SynthError,
     context_rule,
     corrupt,
     corrupt_corpus,
@@ -36,9 +36,9 @@ NAN = float("nan")
 
 class TestConfigValidation:
     def test_bad_marginals(self):
-        with pytest.raises(SynthError, match="soap_marginals"):
+        with pytest.raises(DataError, match="soap_marginals"):
             SynthConfig(n_transcripts=1, soap_marginals=(0.5, 0.5, 0.5, 0, 0))
-        with pytest.raises(SynthError, match="speaker_marginals"):
+        with pytest.raises(DataError, match="speaker_marginals"):
             SynthConfig(n_transcripts=1, speaker_marginals=(1.0, 0.5, 0, 0))
 
     @pytest.mark.parametrize("soap, speaker", [((1.2, -0.2, 0, 0, 0), (1.2, -0.2, 0, 0)),
@@ -46,19 +46,19 @@ class TestConfigValidation:
     def test_negative_or_nan_marginal(self, soap, speaker):
         # each sums to 1 (a NaN sum passes the sum test too), so only the
         # per-entry check rejects it
-        with pytest.raises(SynthError, match="soap_marginals"):
+        with pytest.raises(DataError, match="soap_marginals"):
             SynthConfig(n_transcripts=1, soap_marginals=soap)
-        with pytest.raises(SynthError, match="speaker_marginals"):
+        with pytest.raises(DataError, match="speaker_marginals"):
             SynthConfig(n_transcripts=1, speaker_marginals=speaker)
 
     def test_bad_rates(self):
-        with pytest.raises(SynthError, match="char_sub_rate"):
+        with pytest.raises(DataError, match="char_sub_rate"):
             CorruptionConfig(char_sub_rate=1.5)
 
     def test_bad_counts(self):
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError, match="n_transcripts must be positive"):
             SynthConfig(n_transcripts=0)
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError, match="bad utterance count range"):
             SynthConfig(n_transcripts=1, min_utterances=5, max_utterances=3)
 
 
