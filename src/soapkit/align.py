@@ -26,7 +26,6 @@ costs the product of its two lengths.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,8 @@ MAX_BLOCK_HITS = 4
 
 
 def _codes(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
+    """The code points of s, a lone surrogate (JSON text may hold one) too."""
+    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
 def fold_case(s: str) -> str:
@@ -162,7 +162,9 @@ def partition_tree(ref: str, asr: str) -> Partition:
     expected-count test uses the lengths of the strings currently being
     partitioned.
     """
-    return _partition(ref, asr, 0, 0, (Counter(ref + asr), len(ref) + len(asr)), 0)
+    chars, counts = np.unique(_codes(ref + asr), return_counts=True)
+    freqs = dict(zip(map(chr, chars.tolist()), counts.tolist()))
+    return _partition(ref, asr, 0, 0, (freqs, len(ref) + len(asr)), 0)
 
 
 def _partition(ref, asr, ref_off, asr_off, freqs, depth) -> Partition:

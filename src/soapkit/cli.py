@@ -138,8 +138,6 @@ def cmd_project(args) -> int:
 
 def _baseline_data(transcripts, task: str):
     token_lists = [utt.tokens for t in transcripts for utt in t.utterances]
-    if not token_lists:
-        raise DataError("no utterances to train on")
     k = ("speaker", "soap").index(task)  # one_hot_targets' order
     return token_lists, np.concatenate([one_hot_targets(t)[k] for t in transcripts])
 
@@ -149,6 +147,9 @@ def cmd_train(args) -> int:
     if args.with_asr:
         transcripts = transcripts + preprocess_corpus(
             _read_input(read_corpus, args.with_asr))
+    if not transcripts:
+        files = f"{args.corpus} and {args.with_asr}" if args.with_asr else args.corpus
+        raise DataError(f"{files}: no utterances to train on")
     if args.variant in BASELINE_VARIANTS:
         token_lists, targets = _baseline_data(transcripts, args.task)
         if args.variant == "mc":

@@ -8,7 +8,9 @@ matrices is input, forget, cell, output.
 The LSTM kernel runs S LSTMs that read the same input in one step loop,
 so each step's fixed numpy-call cost is paid once for all of them (as in
 Appleyard et al. 2016); a reverse-time member runs the same loop over the
-time-reversed input.
+time-reversed input. Each step reads contiguous memory: the gates and,
+backward, their derivatives dZ are both (T, S, B, 4H), and one copy after
+the loop gives dZ's member-major rows.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Logistic function; exp only sees -|z|, so it cannot overflow, and as
     e <= 1, maximum(e, z >= 0) is where(z >= 0, 1, e) in a cheaper call."""
     e = np.exp(np.copysign(z, -1.0))
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    return np.divide(np.maximum(e, z >= 0), 1.0 + e, out=out)
 
 
 def init_lstm(gen, input_dim: int, hidden: int) -> dict:
@@ -68,7 +70,12 @@ def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
     flip = np.broadcast_to(reverse, n_lstm).tolist()
     Xm = X[:, None] if in_mask is None else X[:, None] * in_mask
     WX = _flip(np.broadcast_to(Xm, (n, n_lstm) + X.shape[1:]), flip) @ W.transpose(0, 2, 1)
-    UT, bias = U.transpose(0, 2, 1), np.broadcast_to(b[:, None, :], (n_lstm, batch, 4 * hidden))
+    # contiguous, UT costs less per step. One sequence's product is a
+    # matrix-vector one, whose summation order follows UT's layout, so B = 1
+    # keeps the view; that B > 1 sums alike either way is a property of the
+    # BLAS, which tests/test_kernels.py checks
+    UT = U.transpose(0, 2, 1) if batch == 1 else np.ascontiguousarray(U.transpose(0, 2, 1))
+    bias = np.broadcast_to(b[:, None, :], (n_lstm, batch, 4 * hidden))
     # the mask in run order; steps where every sequence is real skip the
     # multiplication by ones
     m = None if mask is None else _flip(
@@ -87,7 +94,7 @@ def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
         z += WX[t]  # the same sums as WX[t] + hm @ UT: float addition commutes
         z += bias
         k = g_at[t]
-        GATES[k] = sigmoid(z)  # one call for every gate of every member; g is overwritten
+        sigmoid(z, out=GATES[k])  # one call for every gate of every member; g is overwritten
         np.tanh(z[..., 2 * hidden:3 * hidden], out=g[k])
         c_prev, c, h = c, C[c_at[t]], H[t]
         np.multiply(f[k], c_prev, out=c)
@@ -103,9 +110,10 @@ def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
 
 
 def _flip(A: np.ndarray, flip, axis: int = 1) -> np.ndarray:
-    """A copy of A (T, S, ...) with time reversed for each flipped member,
-    members stacked on `axis`: it maps X's time order to the members' run
-    order and back."""
+    """A (T, S, ...) with time reversed for each flipped member, members on
+    `axis` (a view when none is): X's time order to the run order and back."""
+    if not any(flip):
+        return A.swapaxes(1, axis)
     return np.stack([A[::-1, s] if rev else A[:, s] for s, rev in enumerate(flip)], axis=axis)
 
 
@@ -135,13 +143,13 @@ def lstm_backward(dH: np.ndarray, cache, cuts=frozenset()) -> tuple:
     if rec_mask is not None:
         HM = HM * rec_mask
     # per step, gate derivatives as factors of dc (i, f, g) and dh (o) that the
-    # loop scales in place; member-major, so each member's rows are contiguous
-    dZ = np.empty((n_lstm, n, batch, 4, hidden))
-    dZt = dZ.swapaxes(0, 1)
-    dZt[..., 0, :] = g * i * (1.0 - i)
-    dZt[..., 1, :] = _carried_in(C) * f * (1.0 - f)
-    dZt[..., 2, :] = i * (1.0 - g * g)
-    dZt[..., 3, :] = TC * o * (1.0 - o)
+    # loop scales in place, laid out like GATES
+    dZ = np.empty_like(GATES)
+    di, df, dg, do = (dZ[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    di[...] = g * i * (1.0 - i)
+    df[...] = _carried_in(C) * f * (1.0 - f)
+    dg[...] = i * (1.0 - g * g)
+    do[...] = TC * o * (1.0 - o)
     DC = o * (1.0 - TC * TC)  # carries dh into dc through h = o tanh(c)
     del TC
     dh_carry = dc_carry = np.zeros((n_lstm, batch, hidden))
@@ -151,24 +159,22 @@ def lstm_backward(dH: np.ndarray, cache, cuts=frozenset()) -> tuple:
             dh *= m[t]
             dc_carry = dc_carry * m[t]
         dc = dh * DC[t] + dc_carry
-        dz = dZt[t]
-        dz[..., :3, :] *= dc[..., None, :]
-        dz[..., 3, :] *= dh
-        dh_carry = dz.reshape(n_lstm, batch, 4 * hidden) @ U
+        dz = dZ[t]
+        np.multiply(dz, np.concatenate((dc, dc, dc, dh), -1), out=dz)
+        dh_carry = dz @ U
         if rec_mask is not None:
             dh_carry *= rec_mask
         dc_carry = dc * f[t]
         for s in cut_at[t]:  # truncation: state gradients stop at chunk boundaries
             dh_carry[s] = dc_carry[s] = 0.0
-    # back in X's time order, each product below is the one a lone LSTM makes
-    for s in np.flatnonzero(flip):
-        dZ[s] = dZ[s, ::-1]
-    rows = dZ.reshape(n_lstm, n * batch, 4 * hidden)
+    # member-major rows in X's time order: each product below is the one a
+    # lone LSTM makes
+    rows = _flip(dZ, flip, axis=0).reshape(n_lstm, n * batch, 4 * hidden)
     Xm = cache["X"][None] if in_mask is None else cache["X"][None] * in_mask[:, None]
     HM = _flip(HM, flip, axis=0).reshape(n_lstm, n * batch, hidden)
     grads = {"W": rows.transpose(0, 2, 1) @ Xm.reshape(len(Xm), n * batch, -1),
              "U": rows.transpose(0, 2, 1) @ HM, "b": rows.sum(axis=1)}
-    dX = dZ.reshape(n_lstm, n, batch, 4 * hidden) @ W[:, None]
+    dX = rows.reshape(n_lstm, n, batch, 4 * hidden) @ W[:, None]
     if in_mask is not None:
         dX = dX * in_mask[:, None]
     if single:

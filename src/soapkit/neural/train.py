@@ -92,9 +92,9 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
 
     `on_batch`, when given, is called with a dict per update (epoch, batch
     index, loss, gradient norm before clipping, clip scale) so tests can
-    instrument the optimizer without reaching into it.
+    instrument the optimizer without reaching into it. Every transcript
+    has utterances, as in `preprocess_corpus` output.
     """
-    transcripts = [t for t in transcripts if t.utterances]
     if not transcripts:
         raise DataError("no non-empty transcripts to train on")
     data = [(e,) + one_hot_targets(t) for e, t in zip(_encoded(model, transcripts), transcripts)]
@@ -132,10 +132,9 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
 def collect_scores(model, transcripts) -> dict:
     """Run the model over a corpus, BATCH_TRANSCRIPTS transcripts per
     pass; returns stacked per-utterance scores plus gold labels per task
-    (reference labels, or argmax targets for ASR transcripts)."""
-    transcripts = [t for t in transcripts if t.utterances]
-    if not transcripts:
-        raise DataError("no utterances to score")
+    (reference labels, or argmax targets for ASR transcripts). The corpus
+    is non-empty `preprocess_corpus` output: at least one transcript, and
+    every transcript has utterances."""
     encoded = _encoded(model, transcripts)
     scores = [model.predict(encoded[start:start + BATCH_TRANSCRIPTS])
               for start in range(0, len(encoded), BATCH_TRANSCRIPTS)]

@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .align import align_transcripts
+from .align import _codes, align_transcripts
 from .corpus import (
     N_SOAP,
     N_SPEAKER,
@@ -72,8 +72,7 @@ def reconstruct_utterances(asr_text: str, turns) -> list:
 
 def _space_mask(text: str) -> np.ndarray:
     """Per char of text: whether str.isspace holds for it."""
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    return np.isin(codes, [ord(c) for c in set(text) if c.isspace()])
+    return np.isin(_codes(text), [ord(c) for c in set(text) if c.isspace()])
 
 
 def word_spans(text: str, utt_spans) -> tuple:

@@ -736,6 +736,113 @@ def transcript_loss_and_grads(model, token_lists, spk_targets, sect_targets,
     return total, grads
 
 
+# --- the stacked LSTM kernel in its plain numpy form ---
+#
+# soapkit.neural.network's stacked LSTM written with a strided step
+# product, broadcast gate updates on a member-major backward buffer and a
+# time flip copied for every member. The kernel must reproduce it bit for
+# bit.
+
+
+def _carried_in(A):
+    return np.concatenate([np.zeros_like(A[:1]), A[:-1]])
+
+
+def flip_reference(A, flip, axis=1):
+    return np.stack([A[::-1, s] if rev else A[:, s] for s, rev in enumerate(flip)], axis=axis)
+
+
+def lstm_forward_reference(X, W, U, b, in_mask=None, rec_mask=None,
+                           reverse=False, mask=None, keep_cache=True):
+    single = W.ndim == 2
+    if single:
+        X, W, U, b = X[:, None], W[None], U[None], b[None]
+    n, batch, _ = X.shape
+    n_lstm, hidden = U.shape[0], U.shape[2]
+    flip = np.broadcast_to(reverse, n_lstm).tolist()
+    Xm = X[:, None] if in_mask is None else X[:, None] * in_mask
+    WX = flip_reference(np.broadcast_to(Xm, (n, n_lstm) + X.shape[1:]), flip) @ W.transpose(0, 2, 1)
+    UT, bias = U.transpose(0, 2, 1), np.broadcast_to(b[:, None, :], (n_lstm, batch, 4 * hidden))
+    m = None if mask is None else flip_reference(
+        np.broadcast_to(mask[:, None, :, None], (n, n_lstm, batch, 1)), flip)
+    ragged = [False] * n if m is None else (m.min(axis=(1, 2, 3)) < 1).tolist()
+    H = np.empty((n, n_lstm, batch, hidden))
+    C = np.empty((n if keep_cache else 2, n_lstm, batch, hidden))
+    GATES = np.empty((n if keep_cache else 1, n_lstm, batch, 4 * hidden))
+    c_at, g_at = (range(n), range(n)) if keep_cache else ([t % 2 for t in range(n)], [0] * n)
+    i, f, g, o = (GATES[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    h = c = np.zeros((n_lstm, batch, hidden))
+    for t in range(n):
+        hm = h * rec_mask if rec_mask is not None else h
+        z = hm @ UT
+        z += WX[t]
+        z += bias
+        k = g_at[t]
+        GATES[k] = sigmoid_two_branch(z)
+        np.tanh(z[..., 2 * hidden:3 * hidden], out=g[k])
+        c_prev, c, h = c, C[c_at[t]], H[t]
+        np.multiply(f[k], c_prev, out=c)
+        c += i[k] * g[k]
+        if ragged[t]:
+            c *= m[t]
+        np.tanh(c, out=h)
+        h *= o[k]
+    H = flip_reference(H, flip)
+    cache = dict(X=X, GATES=GATES, C=C, W=W, U=U, in_mask=in_mask, rec_mask=rec_mask, m=m,
+                 ragged=ragged, flip=flip, single=single)
+    return (H[:, 0, 0] if single else H), cache if keep_cache else None
+
+
+def lstm_backward_reference(dH, cache, cuts=frozenset()):
+    GATES, C, W, U = cache["GATES"], cache["C"], cache["W"], cache["U"]
+    in_mask, rec_mask, flip = cache["in_mask"], cache["rec_mask"], cache["flip"]
+    single, m, ragged = cache["single"], cache["m"], cache["ragged"]
+    n, n_lstm, batch, hidden = C.shape
+    dH = flip_reference(dH[:, None, None] if single else dH, flip)
+    cut_at = [[s for s, rev in enumerate(flip) if (n - t if rev else t) in cuts] for t in range(n)]
+    i, f, g, o = (GATES[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    TC = np.tanh(C)
+    HM = _carried_in(o * TC)
+    if rec_mask is not None:
+        HM = HM * rec_mask
+    dZ = np.empty((n_lstm, n, batch, 4, hidden))
+    dZt = dZ.swapaxes(0, 1)
+    dZt[..., 0, :] = g * i * (1.0 - i)
+    dZt[..., 1, :] = _carried_in(C) * f * (1.0 - f)
+    dZt[..., 2, :] = i * (1.0 - g * g)
+    dZt[..., 3, :] = TC * o * (1.0 - o)
+    DC = o * (1.0 - TC * TC)
+    dh_carry = dc_carry = np.zeros((n_lstm, batch, hidden))
+    for t in range(n - 1, -1, -1):
+        dh = dH[t] + dh_carry
+        if ragged[t]:
+            dh *= m[t]
+            dc_carry = dc_carry * m[t]
+        dc = dh * DC[t] + dc_carry
+        dz = dZt[t]
+        dz[..., :3, :] *= dc[..., None, :]
+        dz[..., 3, :] *= dh
+        dh_carry = dz.reshape(n_lstm, batch, 4 * hidden) @ U
+        if rec_mask is not None:
+            dh_carry *= rec_mask
+        dc_carry = dc * f[t]
+        for s in cut_at[t]:
+            dh_carry[s] = dc_carry[s] = 0.0
+    for s in np.flatnonzero(flip):
+        dZ[s] = dZ[s, ::-1]
+    rows = dZ.reshape(n_lstm, n * batch, 4 * hidden)
+    Xm = cache["X"][None] if in_mask is None else cache["X"][None] * in_mask[:, None]
+    HM = flip_reference(HM, flip, axis=0).reshape(n_lstm, n * batch, hidden)
+    grads = {"W": rows.transpose(0, 2, 1) @ Xm.reshape(len(Xm), n * batch, -1),
+             "U": rows.transpose(0, 2, 1) @ HM, "b": rows.sum(axis=1)}
+    dX = dZ.reshape(n_lstm, n, batch, 4 * hidden) @ W[:, None]
+    if in_mask is not None:
+        dX = dX * in_mask[:, None]
+    if single:
+        return dX[0, :, 0], {k: v[0] for k, v in grads.items()}
+    return dX.swapaxes(0, 1), grads
+
+
 # --- reference solves of the lr baseline and of Platt calibration ---
 #
 # Plain Newton steps on the dense Hessian, on (n, C) sample-major arrays:

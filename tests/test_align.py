@@ -204,6 +204,8 @@ class TestDpAlign:
             a = random_string(gen, alphabet, 14)
             b = random_string(gen, alphabet, 14)
             assert dp_align(a, b) == dp_align_table(a, b), (a, b)
+        # a lone surrogate, which JSON text may hold, aligns like any other char
+        assert dp_align("a\ud800b", "\ud800ab") == dp_align_table("axb", "xab")
 
     def test_one_char_side_matches_full_table(self):
         # every pair with one side of one char (a, b, c, or d, which the
@@ -304,8 +306,10 @@ class TestPartitionTree:
         # char noise with merges and splits, and a few edge pairs
         heavy = CorruptionConfig(char_sub_rate=0.2, char_del_rate=0.2, char_ins_rate=0.2,
                                  turn_merge_rate=0.5, turn_split_rate=0.3)
+        # JSON text may hold a lone surrogate, one char like any other
         pairs = [("", "abc"), ("abc", ""), ("ab", "ba"), ("aaaa", "aaaa"),
-                 ("the patient reports pain", "the patient reports pain")]
+                 ("the patient reports pain", "the patient reports pain"),
+                 ("the patient \ud800 reports pain", "the patient \ud800 report pain")]
         for seed, n_utt, noise in ((11, 300, README_NOISE), (12, 300, README_NOISE),
                                    (13, 40, heavy), (14, 40, heavy), (15, 12, README_NOISE)):
             refs = generate_corpus(SynthConfig(n_transcripts=8 if n_utt < 300 else 2,

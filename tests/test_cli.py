@@ -438,10 +438,16 @@ class TestPipeline:
         assert "at least two validation transcripts" in res.stderr
 
     @pytest.mark.parametrize("argv, detail", [
-        (["--test", "{ref}", "--calibrate", "--val-corpus", "{noise}"],
-         "calibration needs at least two validation transcripts, got 0"),
-        (["--test", "{noise}"], "no utterances to score"),
-    ], ids=["val-corpus", "test"])
+        (["eval", "--model", "oracle", "--test", "{ref}", "--calibrate", "--val-corpus", "{noise}"],
+         "{noise}: calibration needs at least two validation transcripts, got 0"),
+        (["eval", "--model", "oracle", "--test", "{noise}"], "{noise}: no utterances to score"),
+        (["train", "--corpus", "{noise}", "--variant", "mnb", "--out", "{out}"],
+         "{noise}: no utterances to train on"),
+        (["train", "--corpus", "{noise}", "--variant", "bil", "--out", "{out}"],
+         "{noise}: no utterances to train on"),
+        (["train", "--corpus", "{noise}", "--with-asr", "{noise}", "--variant", "lr",
+          "--out", "{out}"], "{noise} and {noise}: no utterances to train on"),
+    ], ids=["val-corpus", "test", "train-mnb", "train-bil", "train-with-asr"])
     def test_corpus_with_no_tokens_names_the_file(self, workspace, tmp_path, capsys, argv, detail):
         """Three transcripts whose every utterance is "[noise]" keep no token."""
         ref = workspace / "data" / "reference.jsonl"
@@ -451,9 +457,10 @@ class TestPipeline:
             for utt in rec["utterances"]:
                 utt["text"] = "[noise]"
         noise.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
-        argv = [a.format(ref=ref, noise=noise) for a in argv]
-        assert main(["eval", "--model", "oracle", *argv]) == 4
-        assert f"detail={noise}: {detail}" in capsys.readouterr().err
+        paths = dict(ref=ref, noise=noise, out=tmp_path / "model.json")
+        assert main([a.format(**paths) for a in argv]) == 4
+        assert f"detail={detail.format(**paths)}" in capsys.readouterr().err
+        assert not paths["out"].exists()
 
     def test_train_eval_baseline(self, workspace):
         data = workspace / "data"

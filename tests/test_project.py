@@ -50,6 +50,8 @@ class TestWordSpans:
         spans, counts = word_spans("  ab  cd ", [(0, 9)])
         assert spans.tolist() == [[2, 4], [6, 8]] and counts.tolist() == [2]
         assert spans.dtype == np.intp and counts.dtype == np.intp
+        spans, _ = word_spans("a\ud800 b", [(0, 4)])  # a lone surrogate is a non-space char
+        assert spans.tolist() == [[0, 2], [3, 4]]
 
     def test_window_restricts(self):
         spans, counts = word_spans("ab cd ef", [(3, 8)])
