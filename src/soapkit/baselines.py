@@ -68,13 +68,11 @@ class BaselineModel:
             out = np.zeros((len(token_lists), self.n_classes))
             out[:, self.majority] = 1.0
             return out
-        X = count_matrix(token_lists, self.vocab)
-        if self.kind == "mnb":
-            Z = [self.log_prior + self.log_likelihood @ x for x in X]
-        elif self.kind == "lr":
-            Z = [self.weights @ x + self.bias for x in X]
-        else:
+        if self.kind not in ("mnb", "lr"):
             raise DataError(f"unknown baseline kind {self.kind!r}")
+        W, b = ((self.log_likelihood, self.log_prior) if self.kind == "mnb"
+                else (self.weights, self.bias))
+        Z = [W @ x + b for x in count_matrix(token_lists, self.vocab)]
         return softmax(np.array(Z).reshape(-1, self.n_classes), axis=1)
 
     def save(self, path) -> None:

@@ -211,9 +211,8 @@ def _format_eval_table(task: str, uncal: MetricReport, cal: MetricReport | None)
 
 
 def cmd_eval(args) -> int:
-    if args.calibrate and not args.val_corpus:
-        raise CliError(EXIT_MISSING, "usage",
-                       "--calibrate requires --val-corpus")
+    if args.calibrate != bool(args.val_corpus):
+        raise CliError(EXIT_MISSING, "usage", "--calibrate and --val-corpus need each other")
     model = ("oracle" if args.model == "oracle"
              else _read_input(read_json, args.model, _checkpoint))
     test = preprocess_corpus(_read_input(read_corpus, args.test))
@@ -322,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibrate", action="store_true",
                    help="also report Platt-calibrated metrics")
     p.add_argument("--val-corpus", default=None,
-                   help="corpus whose tail fits the calibrator (required with --calibrate)")
+                   help="corpus whose tail fits the calibrator (with --calibrate, and only then)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_eval)
 

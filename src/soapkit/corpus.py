@@ -462,7 +462,7 @@ def gold_labels(transcript: Transcript, task: str) -> np.ndarray:
     """Hard labels for evaluation: stored labels for reference transcripts,
     argmax of the stored target distribution for ASR transcripts."""
     if task not in ("speaker", "soap"):
-        raise ValueError(f"unknown task {task!r}")
+        raise DataError(f"unknown task {task!r}")
     speaker, utts = task == "speaker", transcript.utterances
     if transcript.kind is TranscriptKind.REFERENCE:
         return np.array([u.speaker if speaker else u.section for u in utts], dtype=int)

@@ -92,6 +92,8 @@ class SequenceClassifier:
         else:
             ctx = d
         self.ctx_dim = ctx
+        # bild's two decoders feed one projection each; otherwise both heads read the context
+        self._head = "proj" if config.variant == "bild" else "head"
         if config.variant == "bild":
             hd = config.decoder_hidden
             for task, n_out in (("spk", N_SPEAKER), ("sect", N_SOAP)):
@@ -155,14 +157,6 @@ class SequenceClassifier:
         return {name: tuple(map(np.stack, zip(*[(next(masks), next(masks)) for _ in members])))
                 for name, members, _ in self._groups}
 
-    def _lstm(self, group, x, drop: dict, mask, keep_cache: bool) -> tuple:
-        """Run one group's members in lockstep over x: ((T, S, B, H), cache)."""
-        name, members, reverse = group
-        W, U, b = (np.stack([self.params[f"{m}_{k}"] for m in members]) for k in "WUb")
-        im, rm = drop.get(name, (None, None))
-        return lstm_forward(x, W, U, b, in_mask=im, rec_mask=rm, mask=mask,
-                            reverse=reverse, keep_cache=keep_cache)
-
     def _forward(self, batch, dropout: float = 0.0, gen=None,
                  tbptt_len: int | None = None, keep_cache: bool = True) -> dict:
         """One time-major (T, B) pass over a batch of transcripts, each a
@@ -190,11 +184,13 @@ class SequenceClassifier:
         drop = self._dropout_masks(n_seq, dropout, gen)
 
         x = X
-        for group in self._groups:
-            h, cache[group[0]] = self._lstm(group, x, drop, mask, keep_cache)
+        for name, members, reverse in self._groups:
+            W, U, b = (np.stack([p[f"{m}_{k}"] for m in members]) for k in "WUb")
+            im, rm = drop.get(name, (None, None))
+            h, cache[name] = lstm_forward(x, W, U, b, in_mask=im, rec_mask=rm, mask=mask,
+                                          reverse=reverse, keep_cache=keep_cache)
             x = h.swapaxes(1, 2).reshape(n, n_seq, -1)  # the members' features side by side
-        # bild's two decoders feed one head each; otherwise both heads read x
-        head = "proj" if cfg.variant == "bild" else "head"
+        head = self._head
         probs = cache["probs"] = {}
         heads_in = np.split(x, 2, axis=2) if head == "proj" else (x, x)
         for task, x_task in zip(("spk", "sect"), heads_in):
@@ -248,7 +244,7 @@ class SequenceClassifier:
         # activations are freed layer by layer
         cuts, real = cache["cuts"], cache["real"]
         grads = {name: np.zeros_like(val) for name, val in p.items()}
-        head = "proj" if self.config.variant == "bild" else "head"
+        head = self._head
         dx = []
         for task in ("spk", "sect"):
             dl = dlogits[task]

@@ -3,7 +3,9 @@
 Plain numpy, float64, no autograd: every backward function here is the
 hand-derived adjoint of its forward partner and is checked against central
 finite differences in the test suite. Gate order in all LSTM weight
-matrices is input, forget, cell, output.
+matrices is input, forget, cell, output. Each kernel has one shape, the
+stacked one the model calls; a lone sequence or utterance is read, by
+reshapes, as a stack or block of one.
 
 The LSTM kernel runs S LSTMs that read the same input in one step loop,
 so each step's fixed numpy-call cost is paid once for all of them (as in
@@ -47,24 +49,24 @@ def init_lstm(gen, input_dim: int, hidden: int) -> dict:
 
 def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
                  reverse=False, mask=None, keep_cache: bool = True) -> tuple:
-    """Run LSTMs from zero state, in one of two shapes. One LSTM, W (4H,
-    Din), U (4H, H), b (4H,), over one sequence X (N, Din) gives H (N, H).
-    S stacked members, W (S, 4H, Din), U (S, 4H, H), b (S, 4H), over a
-    time-major batch X (T, B, Din) read X in lockstep, one (S, B, H) @
-    (S, H, 4H) product and one sigmoid per step, and give H (T, S, B, H).
+    """Run S stacked LSTMs from zero state, W (S, 4H, Din), U (S, 4H, H),
+    b (S, 4H), over a time-major batch X (T, B, Din): the members read X in
+    lockstep, one (S, B, H) @ (S, H, 4H) product and one sigmoid per step,
+    and give H (T, S, B, H). X (T, Din) with W (4H, Din), U (4H, H), b
+    (4H,) reads as one member over one sequence.
 
-    In the stacked form, in_mask (S, B, Din) and rec_mask (S, B, H) are
-    variational dropout masks on the step input and the recurrent input,
-    and `mask` (T, B) is 1 on the real steps of sequences padded at the
-    end; padded steps leave zero state and output. A `reverse` member
-    (one flag, or one per member) runs over X[::-1] and mask[::-1], so it
-    starts from zero at each sequence's last real step; its H comes back in
-    X's time order. keep_cache=False keeps no gates or cell states and
-    returns no cache, for a pass no backward follows. Returns (H, cache).
+    in_mask (S, B, Din) and rec_mask (S, B, H) are variational dropout
+    masks on the step input and the recurrent input, and `mask` (T, B) is
+    1 on the real steps of sequences padded at the end; padded steps leave
+    zero state and output. A `reverse` member (one flag, or one per member)
+    runs over X[::-1] and mask[::-1], so it starts from zero at each
+    sequence's last real step; its H comes back in X's time order.
+    keep_cache=False keeps no gates or cell states and returns no cache,
+    for a pass no backward follows. Returns (H, cache).
     """
-    single = W.ndim == 2
-    if single:
-        X, W, U, b = X[:, None], W[None], U[None], b[None]
+    X = X.reshape(len(X), -1, X.shape[-1])
+    W, U = (A.reshape((-1,) + A.shape[-2:]) for A in (W, U))
+    b = b.reshape(-1, b.shape[-1])
     n, batch, _ = X.shape
     n_lstm, hidden = U.shape[0], U.shape[2]
     flip = np.broadcast_to(reverse, n_lstm).tolist()
@@ -105,8 +107,8 @@ def lstm_forward(X: np.ndarray, W, U, b, in_mask=None, rec_mask=None,
         h *= o[k]
     H = _flip(H, flip)
     cache = dict(X=X, GATES=GATES, C=C, W=W, U=U, in_mask=in_mask, rec_mask=rec_mask, m=m,
-                 ragged=ragged, flip=flip, single=single)
-    return (H[:, 0, 0] if single else H), cache if keep_cache else None
+                 ragged=ragged, flip=flip)
+    return H, cache if keep_cache else None
 
 
 def _flip(A: np.ndarray, flip, axis: int = 1) -> np.ndarray:
@@ -128,12 +130,12 @@ def lstm_backward(dH: np.ndarray, cache, cuts=frozenset()) -> tuple:
     zeroed between steps k-1 and k (truncated BPTT; forward values were
     not truncated). Only the input, gates and cell states are cached; the
     masked input, tanh(c) and the previous step's h and c are derived from
-    them. Returns (dX shaped like H with Din features, grads {"W","U","b"})."""
+    them. Returns (dX (T, S, B, Din), grads {"W","U","b"} stacked like W, U, b)."""
     GATES, C, W, U = cache["GATES"], cache["C"], cache["W"], cache["U"]
     in_mask, rec_mask, flip = cache["in_mask"], cache["rec_mask"], cache["flip"]
-    single, m, ragged = cache["single"], cache["m"], cache["ragged"]
+    m, ragged = cache["m"], cache["ragged"]
     n, n_lstm, batch, hidden = C.shape
-    dH = _flip(dH[:, None, None] if single else dH, flip)
+    dH = _flip(dH.reshape(C.shape), flip)
     # a reverse member meets boundary k after its run step n-k
     cut_at = [[s for s, rev in enumerate(flip) if (n - t if rev else t) in cuts] for t in range(n)]
     i, f, g, o = (GATES[..., k * hidden:(k + 1) * hidden] for k in range(4))
@@ -177,25 +179,21 @@ def lstm_backward(dH: np.ndarray, cache, cuts=frozenset()) -> tuple:
     dX = rows.reshape(n_lstm, n, batch, 4 * hidden) @ W[:, None]
     if in_mask is not None:
         dX = dX * in_mask[:, None]
-    if single:
-        return dX[0, :, 0], {k: v[0] for k, v in grads.items()}
     return dX.swapaxes(0, 1), grads
 
 
 def attention_forward(E: np.ndarray, w_layer: np.ndarray, w_word: np.ndarray,
                       mask=None) -> tuple:
-    """Collapse utterance embeddings into one vector per utterance: E is
-    one utterance (T, K, D) or a block of them (N, T, K, D).
+    """Collapse a block of utterance embeddings E (N, T, K, D) into one
+    vector per utterance, u (N, D); E (T, K, D) reads as a block of one.
 
     Per token, the K layer vectors are mixed by softmax(E_t w_layer); the
     resulting token vectors are pooled by softmax(L w_word). A zero w_word
-    gives the unweighted token mean. In a block, `mask` (N, T) marks the
-    real tokens; the others get zero pooling weight. Pads never reach
-    here: their zero vectors cannot carry signal anyway.
+    gives the unweighted token mean. `mask` (N, T) marks the real tokens;
+    the others get zero pooling weight. Pads never reach here: their zero
+    vectors cannot carry signal anyway.
     """
-    single = E.ndim == 3
-    if single:
-        E = E[None]
+    E = E.reshape((-1,) + E.shape[-3:])
     S = E @ w_layer                           # (N, T, K)
     A = softmax(S, axis=2)
     L = np.einsum("ntk,ntkd->ntd", A, E)      # (N, T, D)
@@ -205,7 +203,7 @@ def attention_forward(E: np.ndarray, w_layer: np.ndarray, w_word: np.ndarray,
     aw = softmax(q, axis=1)
     u = np.einsum("nt,ntd->nd", aw, L)
     cache = {"E": E, "A": A, "L": L, "aw": aw, "w_word": w_word}
-    return (u[0] if single else u), cache
+    return u, cache
 
 
 def attention_backward(du: np.ndarray, cache) -> tuple:

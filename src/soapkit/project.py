@@ -37,6 +37,7 @@ SENTENCE_END = ".?!"
 # Abbreviations whose trailing period never ends a sentence.
 ABBREVIATIONS = frozenset({"dr.", "mr.", "mrs.", "ms.", "mg.", "e.g.", "i.e."})
 _SENTENCE_BREAK = re.compile(rf"[{SENTENCE_END}](?=\s)")
+_WORD = re.compile(r"\S+")  # re's \s is str.isspace
 
 
 def _trailing_token(text: str, lo: int, end: int) -> str:
@@ -77,27 +78,16 @@ def _space_mask(text: str) -> np.ndarray:
 
 def word_spans(text: str, utt_spans) -> tuple:
     """The words of each utterance: maximal runs of non-space chars inside
-    its span. The spans must be sorted and disjoint, as
-    `reconstruct_utterances` returns them. Returns (spans, counts): an
-    (n_words, 2) intp array of absolute half-open spans in text order, and
-    each utterance's word count."""
-    bounds = np.asarray(utt_spans, dtype=np.intp).reshape(-1, 2)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    depth = np.zeros(len(text) + 1, dtype=np.int8)
-    depth[lo] += 1
-    depth[hi] -= 1
-    # word[p + 1]: char p is a non-space char inside an utterance
-    word = np.zeros(len(text) + 2, dtype=bool)
-    word[1:-1] = np.cumsum(depth[:-1], dtype=np.int8) > 0
-    word[1:-1] &= ~_space_mask(text)
-    starts = word[1:] & ~word[:-1]
-    ends = word[:-1] & ~word[1:]
-    # two utterances that touch split a run at their shared edge
-    starts[lo] |= word[lo + 1]
-    ends[hi] |= word[hi]
-    spans = np.stack([np.flatnonzero(starts), np.flatnonzero(ends)], axis=1)
-    counts = np.searchsorted(spans[:, 0], hi) - np.searchsorted(spans[:, 0], lo)
-    return spans, counts
+    its span. Returns (spans, counts): an (n_words, 2) intp array of
+    absolute half-open spans, utterance by utterance, and each utterance's
+    word count."""
+    flat, counts = [], []
+    for lo, hi in utt_spans:
+        n = len(flat)
+        for word in _WORD.finditer(text, lo, hi):
+            flat += word.span()
+        counts.append((len(flat) - n) // 2)
+    return np.array(flat, dtype=np.intp).reshape(-1, 2), np.array(counts, dtype=np.intp)
 
 
 def char_label_table(transcript: Transcript) -> tuple:

@@ -381,6 +381,19 @@ class TestErrorPaths:
                      "--test", str(tmp_path / "absent.jsonl"), "--calibrate"]) == 2
         assert "kind=usage" in capsys.readouterr().err
 
+    def test_val_corpus_without_calibrate_is_usage_error(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        res = run_cli("eval", "--model", "oracle", "--test", str(data / "reference.jsonl"),
+                      "--val-corpus", str(data / "reference.jsonl"))
+        assert res.returncode == 2
+        assert "kind=usage" in res.stderr
+        # refused before any input is read: a bad checkpoint does not make it exit 3
+        (tmp_path / "model.json").write_text("{not json")
+        assert main(["eval", "--model", str(tmp_path / "model.json"),
+                     "--test", str(tmp_path / "absent.jsonl"),
+                     "--val-corpus", str(tmp_path / "absent.jsonl")]) == 2
+        assert "kind=usage" in capsys.readouterr().err
+
     def test_config_overrides_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n": 4}')

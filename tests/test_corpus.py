@@ -343,7 +343,7 @@ class TestTargets:
         t = Transcript("e1", TranscriptKind.ASR, (Utterance(id=0, text="x.", dist=d),))
         assert gold_labels(t, "soap").tolist() == [2]
         assert gold_labels(t, "speaker").tolist() == [1]
-        with pytest.raises(ValueError, match="unknown task"):
+        with pytest.raises(DataError, match="unknown task"):
             gold_labels(t, "diagnosis")
 
     def test_synthetic_corpus_is_reference_kind(self):

@@ -85,42 +85,47 @@ class TestSigmoid:
 
 
 class TestAttention:
+    """One utterance at a time: a block of one, E (1, T, K, D)."""
+
     def test_single_token_returns_its_layer_mix(self):
         gen = np.random.Generator(np.random.PCG64(0))
-        E = gen.normal(size=(1, 3, 5))
+        E = gen.normal(size=(1, 1, 3, 5))
         w_layer = gen.normal(size=5)
         u, cache = attention_forward(E, w_layer, np.zeros(5))
-        A = softmax(E[0] @ w_layer, axis=0)
-        assert np.allclose(u, A @ E[0], atol=1e-12)
+        A = softmax(E[0, 0] @ w_layer, axis=0)
+        assert np.allclose(u[0], A @ E[0, 0], atol=1e-12)
 
     def test_zero_word_vector_gives_token_mean(self):
         gen = np.random.Generator(np.random.PCG64(1))
-        E = gen.normal(size=(4, 3, 5))
+        E = gen.normal(size=(1, 4, 3, 5))
         u, cache = attention_forward(E, np.zeros(5), np.zeros(5))
         # zero layer vector also means uniform layer mixing
-        assert np.allclose(u, E.mean(axis=(0, 1)), atol=1e-12)
+        assert np.allclose(u[0], E[0].mean(axis=(0, 1)), atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         gen = np.random.Generator(np.random.PCG64(2))
-        E = gen.normal(size=(3, 3, 4))
+        E = gen.normal(size=(1, 3, 3, 4))
         w_layer = gen.normal(size=4)
         w_word = gen.normal(size=4)
         r = gen.normal(size=4)  # random linear functional of the output
         u, cache = attention_forward(E, w_layer, w_word)
-        d_wl, d_ww = attention_backward(r, cache)
+        d_wl, d_ww = attention_backward(r[None], cache)
         eps = 1e-6
         for vec, grad in ((w_layer, d_wl), (w_word, d_ww)):
             for idx in range(vec.size):
                 old = vec[idx]
                 vec[idx] = old + eps
-                up = attention_forward(E, w_layer, w_word)[0] @ r
+                up = attention_forward(E, w_layer, w_word)[0][0] @ r
                 vec[idx] = old - eps
-                down = attention_forward(E, w_layer, w_word)[0] @ r
+                down = attention_forward(E, w_layer, w_word)[0][0] @ r
                 vec[idx] = old
                 assert grad[idx] == pytest.approx((up - down) / (2 * eps), abs=1e-6)
 
 
 class TestLstm:
+    """One LSTM over one sequence: a stack of one, X (T, 1, D) and
+    W (1, 4H, D)."""
+
     def test_init_shapes_bounds_and_forget_bias(self):
         gen = np.random.Generator(np.random.PCG64(0))
         p = init_lstm(gen, input_dim=9, hidden=4)
@@ -133,9 +138,9 @@ class TestLstm:
     def test_backward_matches_finite_differences(self):
         gen = np.random.Generator(np.random.PCG64(3))
         n, din, hidden = 5, 3, 4
-        X = gen.normal(size=(n, din))
-        p = init_lstm(gen, din, hidden)
-        r = gen.normal(size=(n, hidden))
+        X = gen.normal(size=(n, 1, din))
+        p = {k: v[None] for k, v in init_lstm(gen, din, hidden).items()}
+        r = gen.normal(size=(n, 1, 1, hidden))
 
         def loss():
             H, _ = lstm_forward(X, p["W"], p["U"], p["b"])
@@ -169,8 +174,8 @@ class TestLstm:
 
     def test_reverse_direction_sees_future_only(self):
         gen = np.random.Generator(np.random.PCG64(4))
-        X = gen.normal(size=(6, 3))
-        p = init_lstm(gen, 3, 4)
+        X = gen.normal(size=(6, 1, 3))
+        p = {k: v[None] for k, v in init_lstm(gen, 3, 4).items()}
         H, _ = lstm_forward(X, p["W"], p["U"], p["b"], reverse=True)
         X2 = X.copy()
         X2[0] = 0.0  # perturbing the first step cannot reach later outputs
@@ -180,8 +185,8 @@ class TestLstm:
 
     def test_tbptt_cut_blocks_gradient_flow(self):
         gen = np.random.Generator(np.random.PCG64(5))
-        X = gen.normal(size=(6, 3))
-        p = init_lstm(gen, 3, 4)
+        X = gen.normal(size=(6, 1, 3))
+        p = {k: v[None] for k, v in init_lstm(gen, 3, 4).items()}
         H, cache = lstm_forward(X, p["W"], p["U"], p["b"])
         dH = np.zeros_like(H)
         dH[5] = 1.0  # loss depends only on the last step

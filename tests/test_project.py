@@ -57,19 +57,36 @@ class TestWordSpans:
         spans, counts = word_spans("ab cd ef", [(3, 8)])
         assert spans.tolist() == [[3, 5], [6, 8]] and counts.tolist() == [2]
 
-    def test_matches_regex_per_utterance(self):
-        # sorted disjoint spans, some touching, over text with unicode spaces
+    def test_matches_isspace_walk_per_utterance(self):
+        # sorted disjoint spans, some touching, over text with every space
+        # char (str.isspace holds for none above U+3000) and a lone surrogate
         gen = np.random.Generator(np.random.PCG64(53))
-        alphabet = list("ab.") + [" ", "\n", "\u00a0", "\u2003"]
+        nonspace = list("ab.") + ["\ud800"]
+        spaces = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+        assert "\u3000" in spaces and "\u00a0" in spaces
         for _ in range(300):
-            text = "".join(gen.choice(alphabet, size=int(gen.integers(0, 40))))
+            text = "".join(nonspace[gen.integers(len(nonspace))] if gen.random() < 0.6
+                           else spaces[gen.integers(len(spaces))]
+                           for _ in range(int(gen.integers(0, 40))))
             cuts = sorted(set(gen.integers(0, len(text) + 1, size=6).tolist()))
             utts = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if gen.random() < 0.7]
-            want = [[(lo + m.start(), lo + m.end()) for m in re.finditer(r"\S+", text[lo:hi])]
-                    for lo, hi in utts]
+            want = [_isspace_words(text, lo, hi) for lo, hi in utts]
             spans, counts = word_spans(text, utts)
             assert counts.tolist() == [len(ws) for ws in want], (text, utts)
             assert [tuple(w) for w in spans.tolist()] == [w for ws in want for w in ws]
+
+
+def _isspace_words(text, lo, hi):
+    """Maximal runs of chars of text[lo:hi] for which str.isspace fails,
+    as absolute (start, end) spans, found one char at a time."""
+    out, start = [], None
+    for k in range(lo, hi + 1):
+        if k < hi and not text[k].isspace():
+            start = k if start is None else start
+        elif start is not None:
+            out.append((start, k))
+            start = None
+    return out
 
 
 class TestNormalizeSoap:
