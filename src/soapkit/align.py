@@ -263,6 +263,12 @@ def _tiles(root: Partition, ref: str, asr: str):
                 yield node, dp_align(ref[rl:rh], asr[al:ah])
 
 
+def _folded_tiles(ref_text: str, asr_text: str):
+    """The tiles (see `_tiles`) of the partition tree of the case-folded texts."""
+    ref_l, asr_l = fold_case(ref_text), fold_case(asr_text)
+    return _tiles(partition_tree(ref_l, asr_l), ref_l, asr_l)
+
+
 def align_transcripts(ref_text: str, asr_text: str) -> str:
     """Hierarchical alignment: partition by statistically confident LCS
     anchors, DP inside the leaves, concatenated in document order.
@@ -270,10 +276,8 @@ def align_transcripts(ref_text: str, asr_text: str) -> str:
 
     The result is an op string (see `dp_align`) that covers every char of
     both strings exactly once."""
-    ref_l = fold_case(ref_text)
-    asr_l = fold_case(asr_text)
     ops = "".join("M" * node.anchor[2] if sub is None else sub
-                  for node, sub in _tiles(partition_tree(ref_l, asr_l), ref_l, asr_l))
+                  for node, sub in _folded_tiles(ref_text, asr_text))
     n_ref, n_asr = len(ops) - ops.count("I"), len(ops) - ops.count("D")
     if n_ref != len(ref_text) or n_asr != len(asr_text):
         raise DataError(
@@ -284,11 +288,9 @@ def align_transcripts(ref_text: str, asr_text: str) -> str:
 
 def alignment_record(encounter_id: str, ref_text: str, asr_text: str) -> dict:
     """Per-encounter alignment dump: anchored spans plus leaf op strings."""
-    ref_l = fold_case(ref_text)
-    asr_l = fold_case(asr_text)
     anchors = []
     leaves = []
-    for node, sub in _tiles(partition_tree(ref_l, asr_l), ref_l, asr_l):
+    for node, sub in _folded_tiles(ref_text, asr_text):
         if sub is None:
             anchors.append(list(node.anchor))
         else:

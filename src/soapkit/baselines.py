@@ -11,13 +11,12 @@ most LR_GRAD_TOL) by the truncated Newton method of Lin, Weng & Keerthi
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (ABSENT_MASS, DataError, atomic_output, checked_array,
-                     inverse_frequency_weights, read_json)
+from .corpus import (ABSENT_MASS, DataError, checked_array, inverse_frequency_weights,
+                     read_json, write_json)
 from .metrics import validation_split
 from .neural.network import softmax
 
@@ -82,8 +81,7 @@ class BaselineModel:
         for name in ("log_prior", "log_likelihood", "weights", "bias"):
             arr = getattr(self, name)
             rec[name] = None if arr is None else np.asarray(arr).tolist()
-        with atomic_output(path) as fh:
-            fh.write(json.dumps(rec))
+        write_json(rec, path)
 
     @classmethod
     def load(cls, rec) -> "BaselineModel":

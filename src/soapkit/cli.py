@@ -21,6 +21,8 @@ import numpy as np
 from .align import alignment_record
 from .baselines import BaselineModel, train_lr, train_mc, train_mnb
 from .corpus import (
+    N_SOAP,
+    N_SPEAKER,
     DataError,
     Rng,
     gold_labels,
@@ -65,7 +67,6 @@ class CliError(Exception):
         super().__init__(detail)
         self.code = code
         self.kind = kind
-        self.detail = detail
 
 
 def _read_input(reader, path, *args):
@@ -78,10 +79,14 @@ def _read_input(reader, path, *args):
 
 
 def _checkpoint(rec):
-    """A model of either family from its checkpoint record."""
-    if rec.get("family") == "baseline":
-        return BaselineModel.load(rec)
-    return SequenceClassifier.from_record(rec)
+    """A model of either family from its checkpoint record. A baseline must
+    score its task's classes, though the library fits any class count."""
+    if rec.get("family") != "baseline":
+        return SequenceClassifier.from_record(rec)
+    model = BaselineModel.load(rec)
+    if model.n_classes != (N_SOAP if model.task == "soap" else N_SPEAKER):
+        raise DataError(f"a {model.task} checkpoint cannot have {model.n_classes} classes")
+    return model
 
 
 # --- subcommands ---
@@ -373,7 +378,7 @@ def main(argv=None) -> int:
                            f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except CliError as e:
-        detail = " ".join(str(e.detail).split())
+        detail = " ".join(str(e).split())
         print(f"soapkit: error kind={e.kind} detail={detail}", file=sys.stderr)
         return e.code
     except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as e:

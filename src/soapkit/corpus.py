@@ -169,21 +169,10 @@ def render_reference(utterances) -> tuple:
     return " ".join(utt.text for utt in utterances), spans
 
 
-class Rng:
-    """Deterministic splittable random source.
-
-    Wraps numpy's PCG64 behind a SeedSequence so the same 64-bit seed
-    yields bit-identical streams on every platform, and child generators
-    can be split off deterministically for parallel work.
-    """
-
-    def __init__(self, seed: int, _seq=None):
-        self.seed = int(seed)
-        self._seq = np.random.SeedSequence(self.seed) if _seq is None else _seq
-        self.generator = np.random.Generator(np.random.PCG64(self._seq))
-
-    def split(self, n: int) -> list:
-        return [Rng(self.seed, child) for child in self._seq.spawn(n)]
+def Rng(seed: int) -> np.random.Generator:
+    """The seeded stream: numpy's PCG64 behind a SeedSequence, bit-identical
+    on every platform; `.spawn(n)` splits off n independent children."""
+    return np.random.default_rng(seed)
 
 
 # --- corpus serialization ---
@@ -278,6 +267,12 @@ def write_jsonl(records, path) -> None:
         for rec in records:
             fh.write(json.dumps(rec))
             fh.write("\n")
+
+
+def write_json(record, path) -> None:
+    """Write one JSON object as the whole file, all or nothing."""
+    with atomic_output(path) as fh:
+        fh.write(json.dumps(record))
 
 
 def write_corpus(transcripts, path) -> None:

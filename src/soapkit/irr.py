@@ -200,7 +200,7 @@ def irr_report(notes_a, notes_b, transcripts) -> IrrReport:
     pair_by_encounter(notes_b, notes_a, "notes_a")  # refuses a note only in notes_b
     if not pairs:
         raise DataError("no note pairs to compare")
-    frac = {"identical": [], "substitution": [], "insertion": [], "deletion": []}
+    frac = {name: [] for name in ("identical", "substitution", "insertion", "deletion")}
     ev_overlaps = []
     tag_overlaps = []
     src_all = []
@@ -212,9 +212,8 @@ def irr_report(notes_a, notes_b, transcripts) -> IrrReport:
         if n_src == 0 or n_ref == 0:
             raise DataError(f"encounter {source.encounter_id!r}: empty note")
         mapping = map_notes(source, reference)
-        frac["identical"].append(mapping.count(NoteCategory.IDENTICAL) / n_src)
-        frac["substitution"].append(mapping.count(NoteCategory.SUBSTITUTION) / n_src)
-        frac["insertion"].append(mapping.count(NoteCategory.INSERTION) / n_src)
+        for category in NoteCategory:  # its values name the fractions
+            frac[category.value].append(mapping.count(category) / n_src)
         frac["deletion"].append(len(mapping.deletions) / n_ref)
         subs = [e for e in mapping.entries if e[0] is NoteCategory.SUBSTITUTION]
         if subs:
@@ -242,10 +241,7 @@ def irr_report(notes_a, notes_b, transcripts) -> IrrReport:
             p_pos_given_pos=p_pos_pos, p_pos_given_neg=p_pos_neg)
     return IrrReport(
         n_pairs=len(pairs),
-        identical=_mean_var(frac["identical"]),
-        substitution=_mean_var(frac["substitution"]),
-        insertion=_mean_var(frac["insertion"]),
-        deletion=_mean_var(frac["deletion"]),
+        **{name: _mean_var(values) for name, values in frac.items()},
         evidence_overlap=_mean_var(ev_overlaps),
         tag_overlap=_mean_var(tag_overlaps),
         sections=sections,

@@ -49,13 +49,8 @@ def confusion_and_f1(preds, golds, n_classes: int) -> dict:
     cm = confusion_matrix(preds, golds, n_classes)
     n = int(cm.sum())
     tp = np.diag(cm).astype(float)
-    pred_tot = cm.sum(axis=0).astype(float)
-    gold_tot = cm.sum(axis=1).astype(float)
-    f1 = np.zeros(n_classes)
-    for c in range(n_classes):
-        denom = pred_tot[c] + gold_tot[c]
-        if denom > 0:
-            f1[c] = 2.0 * tp[c] / denom
+    denom = cm.sum(axis=0).astype(float) + cm.sum(axis=1).astype(float)
+    f1 = np.divide(2.0 * tp, denom, out=np.zeros(n_classes), where=denom > 0)
     return {
         "n": n,
         "accuracy": float(tp.sum() / n),

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..corpus import N_SOAP, N_SPEAKER, DataError, Rng, atomic_output, checked_array, read_json
+from ..corpus import N_SOAP, N_SPEAKER, DataError, Rng, checked_array, read_json, write_json
 from .embeddings import HashEmbeddings
 from .network import (
     attention_backward,
@@ -39,6 +39,7 @@ from .network import (
 MODEL_VARIANTS = ("dlb", "wa", "bil", "bild")
 
 EMBED_LAYERS = 3
+MAX_WIDTH = 512  # callers use 8-48; refuses a checkpoint's absurd size before any draw
 
 
 class Encoded(NamedTuple):
@@ -59,10 +60,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in MODEL_VARIANTS:
             raise DataError(f"unknown variant {self.variant!r}; expected one of {MODEL_VARIANTS}")
-        for name, low in (("embed_dim", 1), ("enc1_hidden", 1), ("enc2_hidden", 1),
-                          ("decoder_hidden", 1), ("seed", 0)):
-            if type(getattr(self, name)) is not int or getattr(self, name) < low:
-                raise DataError(f"{name} must be an integer of at least {low}")
+        for name, low, high in (("embed_dim", 1, MAX_WIDTH), ("enc1_hidden", 1, MAX_WIDTH),
+                                ("enc2_hidden", 1, MAX_WIDTH), ("decoder_hidden", 1, MAX_WIDTH),
+                                ("seed", 0, float("inf"))):
+            if type(getattr(self, name)) is not int or not low <= getattr(self, name) <= high:
+                raise DataError(f"{name} must be an integer in [{low}, {high}]")
 
 
 class SequenceClassifier:
@@ -70,7 +72,7 @@ class SequenceClassifier:
         self.config = config
         self.embeddings = HashEmbeddings(dim=config.embed_dim, n_layers=EMBED_LAYERS,
                                          seed=config.seed)
-        gen = Rng(config.seed).generator
+        gen = Rng(config.seed)
         d = config.embed_dim
         p = {}
         lim = 1.0 / np.sqrt(d)
@@ -284,8 +286,7 @@ class SequenceClassifier:
         }
 
     def save(self, path) -> None:
-        with atomic_output(path) as fh:
-            fh.write(json.dumps(self.to_record()))
+        write_json(self.to_record(), path)
 
     @classmethod
     def from_record(cls, rec) -> "SequenceClassifier":

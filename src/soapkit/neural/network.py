@@ -236,10 +236,8 @@ def weighted_ce_loss_and_dlogits(probs: np.ndarray, targets: np.ndarray,
     return loss, dlogits
 
 
-def dropout_mask(gen, size: int, rate: float) -> np.ndarray | None:
-    """Inverted dropout mask (None when rate is 0)."""
-    if rate <= 0.0:
-        return None
+def dropout_mask(gen, size: int, rate: float) -> np.ndarray:
+    """Inverted dropout mask, for a rate in (0, 1)."""
     keep = 1.0 - rate
     return (gen.random(size) < keep).astype(float) / keep
 

@@ -59,12 +59,11 @@ class Adam:
             start += params[k].size
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
 
-    def step(self, grads: dict, scale: float = 1.0) -> None:
+    def step(self, grads: dict, scale: float) -> None:
         """One update from the gradients of the trained names, scaled by
         `scale` (the gradient clipping factor)."""
         g = np.concatenate([grads[k].ravel() for k in self.names])
-        if scale != 1.0:
-            g *= scale
+        g *= scale
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
@@ -98,8 +97,7 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
     if not transcripts:
         raise DataError("no non-empty transcripts to train on")
     data = [(e,) + one_hot_targets(t) for e, t in zip(_encoded(model, transcripts), transcripts)]
-    rng = Rng(cfg.seed)
-    gen = rng.generator
+    gen = Rng(cfg.seed)
     trainable = model.trainable()
     opt = Adam(model.params, trainable, lr=cfg.learning_rate)
     epoch_losses = []

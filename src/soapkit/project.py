@@ -158,10 +158,11 @@ def _class_counts(labels, n_classes: int, r_lo, r_hi) -> np.ndarray:
     return counts
 
 
-def word_label_probs(char_map: tuple, ref_labels: tuple, spans) -> tuple:
+def word_label_probs(char_map: tuple, ref_labels: tuple, spans: np.ndarray) -> tuple:
     """Label mass of every ASR word of a transcript, given the (ref_idx,
     matched) arrays of `asr_to_ref_map`, the (section, speaker) arrays of
-    `char_label_table` and the words' spans in the ASR text.
+    `char_label_table` and the words' (n_words, 2) intp spans in the ASR
+    text, as `word_spans` returns them.
 
     For each word, the aligned reference segment is the char range spanned
     by the word's matched/substituted chars. Per-class mass is the fraction
@@ -171,7 +172,6 @@ def word_label_probs(char_map: tuple, ref_labels: tuple, spans) -> tuple:
 
     Returns (soap (n_words, 5), speaker (n_words, 4)).
     """
-    spans = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
     hit, r_lo, r_hi, conf = _segments(char_map, spans[:, 0], spans[:, 1])
     section, speaker = ref_labels
     soap_counts = _class_counts(section, N_SOAP, r_lo, r_hi)
@@ -193,16 +193,14 @@ def normalize_soap(content) -> np.ndarray:
     return np.concatenate([np.maximum(0.0, 1.0 - s)[..., None], arr], axis=-1)
 
 
-def normalize_speaker(raw) -> np.ndarray:
-    """Normalize non-negative speaker mass (one vector, or one per row) to
-    unit L2 norm. An all-zero vector becomes uniform."""
-    arr = np.asarray(raw, dtype=float)
-    rows = arr.reshape(-1, N_SPEAKER)
+def normalize_speaker(rows: np.ndarray) -> np.ndarray:
+    """Normalize each row of non-negative (n, 4) speaker mass to unit L2
+    norm. An all-zero row becomes uniform."""
     # row by row: a batched norm sums the squares in another order
     norm = np.array([np.linalg.norm(r) for r in rows])
     out = rows / np.where(norm == 0.0, 1.0, norm)[:, None]
     out[norm == 0.0] = 1.0 / N_SPEAKER
-    return out.reshape(arr.shape)
+    return out
 
 
 def _run_means(rows, counts) -> np.ndarray:

@@ -149,9 +149,8 @@ def _make_utterance_text(gen, section, speaker, generic: bool) -> str:
     return text + punct
 
 
-def _generate_transcript(encounter_id: str, cfg: SynthConfig, rng: Rng,
+def _generate_transcript(encounter_id: str, cfg: SynthConfig, gen: np.random.Generator,
                          speaker_cdf, soap_cdf) -> Transcript:
-    gen = rng.generator
     n = int(gen.integers(cfg.min_utterances, cfg.max_utterances + 1))
     utts = []
     history = []
@@ -171,8 +170,7 @@ def _generate_transcript(encounter_id: str, cfg: SynthConfig, rng: Rng,
 def generate_corpus(cfg: SynthConfig) -> list:
     """Deterministic corpus for a given config+seed; each transcript draws
     from its own split of the seed stream."""
-    rng = Rng(cfg.seed)
-    parts = rng.split(cfg.n_transcripts)
+    parts = Rng(cfg.seed).spawn(cfg.n_transcripts)
     # the tables `gen.choice(len(p), p=p)` would search its one double in
     cdfs = [c / c[-1] for c in (np.cumsum(p, dtype=float)
                                 for p in (cfg.speaker_marginals, cfg.soap_marginals))]
@@ -199,7 +197,7 @@ class CorruptionStats:
     n_splits: int = 0
 
 
-def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> tuple:
+def corrupt(transcript: Transcript, corruption: CorruptionConfig, gen: np.random.Generator) -> tuple:
     """Apply the ASR channel to one reference transcript.
 
     Returns (AsrRaw, CorruptionStats). With all rates zero the output text
@@ -214,7 +212,6 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
     space. Character noise applies per char: delete, else maybe
     substitute, then maybe insert after.
     """
-    gen = rng.generator
     stats = CorruptionStats(encounter_id=transcript.encounter_id)
     text, spans = render_reference(transcript.utterances)
     turns = []
@@ -313,11 +310,11 @@ def corrupt(transcript: Transcript, corruption: CorruptionConfig, rng: Rng) -> t
     return AsrRaw(encounter_id=transcript.encounter_id, text=asr_text, turns=tuple(spans)), stats
 
 
-def corrupt_corpus(transcripts, corruption: CorruptionConfig, rng: Rng) -> tuple:
-    """Corrupt every transcript with per-transcript seed splits.
+def corrupt_corpus(transcripts, corruption: CorruptionConfig, gen: np.random.Generator) -> tuple:
+    """Corrupt every transcript with its own child of `gen`.
     Returns (asr_records, stats_list) in corpus order."""
     pairs = [corrupt(t, corruption, part)
-             for t, part in zip(transcripts, rng.split(len(transcripts)))]
+             for t, part in zip(transcripts, gen.spawn(len(transcripts)))]
     return [rec for rec, _ in pairs], [st for _, st in pairs]
 
 

@@ -754,9 +754,6 @@ def flip_reference(A, flip, axis=1):
 
 def lstm_forward_reference(X, W, U, b, in_mask=None, rec_mask=None,
                            reverse=False, mask=None, keep_cache=True):
-    single = W.ndim == 2
-    if single:
-        X, W, U, b = X[:, None], W[None], U[None], b[None]
     n, batch, _ = X.shape
     n_lstm, hidden = U.shape[0], U.shape[2]
     flip = np.broadcast_to(reverse, n_lstm).tolist()
@@ -789,16 +786,16 @@ def lstm_forward_reference(X, W, U, b, in_mask=None, rec_mask=None,
         h *= o[k]
     H = flip_reference(H, flip)
     cache = dict(X=X, GATES=GATES, C=C, W=W, U=U, in_mask=in_mask, rec_mask=rec_mask, m=m,
-                 ragged=ragged, flip=flip, single=single)
-    return (H[:, 0, 0] if single else H), cache if keep_cache else None
+                 ragged=ragged, flip=flip)
+    return H, cache if keep_cache else None
 
 
 def lstm_backward_reference(dH, cache, cuts=frozenset()):
     GATES, C, W, U = cache["GATES"], cache["C"], cache["W"], cache["U"]
     in_mask, rec_mask, flip = cache["in_mask"], cache["rec_mask"], cache["flip"]
-    single, m, ragged = cache["single"], cache["m"], cache["ragged"]
+    m, ragged = cache["m"], cache["ragged"]
     n, n_lstm, batch, hidden = C.shape
-    dH = flip_reference(dH[:, None, None] if single else dH, flip)
+    dH = flip_reference(dH, flip)
     cut_at = [[s for s, rev in enumerate(flip) if (n - t if rev else t) in cuts] for t in range(n)]
     i, f, g, o = (GATES[..., k * hidden:(k + 1) * hidden] for k in range(4))
     TC = np.tanh(C)
@@ -838,8 +835,6 @@ def lstm_backward_reference(dH, cache, cuts=frozenset()):
     dX = dZ.reshape(n_lstm, n, batch, 4 * hidden) @ W[:, None]
     if in_mask is not None:
         dX = dX * in_mask[:, None]
-    if single:
-        return dX[0, :, 0], {k: v[0] for k, v in grads.items()}
     return dX.swapaxes(0, 1), grads
 
 
@@ -1065,9 +1060,8 @@ def make_utterance_text(gen, section, speaker, generic: bool) -> str:
     return text + punct
 
 
-def generate_transcript(encounter_id: str, cfg, rng) -> Transcript:
-    """One reference transcript; `cfg` is a SynthConfig, `rng` an Rng."""
-    gen = rng.generator
+def generate_transcript(encounter_id: str, cfg, gen) -> Transcript:
+    """One reference transcript; `cfg` is a SynthConfig, `gen` a Generator."""
     n = int(gen.integers(cfg.min_utterances, cfg.max_utterances + 1))
     utts = []
     history = []

@@ -194,22 +194,22 @@ class TestRenderReference:
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = Rng(5).generator.random(8)
-        b = Rng(5).generator.random(8)
+        a = Rng(5).random(8)
+        b = Rng(5).random(8)
         assert np.array_equal(a, b)
 
     def test_split_children_deterministic_and_distinct(self):
-        kids1 = [r.generator.random(4) for r in Rng(9).split(3)]
-        kids2 = [r.generator.random(4) for r in Rng(9).split(3)]
+        kids1 = [r.random(4) for r in Rng(9).spawn(3)]
+        kids2 = [r.random(4) for r in Rng(9).spawn(3)]
         for x, y in zip(kids1, kids2):
             assert np.array_equal(x, y)
         assert not np.array_equal(kids1[0], kids1[1])
 
     def test_split_does_not_disturb_parent(self):
         r1 = Rng(3)
-        r1.split(2)
+        r1.spawn(2)
         r2 = Rng(3)
-        assert np.array_equal(r1.generator.random(4), r2.generator.random(4))
+        assert np.array_equal(r1.random(4), r2.random(4))
 
 
 class TestSerialization:

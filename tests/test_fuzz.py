@@ -18,7 +18,8 @@ import re
 import pytest
 
 from soapkit.cli import main
-from soapkit.corpus import DataError, Rng, read_asr_raw, read_corpus, write_asr_raw, write_corpus
+from soapkit.corpus import (N_SOAP, N_SPEAKER, DataError, Rng, read_asr_raw, read_corpus,
+                            write_asr_raw, write_corpus)
 from soapkit.irr import read_notes
 from soapkit.baselines import load_baseline
 from soapkit.neural.model import ModelConfig, SequenceClassifier, load_model
@@ -225,8 +226,17 @@ def _eval_exit(root, tmp_path, rec, capsys) -> int:
     return rc
 
 
+def _load_task_baseline(path):
+    """load_baseline, plus the CLI's rule that a checkpoint's class count
+    is its task's (the library fits any count)."""
+    model = load_baseline(path)
+    if model.n_classes != {"soap": N_SOAP, "speaker": N_SPEAKER}[model.task]:
+        raise DataError(f"{path}: {model.n_classes} classes for task {model.task}")
+    return model
+
+
 LOADERS = {"neural": (("wa", "bild"), load_model),
-           "baseline": (("mc", "mnb", "lr"), load_baseline)}
+           "baseline": (("mc", "mnb", "lr"), _load_task_baseline)}
 
 
 @pytest.mark.parametrize("family", sorted(LOADERS))
@@ -280,6 +290,8 @@ DROP = object()
     ("bild", ("config",), DROP),
     ("bild", ("config", "extra"), 1),
     ("bild", ("config", "embed_dim"), "2"),
+    # sizes numpy refuses at once, never ones it could hand out
+    ("bild", ("config", "embed_dim"), 10 ** 13),
     ("bild", ("params", "w_layer"), "abc"),
     ("bild", ("params", "proj_sect_b"), DROP),
     ("mnb", ("kind",), DROP),
@@ -291,6 +303,8 @@ DROP = object()
     ("lr", ("weights",), "abc"),
     ("lr", ("bias",), [10 ** 400, 0]),
     ("mc", ("majority",), None),
+    ("mc", ("n_classes",), 10 ** 13),
+    ("mc", ("n_classes",), 3),
 ], ids=lambda x: "drop" if x is DROP else ".".join(x) if isinstance(x, tuple) else None)
 def test_malformed_checkpoint_exits_3(corpora, tmp_path, capsys, variant, path, value):
     rec = json.loads((corpora / f"{variant}.json").read_text())

@@ -102,14 +102,14 @@ class TestNormalizeSoap:
 
 class TestNormalizeSpeaker:
     def test_l2_unit_vector_unchanged(self):
-        assert normalize_speaker([1.0, 0.0, 0.0, 0.0]).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert normalize_speaker(np.array([[1.0, 0.0, 0.0, 0.0]])).tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
     def test_l2_norm_is_one(self):
-        out = normalize_speaker([0.3, 0.4, 0.0, 0.0])
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+        out = normalize_speaker(np.array([[0.3, 0.4, 0.0, 0.0]]))
+        assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector_becomes_uniform(self):
-        assert normalize_speaker([0.0] * 4).tolist() == [0.25] * 4
+        assert normalize_speaker(np.zeros((1, 4))).tolist() == [[0.25] * 4]
 
 
 class TestReconstructUtterances:
@@ -191,7 +191,8 @@ class TestWordLabelProbs:
             ops, labels, spans = self.random_case(gen, p_insert=(0.1, 0.5, 0.9)[trial % 3],
                                                   p_space=(0.0, 0.3, 0.9)[trial % 4 % 3])
             char_map = asr_to_ref_map(ops)
-            soap, speaker = word_label_probs(char_map, labels, spans)
+            soap, speaker = word_label_probs(char_map, labels,
+                                             np.array(spans, dtype=np.intp).reshape(-1, 2))
             want_soap, want_speaker = word_label_probs_loop(*char_map, *labels, spans)
             assert soap.shape == (len(spans), 5) and speaker.shape == (len(spans), 4)
             # bit-identical, not merely close
@@ -209,7 +210,7 @@ class TestWordLabelProbs:
     def test_zero_words(self):
         char_map = asr_to_ref_map("MMI")
         labels = (np.zeros(2, np.int8), np.zeros(2, np.int8))
-        soap, speaker = word_label_probs(char_map, labels, [])
+        soap, speaker = word_label_probs(char_map, labels, np.empty((0, 2), dtype=np.intp))
         assert soap.shape == (0, 5) and speaker.shape == (0, 4)
 
 

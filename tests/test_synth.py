@@ -106,7 +106,7 @@ class TestGenerateCorpus:
                                       max_utterances=hi, context_rule_strength=strength,
                                       seed=seed, **extra)
                     want = [transcript_to_record(generate_transcript(f"enc{i:05d}", cfg, part))
-                            for i, part in enumerate(Rng(seed).split(cfg.n_transcripts))]
+                            for i, part in enumerate(Rng(seed).spawn(cfg.n_transcripts))]
                     got = [transcript_to_record(t) for t in generate_corpus(cfg)]
                     assert got == want, cfg
 
@@ -244,15 +244,15 @@ class TestCorrupt:
 
     @staticmethod
     def _assert_matches_oracle(t, cfg, seed):
-        rng, gen = Rng(seed), Rng(seed).generator
-        rec, stats = corrupt(t, cfg, rng)
+        drawn, gen = Rng(seed), Rng(seed)
+        rec, stats = corrupt(t, cfg, drawn)
         text, turns, want = corrupt_turn_streams(t.utterances, cfg, gen)
         assert (rec.text, rec.turns) == (text, turns), (cfg, t)
         got = asdict(stats)
         assert got.pop("encounter_id") == t.encounter_id
         assert got == want, (cfg, t)
         # the bulk draws leave the generator where one draw per test does
-        assert rng.generator.bit_generator.state == gen.bit_generator.state, (cfg, t)
+        assert drawn.bit_generator.state == gen.bit_generator.state, (cfg, t)
 
     def test_matches_turn_stream_oracle(self, oracle_corpus):
         for cfg in self.ORACLE_RATES:
@@ -270,13 +270,13 @@ class TestCorrupt:
 
     def test_numpy_stream_properties_the_bulk_draw_relies_on(self):
         # one bulk draw of n doubles is n scalar draws
-        bulk, scalar = Rng(4).generator, Rng(4).generator
+        bulk, scalar = Rng(4), Rng(4)
         assert bulk.random(1000).tolist() == [scalar.random() for _ in range(1000)]
         assert bulk.bit_generator.state == scalar.bit_generator.state
         # an integers draw below 2**32 uses half of a 64-bit word and keeps
         # the other half for the next one; putting the state back after a
         # look-ahead of doubles keeps that half pending
-        ahead, direct = Rng(5).generator, Rng(5).generator
+        ahead, direct = Rng(5), Rng(5)
         for gen in (ahead, direct):
             gen.integers(26)
         saved = ahead.bit_generator.state
@@ -301,9 +301,8 @@ class TestCorrupt:
 
         t = generate_corpus(SynthConfig(n_transcripts=1, min_utterances=300,
                                         max_utterances=300, seed=3))[0]
-        rng = Rng(4)
-        rng.generator = counting = CountingGenerator(rng.generator)
-        rec, _ = corrupt(t, self.README_NOISE, rng)
+        counting = CountingGenerator(Rng(4))
+        rec, _ = corrupt(t, self.README_NOISE, counting)
         n_chars = len(render_reference(t.utterances)[0])
         assert n_chars > 10_000
         # one call per test would be about three per char
