@@ -265,8 +265,6 @@ def cmd_irr(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="JSON file whose keys override flags")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -337,34 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcripts", required=True,
                    help="corpus supplying the utterance universe")
     p.set_defaults(func=cmd_irr)
-
-    for p in sub.choices.values():
-        p.set_defaults(parser=p)  # for _apply_config's checks
     return parser
-
-
-def _apply_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    overrides = _read_input(read_json, args.config, dict)
-    flags = {a.dest: a for a in args.parser._actions
-             if a.option_strings and a.dest not in ("help", "config")}
-    for key, value in overrides.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None:
-            raise CliError(EXIT_INVALID, "invalid-config-key",
-                           f"{args.config}: {key!r} is not a flag of this subcommand")
-        if action.type is float and type(value) is int and abs(value) <= sys.float_info.max:
-            value = float(value)  # an int beyond every float stays an int, refused below
-        # a value must be what the flag would parse to: true/false for a
-        # switch, else a JSON value of the flag's type within its choices
-        expected = bool if action.nargs == 0 else action.type or str
-        if type(value) is not expected or (action.choices is not None
-                                           and value not in action.choices):
-            raise CliError(EXIT_INVALID, "invalid-config-value",
-                           f"{args.config}: {value!r} is not a valid value for "
-                           f"{action.option_strings[0]}")
-        setattr(args, action.dest, value)
 
 
 def main(argv=None) -> int:
@@ -372,7 +343,6 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     try:
-        _apply_config(args)
         if getattr(args, "seed", 0) < 0:
             raise CliError(EXIT_INVALID, "invalid-seed",
                            f"--seed must be non-negative, got {args.seed}")

@@ -280,12 +280,13 @@ def write_corpus(transcripts, path) -> None:
 
 
 def json_object(text: str) -> dict:
-    """`text` parsed as JSON; malformed JSON, or a value that is not an
-    object, raises DataError."""
+    """`text` parsed as JSON; malformed JSON (an integer over Python's digit
+    limit and nesting past the recursion limit included), or a value that
+    is not an object, raises DataError."""
     try:
         rec = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DataError(f"malformed JSON ({e.msg})") from None
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        raise DataError(f"malformed JSON ({getattr(e, 'msg', e)})") from None
     if not isinstance(rec, dict):
         raise DataError("not a JSON object")
     return rec

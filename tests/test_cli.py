@@ -95,8 +95,7 @@ class TestErrorPaths:
         ("irr", "--notes-a", "{bad}", "--notes-b", "{bad}", "--transcripts",
          "{data}/reference.jsonl"),
         ("eval", "--model", "{bad}", "--test", "{data}/reference.jsonl"),
-        ("synth", "--out-dir", "{tmp}/x", "--n", "1", "--config", "{bad}"),
-    ], ids=["ref", "asr", "corpus", "notes-a", "model", "config"])
+    ], ids=["ref", "asr", "corpus", "notes-a", "model"])
     def test_non_utf8_input_is_exit_3(self, workspace, tmp_path, capsys, argv):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'\xff{"encounter_id": "e0"}\n')
@@ -229,32 +228,6 @@ class TestErrorPaths:
         assert res.returncode == 3
         assert "kind=parse-failure" in res.stderr and "non-finite" in res.stderr
 
-    def test_unknown_config_key_is_exit_4(self, workspace, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"does-not-exist": 1}')
-        res = run_cli("synth", "--out-dir", str(tmp_path / "x"), "--n", "2",
-                      "--config", str(cfg))
-        assert res.returncode == 4
-        assert "kind=invalid-config-key" in res.stderr
-
-    @pytest.mark.parametrize("argv, config", [
-        (("synth", "--out-dir", "{tmp}/x", "--n", "2"), {"n": "abc"}),
-        (("synth", "--out-dir", "{tmp}/x", "--n", "2"), {"char_sub": "0.1"}),
-        (("synth", "--out-dir", "{tmp}/x", "--n", "2"), {"char_sub": 10 ** 400}),
-        (("project", "--ref", "{data}/reference.jsonl", "--asr", "{data}/asr.jsonl",
-          "--out", "{tmp}/p.jsonl"), {"threads": "2"}),
-        (("train", "--corpus", "{data}/reference.jsonl", "--variant", "mnb",
-          "--out", "{tmp}/m.json"), {"task": "xyz"}),
-    ])
-    def test_config_value_unlike_its_flag_is_exit_4(self, workspace, tmp_path, argv, config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv = [a.format(tmp=tmp_path, data=workspace / "data") for a in argv]
-        res = run_cli(*argv, "--config", str(cfg))
-        assert res.returncode == 4, res.stderr
-        assert "kind=invalid-config-value" in res.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
     def test_negative_seed_is_exit_4(self, tmp_path):
         res = run_cli("synth", "--out-dir", str(tmp_path / "x"), "--n", "2", "--seed", "-1")
         assert res.returncode == 4, res.stderr
@@ -279,18 +252,31 @@ class TestErrorPaths:
                 main([command, "--help"])
             assert exc.value.code == 0
             listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-            assert listed == flags | {"--help", "--config", "--threads"}, command
+            assert listed == flags | {"--help", "--threads"}, command
 
-    def test_seed_is_not_a_flag_of_subcommands_that_draw_nothing(self, workspace, tmp_path):
+    def test_config_is_not_a_flag(self, tmp_path):
+        (tmp_path / "f.json").write_text('{"n": 2}')
+        res = run_cli("synth", "--out-dir", "x", "--n", "1", "--config", "f.json", cwd=tmp_path)
+        assert res.returncode == 2 and "--config" in res.stderr, res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+    def test_readme_names_only_flags_that_exist(self, capsys):
+        """Every --flag in README.md is listed by some subcommand's --help
+        (pip's --no-build-isolation aside)."""
+        listed = set()
+        for command in self.FLAGS:
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            listed |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        named = set(re.findall(r"--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}
+        assert named <= listed, sorted(named - listed)
+
+    def test_seed_is_not_a_flag_of_subcommands_that_draw_nothing(self, workspace):
         data = workspace / "data"
         res = run_cli("align", "--ref", str(data / "reference.jsonl"),
                       "--asr", str(data / "asr.jsonl"), "--seed", "1")
         assert res.returncode == 2 and "--seed" in res.stderr
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 1}))
-        res = run_cli("eval", "--model", "oracle", "--test", str(data / "reference.jsonl"),
-                      "--config", str(cfg))
-        assert res.returncode == 4 and "kind=invalid-config-key" in res.stderr
 
     def test_irr_bad_note_line_is_exit_3(self, workspace, tmp_path):
         data = workspace / "data"
@@ -394,15 +380,6 @@ class TestErrorPaths:
                      "--val-corpus", str(tmp_path / "absent.jsonl")]) == 2
         assert "kind=usage" in capsys.readouterr().err
 
-    def test_config_overrides_defaults(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"n": 4}')
-        res = run_cli("synth", "--out-dir", str(tmp_path / "c"), "--n", "2",
-                      "--config", str(cfg))
-        assert res.returncode == 0, res.stderr
-        lines = (tmp_path / "c" / "reference.jsonl").read_text().splitlines()
-        assert len(lines) == 4
-
 
 class TestPipeline:
     def test_align_writes_one_record_per_encounter(self, workspace):
@@ -436,10 +413,6 @@ class TestPipeline:
                 "--asr", str(data / "asr.jsonl"), "--out", str(tmp_path / "p.jsonl"))
         res = run_cli(*argv, "--speaker-norm", "l1")
         assert res.returncode == 2
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"speaker_norm": "l1"}))
-        res = run_cli(*argv, "--config", str(cfg))
-        assert res.returncode == 4 and "kind=invalid-config-key" in res.stderr
 
     def test_calibration_on_one_validation_transcript_names_the_cause(self, workspace, tmp_path):
         data = workspace / "data"

@@ -1,13 +1,15 @@
-"""Fixed-seed fuzzing of the three JSON Lines readers, of `--config` and
-of model checkpoints.
+"""Fixed-seed fuzzing of the three JSON Lines readers and of model
+checkpoints.
 
-Each case takes a valid record (config, checkpoint) and makes one
+Each case takes a valid record (line, checkpoint) and makes one
 mutation: it deletes a field, or swaps one value for an int, a string, a
 list, null or an object. A reader or checkpoint loader must then either
 accept the record or raise a DataError that names the file (and, for a
 reader, the line); the CLI must exit 0, 2 (missing file), 3 or 4, never
 1. Fixed cases put a string, a float or a bool where int() or float()
-would coerce it; those must exit 3.
+would coerce it, or JSON that overflows the parser (an integer past
+Python's digit limit, an array nested past the recursion limit); those
+must exit 3.
 """
 
 import copy
@@ -126,6 +128,7 @@ def _argv(root, name, path):
             "asr.jsonl": ["project", "--ref", ref, "--asr", path, "--out", str(root / "unused.jsonl")],
             "projected.jsonl": ["eval", "--model", "oracle", "--test", path],
             "notes_a.jsonl": ["irr", "--notes-a", path, "--notes-b", notes_b, "--transcripts", ref],
+            "mnb.json": ["eval", "--model", path, "--test", ref],
             }[name]
 
 
@@ -161,60 +164,60 @@ def test_values_int_or_float_would_coerce_exit_3(corpora, tmp_path, capsys, name
     assert rc == 3 and "kind=parse-failure" in err and "line 1" in err, err
 
 
-def _flag_configs(root):
-    """Per subcommand: the argv for its required flags, and a config
-    that sets every flag of the subcommand to a valid value."""
+def _every_flag(root):
+    """Per subcommand: an argv that sets every flag of the subcommand to a
+    valid value."""
     ref, asr = str(root / "reference.jsonl"), str(root / "asr.jsonl")
-    common = {"threads": 1}
+    projected, notes = str(root / "projected.jsonl"), str(root / "notes_a.jsonl")
     return {
-        "synth": (["--out-dir", "s"], {
-            **common, "seed": 1, "out_dir": "s2", "n": 2, "min_utterances": 2, "max_utterances": 3,
-            "context_strength": 0.5, "char_sub": 0.1, "char_del": 0.0, "char_ins": 0,
-            "turn_merge": 0.2, "turn_split": 0.2, "emit_asr": True}),
-        "align": (["--ref", ref, "--asr", asr], {
-            **common, "ref": ref, "asr": asr, "out": "align.jsonl"}),
-        "project": (["--ref", ref, "--asr", asr, "--out", "p.jsonl"], {
-            **common, "ref": ref, "asr": asr, "out": "p2.jsonl"}),
-        "train": (["--corpus", ref, "--variant", "mnb", "--out", "m.json"], {
-            **common, "seed": 1, "corpus": ref, "variant": "lr", "task": "speaker",
-            "with_asr": str(root / "projected.jsonl"), "out": "m2.json"}),
-        "eval": (["--model", str(root / "mnb.json"), "--test", ref], {
-            **common, "model": str(root / "mnb.json"), "test": ref, "calibrate": True,
-            "val_corpus": str(root / "projected.jsonl"), "json": True}),
-        "irr": (["--notes-a", str(root / "notes_a.jsonl"), "--notes-b",
-                 str(root / "notes_b.jsonl"), "--transcripts", ref], {
-            **common, "notes_a": str(root / "notes_a.jsonl"),
-            "notes_b": str(root / "notes_b.jsonl"), "transcripts": ref}),
+        "synth": ["--out-dir", "s", "--seed", "1", "--n", "2", "--min-utterances", "2",
+                  "--max-utterances", "3", "--context-strength", "0.5", "--char-sub", "0.1",
+                  "--char-del", "0.0", "--char-ins", "0", "--turn-merge", "0.2",
+                  "--turn-split", "0.2", "--emit-asr"],
+        "align": ["--ref", ref, "--asr", asr, "--out", "align.jsonl"],
+        "project": ["--ref", ref, "--asr", asr, "--out", "p.jsonl"],
+        "train": ["--seed", "1", "--corpus", ref, "--variant", "lr", "--task", "speaker",
+                  "--with-asr", projected, "--out", "m.json"],
+        "eval": ["--model", str(root / "mnb.json"), "--test", ref, "--calibrate",
+                 "--val-corpus", projected, "--json"],
+        "irr": ["--notes-a", notes, "--notes-b", str(root / "notes_b.jsonl"),
+                "--transcripts", ref],
     }
 
 
-def test_valid_configs_run(corpora, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["synth", "align", "project", "train", "eval", "irr"])
+def test_every_flag_at_a_valid_value_runs(corpora, tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
-    for command, (argv, config) in _flag_configs(corpora).items():
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        assert main([command, *argv, "--config", "cfg.json"]) == 0, capsys.readouterr().err
+    argv = [command, *_every_flag(corpora)[command], "--threads", "1"]
+    assert main(argv) == 0, capsys.readouterr().err
 
 
-def test_mutated_configs_never_exit_1(corpora, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    configs = _flag_configs(corpora)
-    rng = random.Random(12)
-    codes = set()
-    for _ in range(N_CASES):
-        command = rng.choice(sorted(configs))
-        argv, config = configs[command]
-        config = dict(config)
-        key = rng.choice(sorted(config))
-        if rng.random() < 0.2:
-            del config[key]
-        else:
-            config[key] = _swap(rng)
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        rc = main([command, *argv, "--config", "cfg.json"])
-        err = capsys.readouterr().err
-        assert rc in (0, 2, 3, 4) and "kind=internal" not in err, (command, config, err)
-        codes.add(rc)
-    assert {0, 4} <= codes
+_OVERFLOW = {"digits": "9" * 5000, "depth": "[" * 200_000 + "]" * 200_000}
+
+
+@pytest.mark.parametrize("overflow", sorted(_OVERFLOW))
+@pytest.mark.parametrize("name, path", [
+    ("reference.jsonl", ("utterances", 0, "id")),
+    ("asr.jsonl", ("turns", 0, 0)),
+    ("notes_a.jsonl", ("observations", 0, "evidence", 0)),
+    ("mnb.json", ("n_classes",)),
+], ids=["corpus", "asr", "notes", "checkpoint"])
+def test_json_past_the_parser_limits_exits_3(corpora, tmp_path, capsys, name, path, overflow):
+    """A value json.loads refuses with a ValueError or RecursionError
+    rather than a JSONDecodeError is malformed JSON too."""
+    lines = (corpora / name).read_text().splitlines()
+    rec = json.loads(lines[0])
+    node = rec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "OVERFLOW"  # json.dumps cannot write either value itself
+    mutated = tmp_path / name
+    mutated.write_text("\n".join([json.dumps(rec).replace('"OVERFLOW"', _OVERFLOW[overflow])]
+                                 + lines[1:]) + "\n")
+    rc = main(_argv(corpora, name, str(mutated)))
+    err = capsys.readouterr().err
+    assert rc == 3 and "kind=parse-failure" in err and str(mutated) in err, err
+    assert name == "mnb.json" or f"{mutated}: line 1: " in err, err
 
 
 def _eval_exit(root, tmp_path, rec, capsys) -> int:
