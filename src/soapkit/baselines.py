@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (ABSENT_MASS, DataError, checked_array, inverse_frequency_weights,
+from .corpus import (ABSENT_MASS, TASKS, DataError, checked_array, inverse_frequency_weights,
                      read_json, write_json)
 from .metrics import validation_split
 from .neural.network import softmax
+
+BASELINE_VARIANTS = ("mc", "mnb", "lr")
 
 LR_LAMBDAS = (10.0, 1.0, 0.1)  # the L2 grid, in path order
 LR_MAX_ITERS = 100  # Newton steps per fit
@@ -49,8 +51,8 @@ def count_matrix(token_lists, vocab) -> np.ndarray:
 class BaselineModel:
     """A fitted baseline; `kind` selects the scoring rule."""
 
-    kind: str  # "mc" | "mnb" | "lr"
-    task: str  # "soap" | "speaker"
+    kind: str  # one of BASELINE_VARIANTS
+    task: str  # a key of TASKS
     n_classes: int
     vocab: dict = field(default_factory=dict)
     majority: int | None = None
@@ -91,9 +93,9 @@ class BaselineModel:
             raise DataError("not a baseline checkpoint")
         kind, task, n_classes, vocab, majority = (
             rec.get(k) for k in ("kind", "task", "n_classes", "vocab", "majority"))
-        if kind not in ("mc", "mnb", "lr"):
+        if kind not in BASELINE_VARIANTS:
             raise DataError(f"unknown baseline kind {kind!r}")
-        if task not in ("soap", "speaker"):
+        if type(task) is not str or task not in TASKS:
             raise DataError(f"unknown task {task!r}")
         if type(n_classes) is not int or n_classes < 1:
             raise DataError("n_classes must be a positive integer")

@@ -19,10 +19,9 @@ import sys
 import numpy as np
 
 from .align import alignment_record
-from .baselines import BaselineModel, train_lr, train_mc, train_mnb
+from .baselines import BASELINE_VARIANTS, BaselineModel, train_lr, train_mc, train_mnb
 from .corpus import (
-    N_SOAP,
-    N_SPEAKER,
+    TASKS,
     DataError,
     Rng,
     gold_labels,
@@ -51,8 +50,6 @@ from .synth import (
 )
 
 log = logging.getLogger("soapkit")
-
-BASELINE_VARIANTS = ("mc", "mnb", "lr")
 
 # 0 ok; 2 missing input file (argparse usage errors also exit 2);
 # 3 unparsable input; 4 data fails an invariant; 1 anything unexpected.
@@ -84,7 +81,7 @@ def _checkpoint(rec):
     if rec.get("family") != "baseline":
         return SequenceClassifier.from_record(rec)
     model = BaselineModel.load(rec)
-    if model.n_classes != (N_SOAP if model.task == "soap" else N_SPEAKER):
+    if model.n_classes != TASKS[model.task]:
         raise DataError(f"a {model.task} checkpoint cannot have {model.n_classes} classes")
     return model
 
@@ -143,8 +140,8 @@ def cmd_project(args) -> int:
 
 def _baseline_data(transcripts, task: str):
     token_lists = [utt.tokens for t in transcripts for utt in t.utterances]
-    k = ("speaker", "soap").index(task)  # one_hot_targets' order
-    return token_lists, np.concatenate([one_hot_targets(t)[k] for t in transcripts])
+    return token_lists, np.concatenate([dict(zip(TASKS, one_hot_targets(t)))[task]
+                                        for t in transcripts])
 
 
 def cmd_train(args) -> int:
@@ -179,10 +176,9 @@ def _score_tasks(model, transcripts) -> dict:
     literal string "oracle", which reads the stored targets back as
     predictions."""
     if isinstance(model, SequenceClassifier):
-        return collect_scores(model, transcripts)
-    if model == "oracle":
-        spk, soap = zip(*map(one_hot_targets, transcripts))
-        scores = {"speaker": np.concatenate(spk), "soap": np.concatenate(soap)}
+        scores = collect_scores(model, transcripts)
+    elif model == "oracle":
+        scores = dict(zip(TASKS, map(np.concatenate, zip(*map(one_hot_targets, transcripts)))))
     else:
         scores = {model.task: model.predict_matrix(
             [utt.tokens for t in transcripts for utt in t.utterances])}
@@ -310,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="training corpus (jsonl)")
     p.add_argument("--variant", required=True,
                    choices=BASELINE_VARIANTS + MODEL_VARIANTS)
-    p.add_argument("--task", choices=("soap", "speaker"), default="soap",
+    p.add_argument("--task", choices=sorted(TASKS), default="soap",
                    help="target task for baseline variants (neural variants fit both)")
     p.add_argument("--with-asr", default=None,
                    help="projected ASR corpus appended to the training data")

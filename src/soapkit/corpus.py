@@ -21,6 +21,8 @@ import numpy as np
 
 N_SOAP = 5
 N_SPEAKER = 4
+# task -> class count, in the order one_hot_targets and SequenceClassifier.predict use
+TASKS = {"speaker": N_SPEAKER, "soap": N_SOAP}
 
 DIST_TOLERANCE = 1e-9
 
@@ -457,10 +459,10 @@ def inverse_frequency_weights(targets: np.ndarray) -> np.ndarray:
 def gold_labels(transcript: Transcript, task: str) -> np.ndarray:
     """Hard labels for evaluation: stored labels for reference transcripts,
     argmax of the stored target distribution for ASR transcripts."""
-    if task not in ("speaker", "soap"):
+    if task not in TASKS:
         raise DataError(f"unknown task {task!r}")
     speaker, utts = task == "speaker", transcript.utterances
     if transcript.kind is TranscriptKind.REFERENCE:
         return np.array([u.speaker if speaker else u.section for u in utts], dtype=int)
     vecs = np.array([u.dist.speaker if speaker else u.dist.soap for u in utts])
-    return vecs.reshape(-1, N_SPEAKER if speaker else N_SOAP).argmax(axis=1)
+    return vecs.reshape(-1, TASKS[task]).argmax(axis=1)

@@ -84,13 +84,9 @@ def overlap_score(a: Observation, b: Observation) -> float:
     return jaccard(a.evidence, b.evidence) + jaccard(a.tags, b.tags)
 
 
-def _normalize_summary(s: str) -> str:
-    return " ".join(s.split())
-
-
 def _exact_match(a: Observation, b: Observation) -> bool:
     return (a.tags == b.tags and a.evidence == b.evidence
-            and _normalize_summary(a.summary) == _normalize_summary(b.summary))
+            and a.summary.split() == b.summary.split())
 
 
 @dataclass

@@ -86,8 +86,10 @@ class HashEmbeddings:
         """(n, n_layers, dim): every layer's vector of each of n tokens."""
         import hashlib  # on first use, as numpy.random in _state_words_class
         state_words = _state_words_class()
-        seeds = [int.from_bytes(hashlib.sha256(f"{self.seed}|{k}|{t}".encode()).digest()[:8],
-                                "little") for t in tokens for k in range(self.n_layers)]
+        # JSON text may hold a lone surrogate, which strict UTF-8 refuses to encode
+        seeds = [int.from_bytes(hashlib.sha256(
+            f"{self.seed}|{k}|{t}".encode("utf-8", "surrogatepass")).digest()[:8], "little")
+            for t in tokens for k in range(self.n_layers)]
         out = np.empty((len(seeds), self.dim))
         for row, words in zip(out, seed_state_words(seeds)):
             np.random.Generator(np.random.PCG64(state_words(words))).standard_normal(out=row)

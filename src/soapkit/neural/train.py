@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import DataError, Rng, gold_labels, inverse_frequency_weights, one_hot_targets
+from ..corpus import TASKS, DataError, Rng, inverse_frequency_weights, one_hot_targets
 from .network import clip_scale, global_norm
 
 
@@ -128,14 +128,10 @@ def train_model(model, transcripts, cfg: TrainConfig = TrainConfig(), on_batch=N
 
 
 def collect_scores(model, transcripts) -> dict:
-    """Run the model over a corpus, BATCH_TRANSCRIPTS transcripts per
-    pass; returns stacked per-utterance scores plus gold labels per task
-    (reference labels, or argmax targets for ASR transcripts). The corpus
-    is non-empty `preprocess_corpus` output: at least one transcript, and
-    every transcript has utterances."""
+    """Per-task stacked per-utterance scores over a corpus, BATCH_TRANSCRIPTS
+    transcripts per pass. The corpus is non-empty `preprocess_corpus`
+    output: at least one transcript, and every transcript has utterances."""
     encoded = _encoded(model, transcripts)
     scores = [model.predict(encoded[start:start + BATCH_TRANSCRIPTS])
               for start in range(0, len(encoded), BATCH_TRANSCRIPTS)]
-    return {task: (np.concatenate([s[k] for s in scores]),
-                   np.concatenate([gold_labels(t, task) for t in transcripts]))
-            for k, task in enumerate(("speaker", "soap"))}
+    return dict(zip(TASKS, map(np.concatenate, zip(*scores))))

@@ -242,8 +242,8 @@ def test_criterion_6_context_advantage():
         for variant in ("wa", "bil"):
             model = SequenceClassifier(ModelConfig(variant=variant, seed=seed, **dims))
             train_model(model, train, TrainConfig(seed=seed))
-            scores, test_golds = collect_scores(model, test)["soap"]
-            f1[variant].append(evaluate(scores, test_golds, 5).macro_f1)
+            scores = collect_scores(model, test)["soap"]
+            f1[variant].append(evaluate(scores, golds, 5).macro_f1)
     med_wa = statistics.median(f1["wa"])
     med_bil = statistics.median(f1["bil"])
     elapsed = time.time() - t0
@@ -427,6 +427,8 @@ def test_criterion_10_projected_asr_helps_speaker_task():
     asr_p = preprocess_corpus(train_asr)
     test_p = preprocess_corpus(test_asr)
 
+    golds = np.concatenate([gold_labels(t, "speaker") for t in test_p])
+
     dims = {"embed_dim": 32, "enc1_hidden": 48, "enc2_hidden": 24}
     wins = 0
     lines = []
@@ -435,7 +437,7 @@ def test_criterion_10_projected_asr_helps_speaker_task():
         for tag, corpus in (("ref", ref_p), ("ref+asr", ref_p + asr_p)):
             model = SequenceClassifier(ModelConfig(variant="bil", seed=seed, **dims))
             train_model(model, corpus, TrainConfig(seed=seed))
-            scores, golds = collect_scores(model, test_p)["speaker"]
+            scores = collect_scores(model, test_p)["speaker"]
             f1[tag] = evaluate(scores, golds, 4).macro_f1
         wins += int(f1["ref+asr"] >= f1["ref"])
         lines.append(f"seed {seed}: {f1['ref']:.3f} -> {f1['ref+asr']:.3f}")

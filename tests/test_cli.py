@@ -498,6 +498,25 @@ class TestPipeline:
         # the loaders refuse a non-finite array
         (load_baseline if variant == "lr" else load_model)(ckpt)
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--corpus", "{odd}", "--variant", "wa", "--out", "{out}"],
+        ["train", "--corpus", "{odd}", "--variant", "bild", "--out", "{out}"],
+        ["eval", "--model", "{wa}", "--test", "{odd}", "--json"],
+    ], ids=["train-wa", "train-bild", "eval-json"])
+    def test_lone_surrogate_in_text_runs(self, workspace, tmp_path, capsys, argv):
+        """JSON may spell a lone surrogate, and the corpus reader keeps it.
+        {wa} is trained on the same transcripts without it."""
+        lines = (workspace / "data" / "reference.jsonl").read_text().splitlines()[:4]
+        rec = json.loads(lines[0])
+        rec["utterances"][0]["text"] = "pain \ud800 chest."
+        clean, odd = tmp_path / "clean.jsonl", tmp_path / "surrogate.jsonl"
+        clean.write_text("".join(line + "\n" for line in lines))
+        odd.write_text("".join(line + "\n" for line in [json.dumps(rec)] + lines[1:]))
+        paths = dict(odd=odd, out=tmp_path / "out.json", wa=tmp_path / "wa.json")
+        assert main(["train", "--corpus", str(clean), "--variant", "wa",
+                     "--out", str(paths["wa"])]) == 0
+        assert main([a.format(**paths) for a in argv]) == 0, capsys.readouterr().err
+
     def test_irr_report_runs(self, workspace, tmp_path):
         data = workspace / "data"
         notes_a = tmp_path / "a.jsonl"

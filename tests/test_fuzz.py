@@ -20,7 +20,7 @@ import re
 import pytest
 
 from soapkit.cli import main
-from soapkit.corpus import (N_SOAP, N_SPEAKER, DataError, Rng, read_asr_raw, read_corpus,
+from soapkit.corpus import (TASKS, DataError, Rng, read_asr_raw, read_corpus,
                             write_asr_raw, write_corpus)
 from soapkit.irr import read_notes
 from soapkit.baselines import load_baseline
@@ -233,7 +233,7 @@ def _load_task_baseline(path):
     """load_baseline, plus the CLI's rule that a checkpoint's class count
     is its task's (the library fits any count)."""
     model = load_baseline(path)
-    if model.n_classes != {"soap": N_SOAP, "speaker": N_SPEAKER}[model.task]:
+    if model.n_classes != TASKS[model.task]:
         raise DataError(f"{path}: {model.n_classes} classes for task {model.task}")
     return model
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -15,7 +16,7 @@ from oracles import (
     transcript_predict,
 )
 
-from soapkit.corpus import DataError, Rng, one_hot_targets
+from soapkit.corpus import TASKS, DataError, Rng, one_hot_targets
 from soapkit.neural import model as model_module
 from soapkit.neural.embeddings import HashEmbeddings, seed_state_words
 from soapkit.neural.model import ModelConfig, SequenceClassifier, load_model
@@ -32,7 +33,7 @@ from soapkit.neural.network import (
     softmax,
     weighted_ce_loss_and_dlogits,
 )
-from soapkit.neural.train import Adam, TrainConfig, train_model
+from soapkit.neural.train import Adam, TrainConfig, collect_scores, train_model
 
 
 class TestHashEmbeddings:
@@ -71,6 +72,14 @@ class TestHashEmbeddings:
 
     def test_empty_table(self):
         assert HashEmbeddings(dim=8, n_layers=3).table([]).shape == (0, 3, 8)
+
+    def test_lone_surrogate_hashes_its_surrogatepass_bytes(self):
+        # JSON may spell "\ud800"; strict UTF-8 refuses it, surrogatepass writes ED A0 80
+        row = HashEmbeddings(dim=8, n_layers=2, seed=3).table(["\ud800"])[0]
+        for k in range(2):
+            digest = hashlib.sha256(b"3|%d|\xed\xa0\x80" % k).digest()
+            gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
+            assert row[k].tobytes() == gen.standard_normal(8).tobytes()
 
 
 class TestSigmoid:
@@ -358,6 +367,29 @@ def tiny_batch(small_tokenized):
     tokens = [u.tokens for u in t.utterances][:6]
     spk_t, sect_t = one_hot_targets(t)
     return tokens, spk_t[:6], sect_t[:6]
+
+
+class TestTaskTable:
+    """TASKS lists the tasks in the order targets and predictions come in,
+    with each task's class count."""
+
+    def test_one_hot_targets(self, small_tokenized):
+        t = small_tokenized[0]
+        shapes = [a.shape for a in one_hot_targets(t)]
+        assert shapes == [(len(t.utterances), n) for n in TASKS.values()]
+
+    @pytest.mark.parametrize("variant", ["bil", "bild"])  # dense heads, decoders
+    def test_predict(self, small_tokenized, variant):
+        tokens, _, _ = tiny_batch(small_tokenized)
+        probs = SequenceClassifier(tiny_config(variant)).predict([tokens])
+        assert [p.shape for p in probs] == [(6, n) for n in TASKS.values()]
+
+    def test_collect_scores(self, small_tokenized):
+        corpus = small_tokenized[:5]
+        scores = collect_scores(SequenceClassifier(tiny_config("bil")), corpus)
+        n = sum(len(t.utterances) for t in corpus)
+        assert list(scores) == list(TASKS)
+        assert [s.shape for s in scores.values()] == [(n, c) for c in TASKS.values()]
 
 
 class TestModel:
